@@ -19,11 +19,11 @@ from .widom import (QEvaluation, WidomSum, charpoly_circulant,
 from .limitsets import (Arc, LimitSpectrumResult, Outlier, Region, ScanGrid,
                         compute_limit_sets, lambda_open, lambda_r,
                         omega_r_membership, outliers_open, outliers_perturbed,
-                        refine_zero, scan_grid, sigma_periodic, sigma_r)
+                        refine_zero, scan_grid, sigma_r)
 from .asymptotics import (FrameSet, GenericityReport, RTData,
                           frames_from_projection, genericity_check,
                           perturbed_rt_spectral_data, q_hat_leading,
-                          q_leading, q_tilde_leading, riesz_leading,
-                          riesz_leading_full, rt_spectral_data)
+                          q_leading, q_tilde_leading, riesz_leading_full,
+                          rt_spectral_data)
 
 __version__ = "0.1.0"

@@ -75,8 +75,7 @@ def rt_spectral_data(R, T, strict: bool = True) -> RTData:
     """
     R = nk.as_cmatrix(R)
     T = nk.as_cmatrix(T)
-    nk.inverse(R)
-    nk.inverse(T)
+    CoefficientTriple(R, T, np.zeros_like(R))   # R and T must be invertible
     rv, rp = _spectral_projectors(R)
     tv, tp = _spectral_projectors(T)
     r_order = np.argsort(np.abs(rv), kind="stable")
@@ -166,13 +165,6 @@ class RieszLeading:
     PR: np.ndarray
     upper_right: np.ndarray   # coefficient of 1/E: T (PR - PT) R
     lower_left: np.ndarray    # coefficient of 1/E: -(PR - PT)
-
-
-def riesz_leading(rt: RTData, members: Sequence[int]) -> RieszLeading:
-    rt._require_simple()
-    PT = rt.PT_of(members)
-    PR = rt.PR_of(members)
-    return RieszLeading(PT, PR, None, -(PR - PT))
 
 
 def riesz_leading_full(rt: RTData, R, T, members: Sequence[int]) -> RieszLeading:

@@ -20,11 +20,10 @@ from . import numkernel as nk
 from .asymptotics import (genericity_check, q_hat_leading, q_leading,
                           q_tilde_leading, rt_spectral_data)
 from .errors import BadConfig, ToeplimitError
-from .limitsets import (LimitSpectrumResult, Region, compute_limit_sets,
-                        model_hash, sigma_periodic)
+from .limitsets import Region, compute_limit_sets
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
                         circulant_spectrum_fft, finite_spectrum)
-from .transfer import ordered_spectrum
+from .transfer import DEGENERACY_TOL, TIE_TOL, ordered_spectrum
 from .widom import (charpoly_circulant, index_sets, q_hat, q_perturbed,
                     widom_sum_open, widom_sum_perturbed)
 from .operators import charpoly_direct
@@ -81,10 +80,8 @@ class ModelConfig:
     region: Tuple[float, float, float, float] = (-3.0, 3.0, -3.0, 3.0)
     nx: int = 128
     ny: int = 128
-    degeneracy_tol: float = 1e-8
-    tie_tol: float = 1e-6
-    refinement_tol: float = 1e-12
-    exclusion_radius: Optional[float] = None
+    degeneracy_tol: float = DEGENERACY_TOL
+    tie_tol: float = TIE_TOL
     seed: int = 0
     warnings: List[str] = field(default_factory=list)
 
@@ -106,8 +103,6 @@ class ModelConfig:
             "region": list(self.region), "nx": self.nx, "ny": self.ny,
             "tolerances": {
                 "degeneracy": self.degeneracy_tol, "tie": self.tie_tol,
-                "refinement": self.refinement_tol,
-                "exclusion_radius": self.exclusion_radius,
             },
             "seed": self.seed,
         }
@@ -148,9 +143,8 @@ def config_from_dict(data: Dict) -> ModelConfig:
     tol = data.get("tolerances", {})
     cfg = ModelConfig(
         L, N, R, T, V, A, B, C, case, region, nx, ny,
-        float(tol.get("degeneracy", 1e-8)), float(tol.get("tie", 1e-6)),
-        float(tol.get("refinement", 1e-12)),
-        tol.get("exclusion_radius"), int(data.get("seed", 0)))
+        float(tol.get("degeneracy", DEGENERACY_TOL)),
+        float(tol.get("tie", TIE_TOL)), int(data.get("seed", 0)))
     try:
         actual = cfg.boundary.classify(cfg.coeffs)
     except ToeplimitError:
@@ -251,18 +245,7 @@ def _cmd_limit_spectrum(args) -> int:
                                 r=args.r, workers=args.workers)
     writer = ArtifactWriter(args.out, cfg)
     if args.format == "csv":
-        import io
-        sio = io.StringIO()
-        sio.write("set_label,r,re,im,aux\n")
-        for a in result.arcs:
-            for p in a.points:
-                sio.write(f"{a.label},{'' if a.r is None else a.r},"
-                          f"{p.real:.17g},{p.imag:.17g},"
-                          f"{'' if a.crossing_index is None else a.crossing_index}\n")
-        for o in result.outliers:
-            sio.write(f"{o.label},,{o.point.real:.17g},{o.point.imag:.17g},"
-                      f"{o.residual:.6g}\n")
-        writer.write("limit_sets", "limit_sets.csv", sio.getvalue())
+        writer.write("limit_sets", "limit_sets.csv", result.to_csv())
     else:
         writer.write("limit_sets", "limit_sets.json", result.to_json_dict())
     writer.finish()
@@ -406,7 +389,7 @@ def _cmd_plot_data(args) -> int:
     boundary = None if cfg.case == "circulant" else cfg.boundary
     writer = ArtifactWriter(args.out, cfg)
     # periodic cloud series
-    cloud = sigma_periodic(cfg.coeffs, 512)
+    cloud = circulant_spectrum_fft(cfg.coeffs, 512)
     writer.write("plot_series", "series_sigma_cloud.csv",
                  _spectrum_series(cloud, "Sigma_cloud"))
     # arcs and outliers

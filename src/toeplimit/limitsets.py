@@ -6,20 +6,17 @@ crossings for the Lambda-type sets. Outliers are zeros of the dominant
 q-function, Newton-refined from grid minima.
 """
 import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import numkernel as nk
-from .errors import NoConvergence, SingularMatrix
 from .operators import BoundaryTriple, CoefficientTriple, winding_number
-from .transfer import (DEGENERACY_TOL, TIE_TOL, _pairwise_degenerate,
-                       boundary_transfer_matrix, ordered_spectrum,
-                       transfer_matrix)
+from .transfer import (DEGENERACY_TOL, TIE_TOL, boundary_transfer_matrices,
+                       match_branches, modulus_order, ordered_eig,
+                       ordered_spectrum, transfer_matrices, transfer_matrix)
 from .widom import q_hat, q_perturbed
 
 EXCLUSION_FACTOR = 3.0
@@ -45,9 +42,8 @@ class Region:
 class ScanGrid:
     """Per-node transfer-spectrum summaries on a rectangular grid.
 
-    Arrays are indexed [iy, ix]; ``values`` holds the modulus-ordered
-    eigenvalues (labeling within modulus ties is by plain sort order here,
-    which is immaterial for the modulus-based set logic).
+    Arrays are indexed [iy, ix]; ``values`` holds the eigenvalues in the
+    modulus order of ``ordered_spectrum``, tie-break included.
     """
     coeffs: CoefficientTriple
     region: Region
@@ -132,21 +128,17 @@ class LimitSpectrumResult:
             "metadata": self.metadata,
         }
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("set_label,r,re,im,aux\n")
-            for a in self.arcs:
-                for p in a.points:
-                    fh.write(f"{a.label},{'' if a.r is None else a.r},"
-                             f"{p.real:.17g},{p.imag:.17g},"
-                             f"{'' if a.crossing_index is None else a.crossing_index}\n")
-            for o in self.outliers:
-                fh.write(f"{o.label},,{o.point.real:.17g},{o.point.imag:.17g},"
-                         f"{o.residual:.6g}\n")
+    def to_csv(self) -> str:
+        """One row per arc point, then one per outlier."""
+        rows = ["set_label,r,re,im,aux\n"]
+        for a in self.arcs:
+            r = "" if a.r is None else a.r
+            j = "" if a.crossing_index is None else a.crossing_index
+            rows.extend(f"{a.label},{r},{p.real:.17g},{p.imag:.17g},{j}\n"
+                        for p in a.points)
+        rows.extend(f"{o.label},,{o.point.real:.17g},{o.point.imag:.17g},"
+                    f"{o.residual:.6g}\n" for o in self.outliers)
+        return "".join(rows)
 
 
 def model_hash(coeffs: CoefficientTriple,
@@ -162,18 +154,6 @@ def model_hash(coeffs: CoefficientTriple,
 
 # ---------------------------------------------------------------------------
 # grid scan
-
-
-def _batched_transfer(coeffs: CoefficientTriple, energies: np.ndarray) -> np.ndarray:
-    """Stacked transfer matrices for a flat array of energies."""
-    L = coeffs.L
-    n = energies.size
-    Tinv = nk.inverse(coeffs.T)
-    out = np.zeros((n, 2 * L, 2 * L), dtype=np.complex128)
-    out[:, :L, :L] = (energies[:, None, None] * np.eye(L) - coeffs.V) @ Tinv
-    out[:, :L, L:] = -coeffs.R
-    out[:, L:, :L] = Tinv
-    return out
 
 
 def _batched_eigvals(stack: np.ndarray, workers: Optional[int]) -> np.ndarray:
@@ -198,7 +178,7 @@ def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
     im = np.linspace(region.im_min, region.im_max, ny)
     h = max(re[1] - re[0], im[1] - im[0])
     energies = (re[None, :] + 1j * im[:, None]).ravel()
-    stack = _batched_transfer(coeffs, energies)
+    stack = transfer_matrices(coeffs, energies)
     masked = np.zeros(energies.size, dtype=bool)
     try:
         vals = _batched_eigvals(stack, workers)
@@ -210,30 +190,16 @@ def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
                 vals[i] = np.linalg.eigvals(stack[i])
             except np.linalg.LinAlgError:
                 masked[i] = True
-    order = np.argsort(np.abs(vals), axis=1, kind="stable")
+    order, _ = modulus_order(vals, tie_tol)
     vals = np.take_along_axis(vals, order, axis=1)
     moduli = np.abs(vals)
-    gap = np.abs(vals[:, :, None] - vals[:, None, :])
-    scale = 1.0 + np.maximum(moduli[:, :, None], moduli[:, None, :])
-    eye = np.eye(vals.shape[1], dtype=bool)
-    degenerate = np.any((gap < degeneracy_tol * scale) & ~eye, axis=(1, 2))
+    degenerate = np.any(nk.close_pairs(vals, degeneracy_tol), axis=(1, 2))
     shape = (ny, nx)
     return ScanGrid(coeffs, region, re, im,
                     vals.reshape(shape + (2 * coeffs.L,)),
                     moduli.reshape(shape + (2 * coeffs.L,)),
                     degenerate.reshape(shape), masked.reshape(shape), float(h),
                     degeneracy_tol, tie_tol)
-
-
-def sigma_periodic(coeffs: CoefficientTriple, theta_samples: int = 512) -> np.ndarray:
-    """Point cloud of the periodic limit spectrum: symbol eigenvalues on the
-    unit circle."""
-    if theta_samples < 64:
-        raise ValueError("theta_samples >= 64 required")
-    z = np.exp(2j * np.pi * np.arange(theta_samples) / theta_samples)
-    stack = (coeffs.R[None] / z[:, None, None] + coeffs.V[None]
-             + coeffs.T[None] * z[:, None, None])
-    return np.linalg.eigvals(stack).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +356,11 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
 # Lambda-type arcs (equal-modulus branch crossings)
 
 
-def _match(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray:
-    cost = np.abs(vals_a[:, None] - vals_b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty_like(cols)
-    perm[rows] = cols
-    return perm
-
-
 def _edge_crossing(scan: ScanGrid, a: int, b: int, Ea: complex, Eb: complex,
                    vals_a: np.ndarray, vals_b: np.ndarray) -> Optional[complex]:
     """Detect and refine a modulus crossing of ordered branches (a, b) along
     the edge Ea -> Eb via branch matching and bisection."""
-    perm = _match(vals_a, vals_b)
+    perm = match_branches(vals_a, vals_b)
     rank_b = np.argsort(np.argsort(np.abs(vals_b), kind="stable"), kind="stable")
     if rank_b[perm[a]] <= rank_b[perm[b]]:
         return None
@@ -411,7 +369,7 @@ def _edge_crossing(scan: ScanGrid, a: int, b: int, Ea: complex, Eb: complex,
 
     def continued_gap(E: complex) -> float:
         vals = np.linalg.eigvals(transfer_matrix(scan.coeffs, E))
-        p = _match(base, vals)
+        p = match_branches(base, vals)
         return float(np.abs(vals[p[a]]) - np.abs(vals[p[b]]))
 
     lo, hi = 0.0, 1.0
@@ -432,7 +390,6 @@ def _edge_crossing(scan: ScanGrid, a: int, b: int, Ea: complex, Eb: complex,
 
 def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
                       r: Optional[int],
-                      unit_conditions: bool = False,
                       point_filter: Optional[Callable] = None) -> List[Arc]:
     """Arcs of |z_a| = |z_b| (0-based consecutive ordered branches) by
     branch-matched edge crossings assembled through cell adjacency."""
@@ -465,21 +422,12 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
         for ix in range(nx):
             consider("v", iy, ix, iy + 1, ix)
 
-    # filter by the unit-modulus side conditions of the rank-r definition
     def passes(pt: complex) -> bool:
         nonlocal flagged
         mods = _sorted_moduli_at(scan.coeffs, pt)
         if a - 1 >= 0 and mods[a] - mods[a - 1] < scan.tie_tol * (1 + mods[a]):
             flagged += 1
-        if point_filter is not None:
-            return bool(point_filter(mods, a))
-        if not unit_conditions:
-            return True
-        if mods[a] < 1.0 - UNIT_COND_TOL:
-            return False
-        if a - 1 >= 0 and mods[a - 1] > 1.0 + UNIT_COND_TOL:
-            return False
-        return True
+        return point_filter is None or bool(point_filter(mods, a))
 
     crossings = {k: v for k, v in crossings.items() if passes(v)}
 
@@ -505,19 +453,16 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     return arcs
 
 
-def lambda_gap_mask(scan: ScanGrid, a: int, b: int,
-                    threshold: float = 1e-3) -> np.ndarray:
-    """Diagnostic fallback for the branch-matched detector: nodes where the
-    ordered-modulus gap |z_b| - |z_a| is below threshold*(1 + |z_b|). The gap
-    itself is one-signed, so this marks near-crossings, not crossings."""
-    gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
-    return scan.valid & (gap < threshold * (1.0 + scan.moduli[:, :, b]))
+def _unit_side(mods: np.ndarray, a: int) -> bool:
+    """The unit-modulus side conditions of the rank-r Lambda definition."""
+    return not (mods[a] < 1.0 - UNIT_COND_TOL
+                or (a >= 1 and mods[a - 1] > 1.0 + UNIT_COND_TOL))
 
 
 def lambda_open(scan: ScanGrid) -> List[Arc]:
     """|z_L| = |z_{L+1}| arcs (1-based), the open-boundary limit curve."""
     L = scan.L
-    return _lambda_pair_arcs(scan, L - 1, L, "Lambda", None, False)
+    return _lambda_pair_arcs(scan, L - 1, L, "Lambda", None)
 
 
 def lambda_r(scan: ScanGrid, r: int) -> List[Arc]:
@@ -528,7 +473,8 @@ def lambda_r(scan: ScanGrid, r: int) -> List[Arc]:
         raise ValueError("0 <= r <= L required")
     if r == L:
         return []
-    return _lambda_pair_arcs(scan, L - r - 1, L - r, "Lambda_r", r, True)
+    return _lambda_pair_arcs(scan, L - r - 1, L - r, "Lambda_r", r,
+                             point_filter=_unit_side)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +517,6 @@ def refine_zero(f: Callable[[complex], complex], seed: complex,
     return z, abs(fz), status
 
 
-def _batched_ordered_eig(coeffs: CoefficientTriple, energies: np.ndarray):
-    """Stacked modulus-ordered eigen-triples (values, right, left-rows)."""
-    stack = _batched_transfer(coeffs, energies)
-    vals, right = np.linalg.eig(stack)
-    order = np.argsort(np.abs(vals), axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    idx = order[:, None, :]
-    right = np.take_along_axis(right, np.broadcast_to(idx, right.shape), axis=2)
-    left_rows = np.linalg.inv(right)
-    return vals, right, left_rows
-
-
 def _local_minima_mask(mag: np.ndarray, valid: np.ndarray,
                        threshold: float) -> np.ndarray:
     ny, nx = mag.shape
@@ -613,18 +547,13 @@ def _arc_distance(point: complex, arcs: Sequence[Arc]) -> float:
 
 def _refine_outliers(field: np.ndarray, scan: ScanGrid,
                      f: Callable[[complex], complex], label: str,
-                     arcs: Sequence[Arc],
-                     exclusion_radius: Optional[float],
-                     seed_quantile: float,
-                     seed_factor: float) -> List[Outlier]:
+                     arcs: Sequence[Arc]) -> List[Outlier]:
     valid = scan.valid
-    if exclusion_radius is None:
-        exclusion_radius = EXCLUSION_FACTOR * scan.h
     finite = field[valid & np.isfinite(field)]
     if finite.size == 0:
         return []
     scale = float(np.median(finite))
-    threshold = seed_factor * float(np.quantile(finite, seed_quantile))
+    threshold = SEED_FACTOR * float(np.quantile(finite, SEED_QUANTILE))
     seeds_mask = _local_minima_mask(field, valid, threshold)
     energies = scan.energies
     outliers: List[Outlier] = []
@@ -642,7 +571,7 @@ def _refine_outliers(field: np.ndarray, scan: ScanGrid,
         # without meeting the step criterion
         if residual > ACCEPT_RESIDUAL * scale:
             continue
-        if _arc_distance(point, arcs) <= exclusion_radius:
+        if _arc_distance(point, arcs) <= EXCLUSION_FACTOR * scan.h:
             continue
         if any(abs(point - o.point) < scan.h / 10 for o in outliers):
             continue
@@ -651,16 +580,13 @@ def _refine_outliers(field: np.ndarray, scan: ScanGrid,
 
 
 def outliers_open(coeffs: CoefficientTriple, C, scan: ScanGrid,
-                  arcs: Optional[Sequence[Arc]] = None,
-                  exclusion_radius: Optional[float] = None,
-                  seed_quantile: float = SEED_QUANTILE,
-                  seed_factor: float = SEED_FACTOR) -> List[Outlier]:
+                  arcs: Optional[Sequence[Arc]] = None) -> List[Outlier]:
     """Zeros of the dominant open-boundary q-function off the Lambda arcs."""
     C = nk.as_cmatrix(C)
     L = scan.L
     members = list(range(L, 2 * L))   # 1-based {L+1, ..., 2L}
     energies = scan.energies.ravel()
-    vals, right, left_rows = _batched_ordered_eig(coeffs, energies)
+    _, right, left_rows, _ = ordered_eig(coeffs, energies, scan.tie_tol)
     proj = right[:, :, members] @ left_rows[:, members, :]
     col = np.concatenate([
         energies[:, None, None] * np.eye(L) - C[None],
@@ -676,8 +602,7 @@ def outliers_open(coeffs: CoefficientTriple, C, scan: ScanGrid,
 
     if arcs is None:
         arcs = lambda_open(scan)
-    return _refine_outliers(field, scan, f, "Gamma_C", arcs,
-                            exclusion_radius, seed_quantile, seed_factor)
+    return _refine_outliers(field, scan, f, "Gamma_C", arcs)
 
 
 def _dominant_members(moduli: np.ndarray, L: int, r: int) -> Tuple[int, ...]:
@@ -687,24 +612,16 @@ def _dominant_members(moduli: np.ndarray, L: int, r: int) -> Tuple[int, ...]:
 
 def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
                        scan: ScanGrid,
-                       arcs: Optional[Sequence[Arc]] = None,
-                       exclusion_radius: Optional[float] = None,
-                       seed_quantile: float = SEED_QUANTILE,
-                       seed_factor: float = SEED_FACTOR) -> List[Outlier]:
+                       arcs: Optional[Sequence[Arc]] = None) -> List[Outlier]:
     """Zeros of q over the energy-dependent dominant index set, off the
     Sigma_r and Lambda_r arcs."""
     L = scan.L
     r = boundary.rank_A
-    Binv = nk.inverse(boundary.B)   # raises SingularMatrix early
     energies = scan.energies.ravel()
-    vals, right, left_rows = _batched_ordered_eig(coeffs, energies)
+    vals, right, left_rows, _ = ordered_eig(coeffs, energies, scan.tie_tol)
     moduli = np.abs(vals)
-    # boundary transfer matrices, batched
+    Tbd = boundary_transfer_matrices(boundary, energies)
     n = energies.size
-    Tbd = np.zeros((n, 2 * L, 2 * L), dtype=np.complex128)
-    Tbd[:, :L, :L] = (energies[:, None, None] * np.eye(L) - boundary.C) @ Binv
-    Tbd[:, :L, L:] = -boundary.A
-    Tbd[:, L:, :L] = Binv
     # group nodes by dominant-set pattern and evaluate q per group
     patterns = moduli > 1.0
     patterns[:, :max(L - r, 0)] = False
@@ -727,8 +644,7 @@ def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
 
     if arcs is None:
         arcs = sigma_r(scan, r) + lambda_r(scan, r)
-    return _refine_outliers(field, scan, f, "Gamma_r", arcs,
-                            exclusion_radius, seed_quantile, seed_factor)
+    return _refine_outliers(field, scan, f, "Gamma_r", arcs)
 
 
 def omega_r_membership(coeffs: CoefficientTriple, E: complex, r: int) -> bool:

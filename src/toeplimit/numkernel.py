@@ -53,22 +53,43 @@ class EigenDecomposition:
         return self.left_vectors.conj().T
 
 
-def eigenpairs(m, degeneracy_tol: float = DEGENERACY_TOL) -> EigenDecomposition:
-    """Full eigendecomposition with biorthogonal left vectors."""
-    m = _require_square(m)
+def close_pairs(values: np.ndarray, tol: float) -> np.ndarray:
+    """(..., n, n) flags of eigenvalue pairs closer than tol at the pair's own
+    modulus scale, for one spectrum or a stack of them; the diagonal is False.
+    """
+    moduli = np.abs(values)
+    gap = np.abs(values[..., :, None] - values[..., None, :])
+    scale = 1.0 + np.maximum(moduli[..., :, None], moduli[..., None, :])
+    close = gap < tol * scale
+    diag = np.arange(values.shape[-1])
+    close[..., diag, diag] = False
+    return close
+
+
+def eig_stack(stack: np.ndarray):
+    """Eigenvalues and right eigenvector columns of one matrix or a stack."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix contains NaN or Inf entries")
     try:
-        values, right = np.linalg.eig(m)
+        return np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+
+
+def biorthogonal_rows(right: np.ndarray) -> np.ndarray:
+    """Left rows w_i with w_i @ right_j = delta_ij (= inv(right)), per matrix."""
     try:
-        w = np.linalg.inv(right)
+        return np.linalg.inv(right)
     except np.linalg.LinAlgError as exc:
         # Defective matrix: right eigenvector matrix is singular.
         raise ConvergenceFailure(f"defective eigenbasis: {exc}") from exc
-    gap = np.abs(values[:, None] - values[None, :])
-    scale = 1.0 + np.maximum(np.abs(values)[:, None], np.abs(values)[None, :])
-    np.fill_diagonal(gap, np.inf)
-    flags = np.any(gap < degeneracy_tol * scale, axis=1)
+
+
+def eigenpairs(m, degeneracy_tol: float = DEGENERACY_TOL) -> EigenDecomposition:
+    """Full eigendecomposition with biorthogonal left vectors."""
+    values, right = eig_stack(_require_square(m))
+    w = biorthogonal_rows(right)
+    flags = np.any(close_pairs(values, degeneracy_tol), axis=1)
     return EigenDecomposition(values, right, w.conj().T, flags)
 
 

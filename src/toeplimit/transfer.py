@@ -12,76 +12,87 @@ from scipy.optimize import linear_sum_assignment
 
 from . import numkernel as nk
 from .errors import DegenerateSplit, SingularMatrix
+from .numkernel import DEGENERACY_TOL
 from .operators import BoundaryTriple, CoefficientTriple
 
-DEGENERACY_TOL = 1e-8
 TIE_TOL = 1e-6
 
 
-def transfer_matrix(coeffs: CoefficientTriple, E: complex) -> np.ndarray:
-    """[[ (E - V) T^{-1}, -R ], [ T^{-1}, 0 ]]."""
-    L = coeffs.L
-    Tinv = nk.inverse(coeffs.T)
-    out = np.zeros((2 * L, 2 * L), dtype=np.complex128)
-    out[:L, :L] = (E * np.eye(L) - coeffs.V) @ Tinv
-    out[:L, L:] = -coeffs.R
-    out[L:, :L] = Tinv
+def _transfer_stack(energies, diag: np.ndarray, corner: np.ndarray,
+                    inv: np.ndarray) -> np.ndarray:
+    """[[ (E - diag) inv, -corner ], [ inv, 0 ]] for each entry of a flat
+    energy array."""
+    energies = np.asarray(energies, dtype=np.complex128)
+    L = inv.shape[0]
+    out = np.zeros((energies.size, 2 * L, 2 * L), dtype=np.complex128)
+    out[:, :L, :L] = (energies[:, None, None] * np.eye(L) - diag) @ inv
+    out[:, :L, L:] = -corner
+    out[:, L:, :L] = inv
     return out
+
+
+def transfer_matrices(coeffs: CoefficientTriple, energies) -> np.ndarray:
+    """Stacked [[ (E - V) T^{-1}, -R ], [ T^{-1}, 0 ]] over a flat array of
+    energies."""
+    return _transfer_stack(energies, coeffs.V, coeffs.R, coeffs.Tinv)
+
+
+def boundary_transfer_matrices(boundary: BoundaryTriple, energies) -> np.ndarray:
+    """Same stack as the bulk one, built from (A, B, C)."""
+    if boundary.Binv is None:
+        raise SingularMatrix("B is singular")
+    return _transfer_stack(energies, boundary.C, boundary.A, boundary.Binv)
+
+
+def transfer_matrix(coeffs: CoefficientTriple, E: complex) -> np.ndarray:
+    """The one-energy row of ``transfer_matrices``."""
+    return transfer_matrices(coeffs, [E])[0]
 
 
 def boundary_transfer_matrix(boundary: BoundaryTriple, E: complex) -> np.ndarray:
-    """Same shape as the bulk transfer matrix, built from (A, B, C)."""
-    L = boundary.L
-    try:
-        Binv = nk.inverse(boundary.B)
-    except SingularMatrix as exc:
-        raise SingularMatrix(f"B is singular: {exc}") from exc
-    out = np.zeros((2 * L, 2 * L), dtype=np.complex128)
-    out[:L, :L] = (E * np.eye(L) - boundary.C) @ Binv
-    out[:L, L:] = -boundary.A
-    out[L:, :L] = Binv
-    return out
+    """The one-energy row of ``boundary_transfer_matrices``."""
+    return boundary_transfer_matrices(boundary, [E])[0]
 
 
-def _tie_break_order(values: np.ndarray, tie_tol: float) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], ...]]:
-    """Sort by modulus; within modulus ties, by argument in [0, 2pi) then by
-    real part. Returns the ordering and the tie groups (in output indexing).
+def modulus_order(values: np.ndarray, tie_tol: float):
+    """Row-wise ordering of an (n, m) eigenvalue stack by modulus; within
+    modulus ties, by argument in [0, 2pi) then by real part.
 
-    Tie detection scales with the pair's own modulus, not the global maximum,
-    so widely separated decaying/growing branches never collapse into one
-    group at large energy.
+    Returns the orderings and (n, m - 1) flags, ``tied[k, i]`` when ordered
+    entries i and i + 1 of row k share a modulus. Tie detection scales with
+    the pair's own modulus, not the global maximum, so widely separated
+    decaying/growing branches never collapse into one group at large energy.
     """
     moduli = np.abs(values)
-    order = np.argsort(moduli, kind="stable")
-    sorted_m = moduli[order]
-    groups = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if (i == len(order)
-                or sorted_m[i] - sorted_m[i - 1] > tie_tol * (1.0 + sorted_m[i])):
-            groups.append((start, i))
-            start = i
-    final = []
-    tie_groups = []
-    for a, b in groups:
-        idx = order[a:b]
-        if b - a > 1:
-            args = np.mod(np.angle(values[idx]), 2 * np.pi)
-            sub = np.lexsort((values[idx].real, args))
-            idx = idx[sub]
-            tie_groups.append(tuple(range(a, b)))
-        final.extend(idx.tolist())
-    return np.array(final), tuple(tie_groups)
+    order = np.argsort(moduli, axis=1, kind="stable")
+    m = np.take_along_axis(moduli, order, axis=1)
+    tied = ~(np.diff(m, axis=1) > tie_tol * (1.0 + m[:, 1:]))
+    rows = np.flatnonzero(tied.any(axis=1))
+    if rows.size:
+        sub = order[rows]
+        v = np.take_along_axis(values[rows], sub, axis=1)
+        group = np.cumsum(np.pad(~tied[rows], ((0, 0), (1, 0))), axis=1)
+        args = np.mod(np.angle(v), 2 * np.pi)
+        resort = np.lexsort((v.real, args, group), axis=1)
+        order[rows] = np.take_along_axis(sub, resort, axis=1)
+    return order, tied
 
 
-def _pairwise_degenerate(values: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean matrix of eigenvalue pairs closer than tol at the pair's own
-    modulus scale."""
-    gap = np.abs(values[:, None] - values[None, :])
-    scale = 1.0 + np.maximum(np.abs(values)[:, None], np.abs(values)[None, :])
-    close = gap < tol * scale
-    np.fill_diagonal(close, False)
-    return close
+def ordered_eig(coeffs: CoefficientTriple, energies, tie_tol: float):
+    """Modulus-ordered eigen-triples of the transfer matrices at a flat array
+    of energies: values (n, 2L), right vector columns and biorthogonal left
+    rows (n, 2L, 2L), and the tie flags of ``modulus_order``."""
+    # the transfer stack is a temporary, freed before the inverse below;
+    # holding it through the inverse raises whole-grid peak memory
+    values, right = nk.eig_stack(transfer_matrices(coeffs, energies))
+    # inverting before the reorder gives exactly the left rows of
+    # nk.eigenpairs, permuted, rather than a re-rounded inverse
+    left_rows = nk.biorthogonal_rows(right)
+    order, tied = modulus_order(values, tie_tol)
+    values = np.take_along_axis(values, order, axis=1)
+    right = np.take_along_axis(right, order[:, None, :], axis=2)
+    left_rows = np.take_along_axis(left_rows, order[:, :, None], axis=1)
+    return values, right, left_rows, tied
 
 
 @dataclass(frozen=True)
@@ -105,40 +116,28 @@ class TransferSpectrum:
         return self.left_vectors.conj().T
 
     def degeneracy_clusters(self, tol: Optional[float] = None) -> list:
-        """Index clusters of nearly equal eigenvalues (union-find by gap)."""
+        """Index clusters of nearly equal eigenvalues (chains of close pairs)."""
         n = self.values.size
-        close = _pairwise_degenerate(self.values,
-                                     self.degeneracy_tol if tol is None else tol)
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if close[i, j]:
-                    parent[find(i)] = find(j)
-        clusters = {}
-        for i in range(n):
-            clusters.setdefault(find(i), []).append(i)
-        return [tuple(v) for v in clusters.values() if len(v) > 1]
+        reach = nk.close_pairs(self.values, self.degeneracy_tol if tol is None
+                               else tol) | np.eye(n, dtype=bool)
+        for _ in range(n.bit_length()):   # transitive closure by squaring
+            reach = (reach.astype(int) @ reach) > 0
+        clusters = {tuple(np.flatnonzero(row).tolist()) for row in reach}
+        return sorted(c for c in clusters if len(c) > 1)
 
 
 def ordered_spectrum(coeffs: CoefficientTriple, E: complex,
                      degeneracy_tol: float = DEGENERACY_TOL,
                      tie_tol: float = TIE_TOL) -> TransferSpectrum:
-    """Eigendecomposition of the transfer matrix, modulus-ordered."""
-    M = transfer_matrix(coeffs, E)
-    dec = nk.eigenpairs(M, degeneracy_tol=degeneracy_tol)
-    order, tie_groups = _tie_break_order(dec.values, tie_tol)
-    values = dec.values[order]
-    right = dec.right_vectors[:, order]
-    left = dec.left_vectors[:, order]
-    degenerate = bool(np.any(_pairwise_degenerate(values, degeneracy_tol)))
-    return TransferSpectrum(E, values, right, left, np.abs(values),
+    """Eigendecomposition of the transfer matrix, modulus-ordered: the
+    one-energy row of ``ordered_eig``."""
+    values, right, left_rows, tied = (
+        a[0] for a in ordered_eig(coeffs, [E], tie_tol))
+    edges = [0, *(np.flatnonzero(~tied) + 1).tolist(), values.size]
+    tie_groups = tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:])
+                       if b - a > 1)
+    degenerate = bool(np.any(nk.close_pairs(values, degeneracy_tol)))
+    return TransferSpectrum(E, values, right, left_rows.conj().T, np.abs(values),
                             degenerate, tie_groups, degeneracy_tol)
 
 
@@ -193,10 +192,10 @@ def riesz_projection_contour(coeffs: CoefficientTriple, E: complex,
     return acc / nodes
 
 
-def match_branches(spec_a: TransferSpectrum, spec_b: TransferSpectrum) -> np.ndarray:
+def match_branches(values_a: np.ndarray, values_b: np.ndarray) -> np.ndarray:
     """Permutation pi with z_i(A) -> z_pi[i](B), minimizing total displacement
     by optimal assignment (covers the greedy-ambiguous cases uniformly)."""
-    cost = np.abs(spec_a.values[:, None] - spec_b.values[None, :])
+    cost = np.abs(values_a[:, None] - values_b[None, :])
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty_like(cols)
     perm[rows] = cols

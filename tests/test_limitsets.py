@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from toeplimit.limitsets import (Region, compute_limit_sets, lambda_gap_mask,
-                                 lambda_open, lambda_r, omega_r_membership,
-                                 outliers_open, outliers_perturbed,
-                                 refine_zero, scan_grid, sigma_periodic,
+from toeplimit.limitsets import (Region, compute_limit_sets, lambda_open,
+                                 lambda_r, omega_r_membership, outliers_open,
+                                 outliers_perturbed, refine_zero, scan_grid,
                                  sigma_r)
-from toeplimit.operators import BoundaryTriple, CoefficientTriple
+from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
+                                 circulant_spectrum_fft)
 
 REGION = Region(-3, 3, -3, 3)
 
@@ -66,17 +66,15 @@ def test_dominant_and_growing_counts(scalar_scan):
 
 
 def test_sigma_periodic_scalar(scalar_model):
-    cloud = sigma_periodic(scalar_model, 256)
+    cloud = circulant_spectrum_fft(scalar_model, 256)
     assert np.max(np.abs(cloud.imag)) < 1e-12
     assert np.min(cloud.real) == pytest.approx(-2.0, abs=1e-3)
     assert np.max(cloud.real) == pytest.approx(2.0, abs=1e-3)
-    with pytest.raises(ValueError):
-        sigma_periodic(scalar_model, 8)
 
 
 def test_sigma_periodic_ellipse():
     co = CoefficientTriple([[1.0]], [[2.0]], [[7.0]])
-    cloud = sigma_periodic(co, 512)
+    cloud = circulant_spectrum_fft(co, 512)
     theta = np.arctan2(cloud.imag, (cloud.real - 7) / 3)
     expected = 7 + 3 * np.cos(theta) + 1j * np.sin(theta)
     assert np.max(np.abs(cloud - expected)) < 1e-9
@@ -109,7 +107,7 @@ def test_lambda_r_at_full_rank_empty(demo_scan):
 
 
 def test_sigma_r_subset_of_periodic_cloud(demo_model, demo_scan):
-    cloud = sigma_periodic(demo_model, 1024)
+    cloud = circulant_spectrum_fft(demo_model, 1024)
     for r in (1, 2):
         pts = arc_points(sigma_r(demo_scan, r))
         assert pts.size
@@ -128,14 +126,6 @@ def test_demo_sigma1_equals_sigma_lambda1_empty(demo_scan):
 
 def test_demo_reversed_lambda1_nonempty(demo_rev_scan):
     assert arc_points(lambda_r(demo_rev_scan, 1)).size > 10
-
-
-def test_lambda_gap_mask_marks_near_crossings(scalar_scan):
-    mask = lambda_gap_mask(scalar_scan, 0, 1, threshold=0.2)
-    on_axis = np.abs(scalar_scan.energies.imag) < scalar_scan.h
-    near_seg = on_axis & (np.abs(scalar_scan.energies.real) < 1.9)
-    assert mask[near_seg & scalar_scan.valid].mean() > 0.9
-    assert not mask[0, 0]  # far corner is nowhere near a crossing
 
 
 def test_refine_zero_linear_and_quadratic():
@@ -199,22 +189,24 @@ def test_omega_membership_constant_off_arcs(scalar_model, scalar_scan):
     assert np.min(np.abs(pts - 0.5)) < 2 * scalar_scan.h
 
 
-def test_compute_limit_sets_and_serialization(tmp_path, demo_model):
+def test_compute_limit_sets_and_serialization(demo_model):
     bd = BoundaryTriple.boundary(np.array([[0.1, -0.3], [1.0, 2.0j]]))
     result = compute_limit_sets(demo_model, bd, REGION, 96, 96)
     assert any(a.label == "Sigma" for a in result.arcs)
     assert any(a.label == "Lambda" for a in result.arcs)
     assert len(result.outliers) == 2
-    jpath = tmp_path / "r.json"
-    cpath = tmp_path / "r.csv"
-    result.write_json(str(jpath))
-    result.write_csv(str(cpath))
-    data = json.loads(jpath.read_text())
+    data = json.loads(json.dumps(result.to_json_dict()))
     assert set(data) == {"arcs", "outliers", "metadata"}
     assert len(data["outliers"]) == 2
     assert data["metadata"]["model_hash"]
-    header = cpath.read_text().splitlines()[0]
-    assert header == "set_label,r,re,im,aux"
+    rows = result.to_csv().splitlines()
+    assert rows[0] == "set_label,r,re,im,aux"
+    points = sum(len(a.points) for a in result.arcs)
+    assert len(rows) == 1 + points + len(result.outliers)
+    for row, o in zip(rows[-2:], result.outliers):
+        label, r, re, im, aux = row.split(",")
+        assert (label, r) == ("Gamma_C", "")
+        assert complex(float(re), float(im)) == o.point
 
 
 def test_compute_limit_sets_circulant_only_sigma(scalar_model):

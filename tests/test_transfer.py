@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import nondegenerate_energy, random_model
+from conftest import gaussian_matrix, nondegenerate_energy, random_model
 from toeplimit import numkernel as nk
-from toeplimit.errors import DegenerateSplit
-from toeplimit.operators import CoefficientTriple
-from toeplimit.transfer import (boundary_transfer_matrix, match_branches,
-                                ordered_spectrum, riesz_projection,
-                                riesz_projection_contour, transfer_matrix)
+from toeplimit.errors import DegenerateSplit, SingularMatrix
+from toeplimit.operators import BoundaryTriple, CoefficientTriple, eval_symbol
+from toeplimit.transfer import (TIE_TOL, boundary_transfer_matrices,
+                                boundary_transfer_matrix, match_branches,
+                                ordered_eig, ordered_spectrum,
+                                riesz_projection, riesz_projection_contour,
+                                transfer_matrices, transfer_matrix)
 from toeplimit.widom import index_sets
 
 
@@ -130,8 +134,55 @@ def test_match_branches_identity_and_continuity():
     rng = np.random.default_rng(15)
     co, _ = random_model(rng, 2)
     E, spec_a = nondegenerate_energy(rng, co)
-    assert np.array_equal(match_branches(spec_a, spec_a), np.arange(4))
+    assert np.array_equal(match_branches(spec_a.values, spec_a.values),
+                          np.arange(4))
     spec_b = ordered_spectrum(co, E + 1e-6)
-    perm = match_branches(spec_a, spec_b)
+    perm = match_branches(spec_a.values, spec_b.values)
     moved = np.abs(spec_a.values - spec_b.values[perm])
     assert np.max(moved) < 1e-4
+
+
+@st.composite
+def model_and_energies(draw):
+    """A random model, a copy of its corners with a singular B, and 1-6
+    energies."""
+    L = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs, boundary = random_model(rng, L)
+    B = boundary.B.copy()
+    B[:, -1] = 0.0
+    singular = BoundaryTriple(gaussian_matrix(rng, L), B, boundary.C)
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    energies = draw(st.lists(st.builds(complex, coord, coord),
+                             min_size=1, max_size=6))
+    return coeffs, boundary, singular, np.array(energies)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_and_energies())
+def test_scalar_calls_are_rows_of_the_batched_kernels(case):
+    coeffs, boundary, singular, energies = case
+    values, right, left_rows, tied = ordered_eig(coeffs, energies, TIE_TOL)
+    stack = transfer_matrices(coeffs, energies)
+    bstack = boundary_transfer_matrices(boundary, energies)
+    zs = np.where(energies == 0, 1.0, energies)
+    symbols = eval_symbol(coeffs, zs)
+    for k, E in enumerate(energies):
+        spec = ordered_spectrum(coeffs, E)
+        assert np.array_equal(spec.values, values[k])
+        assert np.array_equal(spec.right_vectors, right[k])
+        assert np.max(np.abs(spec.left_rows - left_rows[k])) <= 1e-12 * max(
+            1.0, np.max(np.abs(left_rows[k])))
+        assert all(tied[k, i] for g in spec.tie_groups for i in g[:-1])
+        assert np.array_equal(transfer_matrix(coeffs, E), stack[k])
+        assert np.array_equal(boundary_transfer_matrix(boundary, E), bstack[k])
+        # numpy rounds a complex product of two one-element arrays in another
+        # inner loop than a broadcast one, so at L = 1 with a single energy
+        # the symbol row may differ from the scalar call in the last bit
+        assert np.max(np.abs(eval_symbol(coeffs, zs[k]) - symbols[k])) <= (
+            1e-14 * (1.0 + np.max(np.abs(symbols[k]))))
+    with pytest.raises(SingularMatrix):
+        boundary_transfer_matrix(singular, energies[0])
+    assert singular.classify(coeffs) == "custom"
+    with pytest.raises(ValueError):
+        ordered_eig(coeffs, np.append(energies, np.nan), TIE_TOL)
