@@ -242,7 +242,9 @@ def _cmd_limit_spectrum(args) -> int:
     region = Region(*(args.region if args.region else cfg.region))
     boundary = None if cfg.case == "circulant" else cfg.boundary
     result = compute_limit_sets(cfg.coeffs, boundary, region, nx, ny,
-                                r=args.r, workers=args.workers)
+                                r=args.r, workers=args.workers,
+                                degeneracy_tol=cfg.degeneracy_tol,
+                                tie_tol=cfg.tie_tol)
     writer = ArtifactWriter(args.out, cfg)
     if args.format == "csv":
         writer.write("limit_sets", "limit_sets.csv", result.to_csv())
@@ -394,7 +396,9 @@ def _cmd_plot_data(args) -> int:
                  _spectrum_series(cloud, "Sigma_cloud"))
     # arcs and outliers
     result = compute_limit_sets(cfg.coeffs, boundary, region, cfg.nx, cfg.ny,
-                                r=args.r, workers=args.workers)
+                                r=args.r, workers=args.workers,
+                                degeneracy_tol=cfg.degeneracy_tol,
+                                tie_tol=cfg.tie_tol)
     by_label: Dict[str, List[str]] = {}
     for a in result.arcs:
         rows = by_label.setdefault(a.label, ["re,im,label"])

@@ -8,6 +8,7 @@ q-function, Newton-refined from grid minima.
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +57,10 @@ class ScanGrid:
     h: float
     degeneracy_tol: float = DEGENERACY_TOL
     tie_tol: float = TIE_TOL
+    # work of the equal-modulus detector, summed over its calls on this grid
+    detector_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
+        "candidate_edges": 0, "swapped_edges": 0, "bisection_evals": 0,
+        "crossings_kept": 0})
 
     @property
     def L(self) -> int:
@@ -69,9 +74,6 @@ class ScanGrid:
     def ny(self) -> int:
         return self.im.size
 
-    def energy(self, ix: int, iy: int) -> complex:
-        return complex(self.re[ix], self.im[iy])
-
     @property
     def energies(self) -> np.ndarray:
         return self.re[None, :] + 1j * self.im[:, None]
@@ -79,6 +81,20 @@ class ScanGrid:
     @property
     def valid(self) -> np.ndarray:
         return ~(self.degenerate | self.masked)
+
+    @cached_property
+    def edge_moves(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Bound on branch movement along each horizontal, then each
+        vertical edge: max_i min_j |v_i(E) - v_j(E')|, the same for every
+        branch pair, so computed once per grid."""
+        moves = []
+        for va, vb in _edges(self.values):
+            move = np.zeros(va.shape[:2])
+            for i in range(va.shape[2]):
+                np.maximum(move, np.min(np.abs(va[:, :, i, None] - vb), axis=2),
+                           out=move)
+            moves.append(move)
+        return moves[0], moves[1]
 
     def dominant_count(self, r: int) -> np.ndarray:
         """Per-node cardinality of {1-based j >= L-r+1 : |z_j| > 1}."""
@@ -206,56 +222,54 @@ def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
 # marching squares for sign-changing scalar fields
 
 
-def _interp(p0: complex, p1: complex, f0: float, f1: float) -> complex:
-    t = f0 / (f0 - f1)
-    return p0 + t * (p1 - p0)
+def _cell_corners(nodal: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Views of a nodal [iy, ix] array at the four corners of every cell,
+    counter-clockwise from (ix, iy)."""
+    return nodal[:-1, :-1], nodal[:-1, 1:], nodal[1:, 1:], nodal[1:, :-1]
 
 
 def _marching_squares(field: np.ndarray, valid: np.ndarray,
                       re: np.ndarray, im: np.ndarray,
                       midpoint_eval: Optional[Callable[[complex], float]] = None
                       ) -> List[Tuple[complex, complex]]:
-    """Zero-level segments of a nodal scalar field, one pass per cell.
+    """Zero-level segments of a nodal scalar field, cell by cell in row-major
+    order; only cells whose four valid corners change sign are visited.
 
     Saddle cells (4 sign changes) are resolved by one midpoint evaluation
     when a callback is given, else by the corner average.
     """
-    ny, nx = field.shape
+    positive = sum(c.astype(int) for c in _cell_corners(field > 0))
+    crossed = np.logical_and.reduce(_cell_corners(valid)) & (positive % 4 != 0)
+    iy, ix = np.nonzero(crossed)
+    nodes = re[None, :] + 1j * im[:, None]
+    f = np.stack([c[iy, ix] for c in _cell_corners(field)], axis=1)
+    p = np.stack([c[iy, ix] for c in _cell_corners(nodes)], axis=1)
+    # edge k runs from corner k to corner k + 1
+    f1, p1 = np.roll(f, -1, axis=1), np.roll(p, -1, axis=1)
+    signs = f > 0
+    changes = signs != np.roll(signs, -1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = p + f / (f - f1) * (p1 - p)
     segments = []
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            if not (valid[iy, ix] and valid[iy, ix + 1]
-                    and valid[iy + 1, ix] and valid[iy + 1, ix + 1]):
-                continue
-            f = (field[iy, ix], field[iy, ix + 1],
-                 field[iy + 1, ix + 1], field[iy + 1, ix])
-            p = (complex(re[ix], im[iy]), complex(re[ix + 1], im[iy]),
-                 complex(re[ix + 1], im[iy + 1]), complex(re[ix], im[iy + 1]))
-            signs = [v > 0 for v in f]
-            if all(signs) or not any(signs):
-                continue
-            crossings = []
-            for k in range(4):
-                k2 = (k + 1) % 4
-                if signs[k] != signs[k2]:
-                    crossings.append((k, _interp(p[k], p[k2], f[k], f[k2])))
-            if len(crossings) == 2:
-                segments.append((crossings[0][1], crossings[1][1]))
-            elif len(crossings) == 4:
-                center = 0.25 * sum(p)
-                if midpoint_eval is not None:
-                    fc = midpoint_eval(center)
-                else:
-                    fc = 0.25 * sum(f)
-                # connect each crossing to the neighbor consistent with the
-                # center sign
-                pts = dict(crossings)
-                if (fc > 0) == signs[0]:
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-                else:
-                    segments.append((pts[3], pts[0]))
-                    segments.append((pts[1], pts[2]))
+    for c in range(iy.size):
+        ks = np.flatnonzero(changes[c])
+        pts = cross[c]
+        if ks.size == 2:
+            segments.append((pts[ks[0]], pts[ks[1]]))
+            continue
+        center = 0.25 * sum(complex(z) for z in p[c])
+        if midpoint_eval is not None:
+            fc = midpoint_eval(center)
+        else:
+            fc = 0.25 * sum(f[c])
+        # connect each crossing to the neighbor consistent with the
+        # center sign
+        if (fc > 0) == signs[c, 0]:
+            segments.append((pts[0], pts[1]))
+            segments.append((pts[2], pts[3]))
+        else:
+            segments.append((pts[3], pts[0]))
+            segments.append((pts[1], pts[2]))
     return segments
 
 
@@ -341,7 +355,8 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
     unit_tol = scan.h / 10
 
     def on_unit_circle(mods, a):
-        return abs(mods[a] - 1.0) < unit_tol and abs(mods[a + 1] - 1.0) < unit_tol
+        return ((np.abs(mods[:, a] - 1.0) < unit_tol)
+                & (np.abs(mods[:, a + 1] - 1.0) < unit_tol))
 
     for ju in range(max(L - r + 1, 2), 2 * L + 1):
         fold = _lambda_pair_arcs(scan, ju - 2, ju - 1, label, r,
@@ -356,34 +371,31 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
 # Lambda-type arcs (equal-modulus branch crossings)
 
 
-def _edge_crossing(scan: ScanGrid, a: int, b: int, Ea: complex, Eb: complex,
-                   vals_a: np.ndarray, vals_b: np.ndarray) -> Optional[complex]:
-    """Detect and refine a modulus crossing of ordered branches (a, b) along
-    the edge Ea -> Eb via branch matching and bisection."""
-    perm = match_branches(vals_a, vals_b)
-    rank_b = np.argsort(np.argsort(np.abs(vals_b), kind="stable"), kind="stable")
-    if rank_b[perm[a]] <= rank_b[perm[b]]:
-        return None
+def _edges(nodal: np.ndarray):
+    """(start, end) views of a nodal [iy, ix, ...] array over the horizontal
+    edges (ix -> ix + 1), then over the vertical edges (iy -> iy + 1)."""
+    return (nodal[:, :-1], nodal[:, 1:]), (nodal[:-1], nodal[1:])
 
-    base = vals_a
 
-    def continued_gap(E: complex) -> float:
-        vals = np.linalg.eigvals(transfer_matrix(scan.coeffs, E))
-        p = match_branches(base, vals)
-        return float(np.abs(vals[p[a]]) - np.abs(vals[p[b]]))
-
-    lo, hi = 0.0, 1.0
-    g_lo = float(np.abs(vals_a[a]) - np.abs(vals_a[b]))
-    if g_lo > 0:
-        return None
-    tol = 0.01  # fraction of the edge length = h/100
-    while hi - lo > tol:
+def _bisect_crossings(scan: ScanGrid, a: int, b: int, base: np.ndarray,
+                      Ea: np.ndarray, Eb: np.ndarray) -> np.ndarray:
+    """Points where the gap |z_a| - |z_b| of the branches continued from
+    ``base`` by matching closes along each edge Ea -> Eb, bisected together
+    to h/100."""
+    rows = np.arange(Ea.size)
+    lo, hi = np.zeros(Ea.size), np.ones(Ea.size)
+    width = 1.0
+    while width > 0.01:  # fraction of the edge length = h/100
         mid = 0.5 * (lo + hi)
-        g = continued_gap(Ea + mid * (Eb - Ea))
-        if g <= 0:
-            lo = mid
-        else:
-            hi = mid
+        vals = np.linalg.eigvals(transfer_matrices(scan.coeffs,
+                                                   Ea + mid * (Eb - Ea)))
+        p = match_branches(base, vals)
+        gap = np.abs(vals[rows, p[:, a]]) - np.abs(vals[rows, p[:, b]])
+        closed = gap <= 0
+        lo = np.where(closed, mid, lo)
+        hi = np.where(closed, hi, mid)
+        width *= 0.5
+        scan.detector_counts["bisection_evals"] += Ea.size
     t = 0.5 * (lo + hi)
     return Ea + t * (Eb - Ea)
 
@@ -392,71 +404,83 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
                       r: Optional[int],
                       point_filter: Optional[Callable] = None) -> List[Arc]:
     """Arcs of |z_a| = |z_b| (0-based consecutive ordered branches) by
-    branch-matched edge crossings assembled through cell adjacency."""
-    ny, nx = scan.ny, scan.nx
-    valid = scan.valid
-    moduli = scan.moduli
-    values = scan.values
-    gap_pair = moduli[:, :, b] - moduli[:, :, a]
-    crossings: Dict[Tuple[str, int, int], complex] = {}
+    branch-matched edge crossings assembled through cell adjacency.
+
+    ``point_filter(mods, a)`` maps an (n, 2L) stack of sorted moduli at the
+    crossing points to the mask of points kept.
+    """
+    counts = scan.detector_counts
+    gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
+    candidates = []
+    for (ok0, ok1), (g0, g1), move in zip(_edges(scan.valid), _edges(gap),
+                                          scan.edge_moves):
+        # an order swap needs the pair gap to close somewhere on the edge,
+        # and the pair to start in order (g0 < 0 only inside a tie group)
+        candidates.append(ok0 & ok1 & ~(np.minimum(g0, g1) > 2 * move + 1e-12)
+                          & ~(g0 < 0))
+
+    def gather(nodal, end):
+        return np.concatenate([e[end][m] for e, m in
+                               zip(_edges(nodal), candidates)])
+
+    va, vb = gather(scan.values, 0), gather(scan.values, 1)
+    counts["candidate_edges"] += len(va)
+    # the swap test: branch matching carries a above b across the edge
+    perm = match_branches(va, vb)
+    rank_b = np.argsort(np.argsort(np.abs(vb), axis=1, kind="stable"),
+                        axis=1, kind="stable")
+    rows = np.arange(len(va))
+    swapped = np.flatnonzero(rank_b[rows, perm[:, a]] > rank_b[rows, perm[:, b]])
+    counts["swapped_edges"] += swapped.size
+    energies = scan.energies
+    points = _bisect_crossings(scan, a, b, va[swapped],
+                               gather(energies, 0)[swapped],
+                               gather(energies, 1)[swapped])
+    mods = np.sort(np.abs(np.linalg.eigvals(
+        transfer_matrices(scan.coeffs, points))), axis=1)
     flagged = 0
+    if a >= 1:
+        flagged = int(np.sum(mods[:, a] - mods[:, a - 1]
+                             < scan.tie_tol * (1 + mods[:, a])))
+    if point_filter is not None:
+        keep = point_filter(mods, a)
+        swapped, points = swapped[keep], points[keep]
+    counts["crossings_kept"] += swapped.size
 
-    def consider(kind, iy, ix, iy2, ix2):
-        if not (valid[iy, ix] and valid[iy2, ix2]):
-            return
-        va, vb = values[iy, ix], values[iy2, ix2]
-        # an order swap needs the pair gap to close somewhere on the edge;
-        # bound branch movement by nearest-neighbor eigenvalue displacement
-        move = float(np.max(np.min(np.abs(va[:, None] - vb[None, :]), axis=1)))
-        if min(gap_pair[iy, ix], gap_pair[iy2, ix2]) > 2 * move + 1e-12:
-            return
-        Ea, Eb = scan.energy(ix, iy), scan.energy(ix2, iy2)
-        pt = _edge_crossing(scan, a, b, Ea, Eb, va, vb)
-        if pt is not None:
-            crossings[(kind, iy, ix)] = pt
+    # the kept crossings back on the edge grids, NaN where an edge has none
+    at = np.full(len(va), complex(np.nan))
+    at[swapped] = points
+    pts_h, pts_v = (np.full(m.shape, complex(np.nan)) for m in candidates)
+    pts_h[candidates[0]], pts_v[candidates[1]] = np.split(
+        at, [np.count_nonzero(candidates[0])])
 
-    for iy in range(ny):
-        for ix in range(nx - 1):
-            consider("h", iy, ix, iy, ix + 1)
-    for iy in range(ny - 1):
-        for ix in range(nx):
-            consider("v", iy, ix, iy + 1, ix)
-
-    def passes(pt: complex) -> bool:
-        nonlocal flagged
-        mods = _sorted_moduli_at(scan.coeffs, pt)
-        if a - 1 >= 0 and mods[a] - mods[a - 1] < scan.tie_tol * (1 + mods[a]):
-            flagged += 1
-        return point_filter is None or bool(point_filter(mods, a))
-
-    crossings = {k: v for k, v in crossings.items() if passes(v)}
-
-    # collect the crossing points cell by cell and connect pairs
+    # collect the crossing points cell by cell and connect pairs; a cell's
+    # edges are its bottom, top, left and right
+    cell_pts = (pts_h[:-1], pts_h[1:], pts_v[:, :-1], pts_v[:, 1:])
+    cell_found = [~np.isnan(p) for p in cell_pts]
     segments = []
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            cell = []
-            for ekey in (("h", iy, ix), ("h", iy + 1, ix),
-                         ("v", iy, ix), ("v", iy, ix + 1)):
-                if ekey in crossings:
-                    cell.append(crossings[ekey])
-            if len(cell) == 2:
-                segments.append((cell[0], cell[1]))
-            elif len(cell) > 2:
-                cell = sorted(cell, key=lambda p: (p.real, p.imag))
-                while len(cell) >= 2:
-                    p0 = cell.pop(0)
-                    nearest = min(range(len(cell)), key=lambda i: abs(cell[i] - p0))
-                    segments.append((p0, cell.pop(nearest)))
+    for iy, ix in zip(*np.nonzero(sum(f.astype(int) for f in cell_found) >= 2)):
+        cell = [p[iy, ix] for f, p in zip(cell_found, cell_pts) if f[iy, ix]]
+        if len(cell) == 2:
+            segments.append((cell[0], cell[1]))
+        else:
+            cell = sorted(cell, key=lambda p: (p.real, p.imag))
+            while len(cell) >= 2:
+                p0 = cell.pop(0)
+                nearest = min(range(len(cell)), key=lambda i: abs(cell[i] - p0))
+                segments.append((p0, cell.pop(nearest)))
     arcs = [Arc(label, r, line, flagged_points=flagged)
             for line in _assemble_polylines(segments, scan.h * 1e-6)]
     return arcs
 
 
-def _unit_side(mods: np.ndarray, a: int) -> bool:
-    """The unit-modulus side conditions of the rank-r Lambda definition."""
-    return not (mods[a] < 1.0 - UNIT_COND_TOL
-                or (a >= 1 and mods[a - 1] > 1.0 + UNIT_COND_TOL))
+def _unit_side(mods: np.ndarray, a: int) -> np.ndarray:
+    """Rows of an (n, 2L) sorted-moduli stack that meet the unit-modulus side
+    conditions of the rank-r Lambda definition."""
+    keep = ~(mods[:, a] < 1.0 - UNIT_COND_TOL)
+    if a >= 1:
+        keep &= ~(mods[:, a - 1] > 1.0 + UNIT_COND_TOL)
+    return keep
 
 
 def lambda_open(scan: ScanGrid) -> List[Arc]:
@@ -656,9 +680,11 @@ def omega_r_membership(coeffs: CoefficientTriple, E: complex, r: int) -> bool:
 def compute_limit_sets(coeffs: CoefficientTriple,
                        boundary: Optional[BoundaryTriple],
                        region: Region, nx: int, ny: int, r: Optional[int] = None,
-                       workers: Optional[int] = None) -> LimitSpectrumResult:
+                       workers: Optional[int] = None,
+                       degeneracy_tol: float = DEGENERACY_TOL,
+                       tie_tol: float = TIE_TOL) -> LimitSpectrumResult:
     """One-stop pipeline: scan, arcs and outliers for the given model."""
-    scan = scan_grid(coeffs, region, nx, ny, workers=workers)
+    scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol, workers)
     L = coeffs.L
     arcs: List[Arc] = []
     outliers: List[Outlier] = []
@@ -687,5 +713,6 @@ def compute_limit_sets(coeffs: CoefficientTriple,
         "degeneracy_tol": scan.degeneracy_tol, "tie_tol": scan.tie_tol,
         "masked_nodes": int(np.sum(scan.masked)),
         "degenerate_nodes": int(np.sum(scan.degenerate)),
+        **scan.detector_counts,
     }
     return LimitSpectrumResult(arcs, outliers, metadata)

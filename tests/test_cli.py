@@ -96,6 +96,20 @@ def test_limit_spectrum_deterministic_checksums(tmp_path):
     assert checksums("a") == checksums("b")
 
 
+def test_limit_spectrum_scans_with_config_tolerances(tmp_path):
+    data = json.loads(open(SCALAR).read())
+    data["tolerances"] = {"tie": 0.5, "degeneracy": 1e-3}
+    config = tmp_path / "tol.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "t"
+    code = run(["limit-spectrum", "--config", str(config), "--grid", "32,32",
+                "--out", str(out)])
+    assert code == 0
+    meta = json.loads((out / "limit_sets.json").read_text())["metadata"]
+    assert meta["tie_tol"] == 0.5
+    assert meta["degeneracy_tol"] == 1e-3
+
+
 def test_limit_spectrum_csv_format(tmp_path):
     out = tmp_path / "c"
     code = run(["limit-spectrum", "--config", SCALAR, "--grid", "48,48",

@@ -1,16 +1,29 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from toeplimit.limitsets import (Region, compute_limit_sets, lambda_open,
-                                 lambda_r, omega_r_membership, outliers_open,
+from toeplimit import cli
+from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
+                                 compute_limit_sets, lambda_open, lambda_r,
+                                 omega_r_membership, outliers_open,
                                  outliers_perturbed, refine_zero, scan_grid,
                                  sigma_r)
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  circulant_spectrum_fft)
+from toeplimit.transfer import match_branches, transfer_matrix
 
 REGION = Region(-3, 3, -3, 3)
+CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
+
+
+def config_run(name, grid=None):
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, name + ".json"))
+    nx, ny = (grid, grid) if grid else (cfg.nx, cfg.ny)
+    boundary = None if cfg.case == "circulant" else cfg.boundary
+    return compute_limit_sets(cfg.coeffs, boundary, Region(*cfg.region),
+                              nx, ny)
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +226,106 @@ def test_compute_limit_sets_circulant_only_sigma(scalar_model):
     result = compute_limit_sets(scalar_model, None, REGION, 64, 64)
     assert all(a.label == "Sigma" for a in result.arcs)
     assert result.outliers == []
+
+
+def test_detector_counts_in_metadata():
+    counts = {"candidate_edges": 432, "swapped_edges": 84,
+              "bisection_evals": 588, "crossings_kept": 84}
+    first, again = config_run("scalar"), config_run("scalar")
+    assert {k: first.metadata[k] for k in counts} == counts
+    assert again.metadata == first.metadata
+
+
+@pytest.mark.parametrize("name", ["demo_open", "demo_Htilde"])
+def test_arcs_converge_under_grid_refinement(name):
+    coarse, fine = config_run(name, 48), config_run(name, 96)
+    labels = {a.label for a in coarse.arcs}
+    assert labels and labels == {a.label for a in fine.arcs}
+    for label in labels:
+        p, q = (arc_points([a for a in r.arcs if a.label == label])
+                for r in (coarse, fine))
+        cost = np.abs(p[:, None] - q[None, :])
+        hausdorff = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+        assert hausdorff <= 2 * coarse.metadata["h"]
+
+
+def test_boundary_outliers_stable_under_grid_refinement():
+    coarse, fine = config_run("demo_boundary", 48), config_run("demo_boundary", 96)
+    assert len(coarse.outliers) == len(fine.outliers) == 2
+
+
+def loop_crossings(scan, a, b):
+    """Per-edge reference of the equal-modulus detector: edges where branch
+    matching swaps the ordered pair (a, b), bisected to h/100."""
+    gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
+    edges = [((iy, ix), (iy, ix + 1)) for iy in range(scan.ny)
+             for ix in range(scan.nx - 1)]
+    edges += [((iy, ix), (iy + 1, ix)) for iy in range(scan.ny - 1)
+              for ix in range(scan.nx)]
+    points = []
+    for n0, n1 in edges:
+        if not (scan.valid[n0] and scan.valid[n1]):
+            continue
+        va, vb = scan.values[n0], scan.values[n1]
+        move = np.max(np.min(np.abs(va[:, None] - vb[None, :]), axis=1))
+        if min(gap[n0], gap[n1]) > 2 * move + 1e-12 or gap[n0] < 0:
+            continue
+        perm = match_branches(va, vb)
+        rank_b = np.argsort(np.argsort(np.abs(vb), kind="stable"), kind="stable")
+        if rank_b[perm[a]] <= rank_b[perm[b]]:
+            continue
+        Ea, Eb = complex(scan.energies[n0]), complex(scan.energies[n1])
+        lo, hi = 0.0, 1.0
+        while hi - lo > 0.01:
+            mid = 0.5 * (lo + hi)
+            vals = np.linalg.eigvals(transfer_matrix(scan.coeffs,
+                                                     Ea + mid * (Eb - Ea)))
+            p = match_branches(va, vals)
+            if abs(vals[p[a]]) - abs(vals[p[b]]) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        points.append(Ea + 0.5 * (lo + hi) * (Eb - Ea))
+    return points
+
+
+def test_pair_detector_matches_per_edge_reference(demo_model):
+    scan = scan_grid(demo_model, REGION, 40, 40)
+    for a in range(3):
+        before = scan.detector_counts["swapped_edges"]
+        arcs = _lambda_pair_arcs(scan, a, a + 1, "Lambda", None)
+        reference = loop_crossings(scan, a, a + 1)
+        assert reference
+        assert scan.detector_counts["swapped_edges"] - before == len(reference)
+        assert set(arc_points(arcs).tolist()) <= set(reference)
+
+
+@pytest.mark.parametrize("kind", ["modulus", "saddles"])
+def test_marching_squares_matches_per_cell_reference(demo_scan, kind):
+    re, im = demo_scan.re, demo_scan.im
+    if kind == "modulus":
+        field = demo_scan.moduli[:, :, 2] - 1.0
+    else:
+        # saddle cells near every zero of cos(4x) cos(4y)
+        field = np.cos(4 * re)[None, :] * np.cos(4 * im)[:, None] - 1e-3
+    valid = demo_scan.valid
+    reference, saddles = [], 0
+    for iy in range(demo_scan.ny - 1):
+        for ix in range(demo_scan.nx - 1):
+            corners = ((iy, ix), (iy, ix + 1), (iy + 1, ix + 1), (iy + 1, ix))
+            if not all(valid[c] for c in corners):
+                continue
+            f = [field[c] for c in corners]
+            p = [complex(re[c[1]], im[c[0]]) for c in corners]
+            cross = {k: p[k] + f[k] / (f[k] - f[k - 3]) * (p[k - 3] - p[k])
+                     for k in range(4) if (f[k] > 0) != (f[k - 3] > 0)}
+            if len(cross) == 2:
+                reference.append(tuple(cross.values()))
+            elif cross:
+                saddles += 1
+                pairs = (((0, 1), (2, 3)) if (sum(f) > 0) == (f[0] > 0)
+                         else ((3, 0), (1, 2)))
+                reference.extend((cross[i], cross[j]) for i, j in pairs)
+    segments = _marching_squares(field, valid, re, im)
+    assert len(reference) > 20 and (saddles > 0) == (kind == "saddles")
+    assert [tuple(map(complex, s)) for s in segments] == reference

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from conftest import gaussian_matrix, nondegenerate_energy, random_model
 from toeplimit import numkernel as nk
 from toeplimit.errors import DegenerateSplit, SingularMatrix
 from toeplimit.operators import BoundaryTriple, CoefficientTriple, eval_symbol
 from toeplimit.transfer import (TIE_TOL, boundary_transfer_matrices,
-                                boundary_transfer_matrix, match_branches,
-                                ordered_eig, ordered_spectrum,
+                                _optimal_assignment, boundary_transfer_matrix,
+                                match_branches, ordered_eig, ordered_spectrum,
                                 riesz_projection, riesz_projection_contour,
                                 transfer_matrices, transfer_matrix)
 from toeplimit.widom import index_sets
@@ -140,6 +141,57 @@ def test_match_branches_identity_and_continuity():
     perm = match_branches(spec_a.values, spec_b.values)
     moved = np.abs(spec_a.values - spec_b.values[perm])
     assert np.max(moved) < 1e-4
+
+
+def scipy_assignment(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return cols[np.argsort(rows)]
+
+
+def test_optimal_assignment_matches_scipy_on_tied_costs():
+    # small integer costs tie everywhere, so any difference in search order
+    # or tie-breaking from linear_sum_assignment shows
+    rng = np.random.default_rng(16)
+    for trial in range(3000):
+        n = trial % 8 + 1
+        cost = rng.integers(0, 3, (n, n)).astype(float) * (0.1 if trial % 2 else 1)
+        assert np.array_equal(_optimal_assignment(cost), scipy_assignment(cost))
+
+
+@st.composite
+def branch_stacks(draw):
+    """An (n, m) pair of stacks of random values, some rows built so that the
+    nearest-neighbour map is not the answer: two values nearest to the same
+    target, or exact distance ties."""
+    m = draw(st.sampled_from((2, 4, 6, 8)))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    b = a + draw(st.floats(0.0, 2.0)) * (rng.standard_normal((n, m))
+                                        + 1j * rng.standard_normal((n, m)))
+    for k in range(n):
+        kind = draw(st.sampled_from(("random", "crowded", "tie")))
+        if kind == "crowded":
+            # a[0] and a[1] both sit next to b[0]
+            a[k, 1] = a[k, 0] + 1e-3
+            b[k, 0] = a[k, 0] + 5e-4
+        elif kind == "tie":
+            # integer lattice points: many exactly equal distances
+            a[k] = rng.integers(-2, 3, m) + 1j * rng.integers(-2, 3, m)
+            b[k] = rng.integers(-2, 3, m) + 1j * rng.integers(-2, 3, m)
+    return a, b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(branch_stacks())
+def test_batched_match_branches_rows_are_optimal_assignments(stacks):
+    a, b = stacks
+    perm = match_branches(a, b)
+    assert perm.shape == a.shape
+    for k in range(a.shape[0]):
+        cost = np.abs(a[k][:, None] - b[k][None, :])
+        assert np.array_equal(perm[k], scipy_assignment(cost))
+    assert np.array_equal(match_branches(a[0], b[0]), perm[0])
 
 
 @st.composite
