@@ -3,9 +3,8 @@ perturbations: transfer-matrix spectra, determinant identities, limit-set
 extraction and large-energy asymptotics."""
 
 from .errors import (BadConfig, ConvergenceFailure, DegenerateSplit,
-                     NoConvergence, NonSquare, NotAProjection,
-                     NotSimpleSpectrum, OnCurve, RankMismatch, SingularMatrix,
-                     ToeplimitError, ZeroArgument)
+                     NonSquare, NotAProjection, NotSimpleSpectrum, OnCurve,
+                     RankMismatch, SingularMatrix, ToeplimitError, ZeroArgument)
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
                         charpoly_direct, circulant_spectrum_fft, eval_symbol,
                         finite_spectrum, numerical_rank, winding_number)

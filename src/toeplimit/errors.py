@@ -44,9 +44,5 @@ class RankMismatch(ToeplimitError):
     """Numerical rank disagrees with the requested rank."""
 
 
-class NoConvergence(ToeplimitError):
-    """Newton refinement did not converge."""
-
-
 class BadConfig(ToeplimitError):
     """A model configuration file is malformed or inconsistent."""

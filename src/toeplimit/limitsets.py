@@ -17,8 +17,8 @@ from . import numkernel as nk
 from .operators import BoundaryTriple, CoefficientTriple, winding_number
 from .transfer import (DEGENERACY_TOL, TIE_TOL, boundary_transfer_matrices,
                        match_branches, modulus_order, ordered_eig,
-                       ordered_spectrum, transfer_matrices, transfer_matrix)
-from .widom import q_hat, q_perturbed
+                       riesz_projections, transfer_matrices, transfer_matrix)
+from .widom import q_hat_stack, q_perturbed_stack
 
 EXCLUSION_FACTOR = 3.0
 SEED_QUANTILE = 0.05
@@ -96,14 +96,13 @@ class ScanGrid:
             moves.append(move)
         return moves[0], moves[1]
 
-    def dominant_count(self, r: int) -> np.ndarray:
-        """Per-node cardinality of {1-based j >= L-r+1 : |z_j| > 1}."""
-        L = self.L
-        return np.sum(self.moduli[:, :, max(L - r, 0):] > 1.0, axis=2)
 
-    def growing_count(self) -> np.ndarray:
-        """Per-node count of |z_j| > 1, the winding-identity counterpart."""
-        return np.sum(self.moduli > 1.0, axis=2)
+def dominant_set(moduli: np.ndarray, r: int) -> np.ndarray:
+    """Flags (..., 2L) of the dominant index set {j >= L - r : |z_j| > 1}
+    (0-based; 1-based j >= L - r + 1) over rows of ordered moduli."""
+    dominant = moduli > 1.0
+    dominant[..., :max(moduli.shape[-1] // 2 - r, 0)] = False
+    return dominant
 
 
 @dataclass
@@ -117,6 +116,9 @@ class Arc:
 
 @dataclass
 class Outlier:
+    """A Newton-refined zero of the dominant q-function: "converged" when
+    |q| < 1e-12 scale (scale = the grid's median |q|), "unconverged" when
+    Newton stalled with |q| between 1e-12 scale and the 1e-10 scale bar."""
     label: str                    # Gamma_C | Gamma_r
     point: complex
     residual: float
@@ -319,8 +321,9 @@ def _assemble_polylines(segments: Sequence[Tuple[complex, complex]],
 # Sigma-type arcs (unit-modulus level sets)
 
 
-def _sorted_moduli_at(coeffs: CoefficientTriple, E: complex) -> np.ndarray:
-    return np.sort(np.abs(np.linalg.eigvals(transfer_matrix(coeffs, E))))
+def _sorted_moduli(stack: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalue moduli of one transfer matrix or of a stack."""
+    return np.sort(np.abs(np.linalg.eigvals(stack)), axis=-1)
 
 
 def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
@@ -346,7 +349,8 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
         field = scan.moduli[:, :, j - 1] - 1.0
 
         def mid(E, jj=j):
-            return float(_sorted_moduli_at(scan.coeffs, E)[jj - 1] - 1.0)
+            return float(
+                _sorted_moduli(transfer_matrix(scan.coeffs, E))[jj - 1] - 1.0)
 
         segments = _marching_squares(field, valid, scan.re, scan.im, mid)
         for line in _assemble_polylines(segments, scan.h * 1e-6):
@@ -436,8 +440,7 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     points = _bisect_crossings(scan, a, b, va[swapped],
                                gather(energies, 0)[swapped],
                                gather(energies, 1)[swapped])
-    mods = np.sort(np.abs(np.linalg.eigvals(
-        transfer_matrices(scan.coeffs, points))), axis=1)
+    mods = _sorted_moduli(transfer_matrices(scan.coeffs, points))
     flagged = 0
     if a >= 1:
         flagged = int(np.sum(mods[:, a] - mods[:, a - 1]
@@ -569,9 +572,12 @@ def _arc_distance(point: complex, arcs: Sequence[Arc]) -> float:
     return best
 
 
-def _refine_outliers(field: np.ndarray, scan: ScanGrid,
-                     f: Callable[[complex], complex], label: str,
-                     arcs: Sequence[Arc]) -> List[Outlier]:
+def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
+                     label: str, arcs: Sequence[Arc]) -> List[Outlier]:
+    """Newton-refined zeros of q, seeded from the minima of |q| over the grid;
+    q maps a flat energy array to complex values, NaN where invalid."""
+    energies = scan.energies
+    field = np.abs(q(energies.ravel())).reshape(energies.shape)
     valid = scan.valid
     finite = field[valid & np.isfinite(field)]
     if finite.size == 0:
@@ -579,7 +585,10 @@ def _refine_outliers(field: np.ndarray, scan: ScanGrid,
     scale = float(np.median(finite))
     threshold = SEED_FACTOR * float(np.quantile(finite, SEED_QUANTILE))
     seeds_mask = _local_minima_mask(field, valid, threshold)
-    energies = scan.energies
+
+    def f(E: complex) -> complex:   # the one-energy row of q
+        return complex(q(np.array([E]))[0])
+
     outliers: List[Outlier] = []
     for iy, ix in zip(*np.nonzero(seeds_mask)):
         seed = complex(energies[iy, ix])
@@ -603,35 +612,53 @@ def _refine_outliers(field: np.ndarray, scan: ScanGrid,
     return outliers
 
 
+def q_open(coeffs: CoefficientTriple, C, degeneracy_tol: float,
+           tie_tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Flat energy array -> the dominant open-boundary q, q_hat over the
+    0-based index set {L, ..., 2L-1}; NaN at degenerate energies."""
+    members = range(coeffs.L, 2 * coeffs.L)
+
+    def q(energies: np.ndarray) -> np.ndarray:
+        values, right, left_rows, _ = ordered_eig(coeffs, energies, tie_tol)
+        out = q_hat_stack(riesz_projections(right, left_rows, members),
+                          energies, C)
+        out[np.any(nk.close_pairs(values, degeneracy_tol), axis=(1, 2))] = np.nan
+        return out
+
+    return q
+
+
+def q_perturbed_dominant(coeffs: CoefficientTriple, boundary: BoundaryTriple,
+                         degeneracy_tol: float,
+                         tie_tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Flat energy array -> q_perturbed over each energy's dominant index
+    set (r = rank(A)); NaN at degenerate energies."""
+
+    def q(energies: np.ndarray) -> np.ndarray:
+        values, right, left_rows, _ = ordered_eig(coeffs, energies, tie_tol)
+        Tbd = boundary_transfer_matrices(boundary, energies)
+        # group energies by dominant set and evaluate q per group
+        dominant = dominant_set(np.abs(values), boundary.rank_A)
+        codes = dominant.dot(1 << np.arange(2 * coeffs.L))
+        out = np.empty(len(values), dtype=np.complex128)
+        for code in np.unique(codes):
+            sel = codes == code
+            members = np.flatnonzero(dominant[np.argmax(sel)])
+            out[sel] = q_perturbed_stack(
+                riesz_projections(right[sel], left_rows[sel], members), Tbd[sel])
+        out[np.any(nk.close_pairs(values, degeneracy_tol), axis=(1, 2))] = np.nan
+        return out
+
+    return q
+
+
 def outliers_open(coeffs: CoefficientTriple, C, scan: ScanGrid,
                   arcs: Optional[Sequence[Arc]] = None) -> List[Outlier]:
     """Zeros of the dominant open-boundary q-function off the Lambda arcs."""
-    C = nk.as_cmatrix(C)
-    L = scan.L
-    members = list(range(L, 2 * L))   # 1-based {L+1, ..., 2L}
-    energies = scan.energies.ravel()
-    _, right, left_rows, _ = ordered_eig(coeffs, energies, scan.tie_tol)
-    proj = right[:, :, members] @ left_rows[:, members, :]
-    col = np.concatenate([
-        energies[:, None, None] * np.eye(L) - C[None],
-        np.broadcast_to(np.eye(L, dtype=np.complex128), (energies.size, L, L)),
-    ], axis=1)
-    block = (proj @ col)[:, L:, :]
-    field = np.abs(np.linalg.det(block)).reshape(scan.ny, scan.nx)
-
-    def f(E: complex) -> complex:
-        spec = ordered_spectrum(coeffs, E, scan.degeneracy_tol, scan.tie_tol)
-        q = q_hat(spec, C, members)
-        return q.value if q.valid else complex(np.nan)
-
     if arcs is None:
         arcs = lambda_open(scan)
-    return _refine_outliers(field, scan, f, "Gamma_C", arcs)
-
-
-def _dominant_members(moduli: np.ndarray, L: int, r: int) -> Tuple[int, ...]:
-    """0-based index set {j : j >= L-r, |z_j| > 1} (1-based j >= L-r+1)."""
-    return tuple(j for j in range(L - r, 2 * L) if moduli[j] > 1.0)
+    q = q_open(coeffs, C, scan.degeneracy_tol, scan.tie_tol)
+    return _refine_outliers(scan, q, "Gamma_C", arcs)
 
 
 def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
@@ -639,36 +666,10 @@ def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
                        arcs: Optional[Sequence[Arc]] = None) -> List[Outlier]:
     """Zeros of q over the energy-dependent dominant index set, off the
     Sigma_r and Lambda_r arcs."""
-    L = scan.L
-    r = boundary.rank_A
-    energies = scan.energies.ravel()
-    vals, right, left_rows, _ = ordered_eig(coeffs, energies, scan.tie_tol)
-    moduli = np.abs(vals)
-    Tbd = boundary_transfer_matrices(boundary, energies)
-    n = energies.size
-    # group nodes by dominant-set pattern and evaluate q per group
-    patterns = moduli > 1.0
-    patterns[:, :max(L - r, 0)] = False
-    field = np.empty(n)
-    eye = np.eye(2 * L, dtype=np.complex128)
-    codes = patterns.dot(1 << np.arange(2 * L))
-    for code in np.unique(codes):
-        sel = codes == code
-        members = np.nonzero(patterns[np.argmax(sel)])[0]
-        proj = right[sel][:, :, members] @ left_rows[sel][:, members, :]
-        q = np.linalg.det(proj @ Tbd[sel] - (eye[None] - proj))
-        field[sel] = np.abs(q)
-    field = field.reshape(scan.ny, scan.nx)
-
-    def f(E: complex) -> complex:
-        spec = ordered_spectrum(coeffs, E, scan.degeneracy_tol, scan.tie_tol)
-        members = _dominant_members(spec.moduli, L, r)
-        q = q_perturbed(spec, boundary, members)
-        return q.value if q.valid else complex(np.nan)
-
     if arcs is None:
-        arcs = sigma_r(scan, r) + lambda_r(scan, r)
-    return _refine_outliers(field, scan, f, "Gamma_r", arcs)
+        arcs = sigma_r(scan, boundary.rank_A) + lambda_r(scan, boundary.rank_A)
+    q = q_perturbed_dominant(coeffs, boundary, scan.degeneracy_tol, scan.tie_tol)
+    return _refine_outliers(scan, q, "Gamma_r", arcs)
 
 
 def omega_r_membership(coeffs: CoefficientTriple, E: complex, r: int) -> bool:

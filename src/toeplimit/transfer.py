@@ -100,7 +100,7 @@ class TransferSpectrum:
     energy: complex
     values: np.ndarray          # (2L,), |z_j| non-decreasing
     right_vectors: np.ndarray   # (2L, 2L) columns, aligned to the ordering
-    left_vectors: np.ndarray    # (2L, 2L) columns, biorthogonal
+    left_rows: np.ndarray       # (2L, 2L) rows, biorthogonal to the columns
     moduli: np.ndarray
     degenerate: bool
     tie_groups: Tuple[Tuple[int, ...], ...]
@@ -109,10 +109,6 @@ class TransferSpectrum:
     @property
     def L(self) -> int:
         return self.values.size // 2
-
-    @property
-    def left_rows(self) -> np.ndarray:
-        return self.left_vectors.conj().T
 
     def degeneracy_clusters(self, tol: Optional[float] = None) -> list:
         """Index clusters of nearly equal eigenvalues (chains of close pairs)."""
@@ -136,7 +132,7 @@ def ordered_spectrum(coeffs: CoefficientTriple, E: complex,
     tie_groups = tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:])
                        if b - a > 1)
     degenerate = bool(np.any(nk.close_pairs(values, degeneracy_tol)))
-    return TransferSpectrum(E, values, right, left_rows.conj().T, np.abs(values),
+    return TransferSpectrum(E, values, right, left_rows, np.abs(values),
                             degenerate, tie_groups, degeneracy_tol)
 
 
@@ -156,22 +152,26 @@ def _check_split(spec: TransferSpectrum, members: Sequence[int],
                     f"index set splits modulus tie group {group} at E = {spec.energy}")
 
 
+def riesz_projections(right: np.ndarray, left_rows: np.ndarray,
+                      members: Sequence[int]) -> np.ndarray:
+    """Spectral projectors onto the selected branches (0-based indices into
+    the modulus ordering) of (n, 2L, 2L) right-column and left-row stacks.
+    Member columns are selected: a 0/1 mask would round differently."""
+    idx = np.array(sorted(set(int(i) for i in members)), dtype=int)
+    if idx.size and (idx[0] < 0 or idx[-1] >= right.shape[-1]):
+        raise ValueError(f"branch indices out of range: {idx.tolist()}")
+    return right[:, :, idx] @ left_rows[:, idx, :]
+
+
 def riesz_projection(spec: TransferSpectrum, members: Sequence[int],
                      allow_tie_split: bool = False) -> np.ndarray:
-    """Spectral projector onto the selected eigenvalue branches.
-
-    ``members`` uses 0-based branch indices into the modulus ordering. Equals
-    the contour-integral Riesz projection for simple spectrum.
-    """
-    n = spec.values.size
-    members = sorted(set(int(i) for i in members))
-    if members and (members[0] < 0 or members[-1] >= n):
-        raise ValueError(f"branch indices out of range: {members}")
+    """One-row case of ``riesz_projections`` that refuses to split a
+    degenerate cluster, or a modulus tie group unless allowed; equals the
+    contour-integral Riesz projection for simple spectrum."""
+    P = riesz_projections(spec.right_vectors[None], spec.left_rows[None],
+                          members)[0]
     _check_split(spec, members, allow_tie_split)
-    if not members:
-        return np.zeros((n, n), dtype=np.complex128)
-    idx = np.array(members)
-    return spec.right_vectors[:, idx] @ spec.left_rows[idx, :]
+    return P
 
 
 def riesz_projection_contour(coeffs: CoefficientTriple, E: complex,

@@ -17,8 +17,9 @@ import numpy as np
 from . import numkernel as nk
 from .errors import DegenerateSplit
 from .operators import BoundaryTriple, CoefficientTriple
-from .transfer import (TransferSpectrum, boundary_transfer_matrix,
-                       ordered_spectrum, riesz_projection, transfer_matrix)
+from .transfer import (TransferSpectrum, boundary_transfer_matrices,
+                       boundary_transfer_matrix, ordered_spectrum,
+                       riesz_projections, transfer_matrix)
 
 POWER_NORM_LIMIT = 1e120
 
@@ -64,21 +65,46 @@ def _invalid(spec, members, kind):
     return QEvaluation(spec.energy, tuple(members), kind, None, False)
 
 
+def _projection(spec: TransferSpectrum, members: Sequence[int]) -> np.ndarray:
+    # without riesz_projection's split check: on a non-degenerate spectrum
+    # no two eigenvalues are close, so no degenerate cluster can be split
+    return riesz_projections(spec.right_vectors[None], spec.left_rows[None],
+                             members)
+
+
 def q_tilde(spec: TransferSpectrum, members: Sequence[int]) -> QEvaluation:
     """det of the lower-left L x L block of the Riesz projection."""
     if spec.degenerate:
         return _invalid(spec, members, "q_tilde")
     L = spec.L
-    P = riesz_projection(spec, members, allow_tie_split=True)
+    P = _projection(spec, members)[0]
     return QEvaluation(spec.energy, tuple(members), "q_tilde",
                        nk.determinant(P[L:, :L]), True)
+
+
+def q_hat_stack(proj: np.ndarray, energies, C) -> np.ndarray:
+    """det_L of the bottom-left L x L block of proj @ M_bd, M_bd = [[E - C,
+    -1], [1, 0]], over (n, 2L, 2L) (windowed) projections at n energies."""
+    energies = np.asarray(energies, dtype=np.complex128)
+    L = proj.shape[-1] // 2
+    # M_bd @ [1; 0] = [E - C; 1]
+    col = np.zeros((energies.size, 2 * L, L), dtype=np.complex128)
+    col[:, :L] = energies[:, None, None] * np.eye(L) - C
+    col[:, L:] = np.eye(L)
+    return np.linalg.det((proj @ col)[:, L:, :])
+
+
+def q_perturbed_stack(proj: np.ndarray, Tbd: np.ndarray) -> np.ndarray:
+    """det_2L(R_I T_bd - R_{I^c}) over (n, 2L, 2L) R_I and T_bd stacks."""
+    eye = np.eye(proj.shape[-1], dtype=np.complex128)
+    return np.linalg.det(proj @ Tbd - (eye[None] - proj))
 
 
 def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
           window: Optional[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]] = None
           ) -> QEvaluation:
-    """det_L of the bottom-left L x L corner of W_ri R_I W_le M_bd where
-    M_bd = [[E - C, -1], [1, 0]].
+    """det_L of the bottom-left L x L corner of W_ri R_I W_le M_bd: the
+    one-row case of ``q_hat_stack``.
 
     ``window`` optionally supplies ([T_ri_1..T_ri_K], [T_le_1..T_le_K]) for
     perturbations a finite distance from the boundary; products are applied
@@ -86,35 +112,29 @@ def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
     """
     if spec.degenerate:
         return _invalid(spec, members, "q_hat")
-    L = spec.L
-    E = spec.energy
-    G = riesz_projection(spec, members, allow_tie_split=True)
+    G = _projection(spec, members)[0]
     if window is not None:
         ri, le = window
         for t in ri:
             G = t @ G
         for t in reversed(le):
             G = G @ t
-    # M_bd @ [1; 0] = [E - C; 1]
-    col = np.vstack([E * np.eye(L) - C, np.eye(L, dtype=np.complex128)])
-    block = (G @ col)[L:, :]
-    return QEvaluation(E, tuple(members), "q_hat", nk.determinant(block), True)
+    value = q_hat_stack(G[None], [spec.energy], C)[0]
+    return QEvaluation(spec.energy, tuple(members), "q_hat", complex(value), True)
 
 
 def q_perturbed(spec: TransferSpectrum, boundary: BoundaryTriple,
                 members: Sequence[int]) -> QEvaluation:
-    """det_2L(R_I T_bd - R_{I^c}); exact 0 once |I| > L + rank(A)."""
+    """det_2L(R_I T_bd - R_{I^c}); exact 0 once |I| > L + rank(A). The
+    one-row case of ``q_perturbed_stack``."""
     if spec.degenerate:
         return _invalid(spec, members, "q_perturbed")
-    L = spec.L
     members = tuple(sorted(members))
-    if len(members) > L + boundary.rank_A:
+    if len(members) > spec.L + boundary.rank_A:
         return QEvaluation(spec.energy, members, "q_perturbed", 0.0 + 0j, True)
-    Tbd = boundary_transfer_matrix(boundary, spec.energy)
-    P = riesz_projection(spec, members, allow_tie_split=True)
-    Pc = np.eye(2 * L, dtype=np.complex128) - P
-    return QEvaluation(spec.energy, members, "q_perturbed",
-                       nk.determinant(P @ Tbd - Pc), True)
+    value = q_perturbed_stack(_projection(spec, members),
+                              boundary_transfer_matrices(boundary, [spec.energy]))[0]
+    return QEvaluation(spec.energy, members, "q_perturbed", complex(value), True)
 
 
 def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -231,12 +251,7 @@ def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
     L = coeffs.L
     detT = nk.determinant(coeffs.T)
     sets = index_sets(2 * L, [L])
-    qvals = []
-    for I in sets:
-        q = q_hat(spec, C, I, window=window)
-        if not q.valid:
-            raise DegenerateSplit(f"invalid q_hat at E = {E}")
-        qvals.append(q.value)
+    qvals = [q_hat(spec, C, I, window=window).value for I in sets]
     return _assemble_sum(spec, N, sets, N, qvals, detT, 1.0 + 0j)
 
 
@@ -253,12 +268,7 @@ def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     detT = nk.determinant(coeffs.T)
     detB = nk.determinant(boundary.B)
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
-    qvals = []
-    for I in sets:
-        q = q_perturbed(spec, boundary, I)
-        if not q.valid:
-            raise DegenerateSplit(f"invalid q at E = {E}")
-        qvals.append(q.value)
+    qvals = [q_perturbed(spec, boundary, I).value for I in sets]
     return _assemble_sum(spec, N, sets, N - 1, qvals, detT, detB)
 
 

@@ -197,3 +197,14 @@ def test_plot_data_series_files(tmp_path):
     body = (out / "series_sigma.csv").read_text().splitlines()
     assert body[0] == "re,im,label"
     assert len(body) > 10
+
+
+def test_plot_data_rejects_grid(tmp_path, capsys):
+    # plot-data scans at the config grid; --grid is a usage error, not a
+    # silently ignored flag
+    out = tmp_path / "p"
+    code = run(["plot-data", "--config", SCALAR, "--grid", "32,32",
+                "--out", str(out)])
+    assert code == 1
+    assert "unrecognized arguments: --grid 32,32" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,16 +3,22 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import gaussian_matrix, random_model
 from toeplimit import cli
 from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
-                                 compute_limit_sets, lambda_open, lambda_r,
-                                 omega_r_membership, outliers_open,
-                                 outliers_perturbed, refine_zero, scan_grid,
+                                 compute_limit_sets, dominant_set, lambda_open,
+                                 lambda_r, omega_r_membership, outliers_open,
+                                 outliers_perturbed, q_open,
+                                 q_perturbed_dominant, refine_zero, scan_grid,
                                  sigma_r)
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  circulant_spectrum_fft)
-from toeplimit.transfer import match_branches, transfer_matrix
+from toeplimit.transfer import (DEGENERACY_TOL, TIE_TOL, match_branches,
+                                ordered_spectrum, transfer_matrix)
+from toeplimit.widom import q_hat, q_perturbed
 
 REGION = Region(-3, 3, -3, 3)
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
@@ -71,11 +77,13 @@ def test_scan_grid_demo_smoke(demo_scan):
 
 
 def test_dominant_and_growing_counts(scalar_scan):
-    counts = scalar_scan.growing_count()
+    # at r = L the dominant set is every growing branch
+    counts = dominant_set(scalar_scan.moduli, scalar_scan.L).sum(axis=2)
+    assert np.array_equal(counts, np.sum(scalar_scan.moduli > 1.0, axis=2))
     # off the segment [-2, 2] exactly one branch grows; product of moduli is 1
     far = counts[0, 0]
     assert far == 1
-    assert scalar_scan.dominant_count(1).max() <= 2
+    assert dominant_set(scalar_scan.moduli, 1).sum(axis=2).max() <= 2
 
 
 def test_sigma_periodic_scalar(scalar_model):
@@ -252,6 +260,10 @@ def test_arcs_converge_under_grid_refinement(name):
 def test_boundary_outliers_stable_under_grid_refinement():
     coarse, fine = config_run("demo_boundary", 48), config_run("demo_boundary", 96)
     assert len(coarse.outliers) == len(fine.outliers) == 2
+    p, q = (np.array([o.point for o in r.outliers]) for r in (coarse, fine))
+    cost = np.abs(p[:, None] - q[None, :])
+    assert max(cost.min(axis=1).max(), cost.min(axis=0).max()) <= (
+        fine.metadata["h"] / 10)
 
 
 def loop_crossings(scan, a, b):
@@ -329,3 +341,75 @@ def test_marching_squares_matches_per_cell_reference(demo_scan, kind):
     segments = _marching_squares(field, valid, re, im)
     assert len(reference) > 20 and (saddles > 0) == (kind == "saddles")
     assert [tuple(map(complex, s)) for s in segments] == reference
+
+
+def same_bits(a, b):
+    return (np.asarray(a, dtype=np.complex128).tobytes()
+            == np.asarray(b, dtype=np.complex128).tobytes())
+
+
+@st.composite
+def model_rank_energies(draw):
+    """A random model with L in {1, 2, 3}, rank(A) in {0..L}, and 1-6
+    energies."""
+    L = draw(st.integers(1, 3))
+    rank_a = draw(st.integers(0, L))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs, boundary = random_model(rng, L, rank_a)
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    energies = draw(st.lists(st.builds(complex, coord, coord),
+                             min_size=1, max_size=6))
+    return coeffs, boundary, np.array(energies)
+
+
+def reference_q_hat(spec, C, members):
+    """q_hat written out on one spectrum, with the member columns selected."""
+    L, idx = spec.L, list(members)
+    P = spec.right_vectors[:, idx] @ spec.left_rows[idx, :]
+    col = np.vstack([spec.energy * np.eye(L) - C, np.eye(L)])
+    return np.linalg.det((P @ col)[L:, :])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_rank_energies())
+def test_outlier_q_rows_are_the_scalar_q_functions(case):
+    coeffs, boundary, energies = case
+    L = coeffs.L
+    q_o = q_open(coeffs, boundary.C, DEGENERACY_TOL, TIE_TOL)
+    q_p = q_perturbed_dominant(coeffs, boundary, DEGENERACY_TOL, TIE_TOL)
+    open_rows, perturbed_rows = q_o(energies), q_p(energies)
+    for k, E in enumerate(energies):
+        assert same_bits(q_o(np.array([E]))[0], open_rows[k])
+        assert same_bits(q_p(np.array([E]))[0], perturbed_rows[k])
+        spec = ordered_spectrum(coeffs, E)
+        hat = q_hat(spec, boundary.C, range(L, 2 * L))
+        perturbed = q_perturbed(spec, boundary, np.flatnonzero(
+            dominant_set(spec.moduli, boundary.rank_A)))
+        if spec.degenerate:
+            assert not hat.valid and not perturbed.valid
+            assert np.isnan(open_rows[k]) and np.isnan(perturbed_rows[k])
+            continue
+        # the split check that the q rows skip could not have fired
+        assert spec.degeneracy_clusters() == []
+        assert same_bits(hat.value, open_rows[k])
+        assert same_bits(perturbed.value, perturbed_rows[k])
+        assert same_bits(reference_q_hat(spec, boundary.C, range(L, 2 * L)),
+                         open_rows[k])
+
+
+def test_outlier_q_refuses_identical_channels():
+    # two identical decoupled channels: every transfer eigenvalue is double
+    co = CoefficientTriple(0.7j * np.eye(2), (1.3 - 0.4j) * np.eye(2),
+                           (0.2 + 0.1j) * np.eye(2))
+    rng = np.random.default_rng(5)
+    bd = BoundaryTriple(np.diag([1.0, 0.0]), gaussian_matrix(rng, 2),
+                        gaussian_matrix(rng, 2))
+    energies = rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20)
+    assert np.isnan(q_open(co, bd.C, DEGENERACY_TOL, TIE_TOL)(energies)).all()
+    assert np.isnan(q_perturbed_dominant(co, bd, DEGENERACY_TOL, TIE_TOL)(
+        energies)).all()
+    for E in energies:
+        spec = ordered_spectrum(co, E)
+        assert spec.degenerate and spec.degeneracy_clusters()
+        assert not q_hat(spec, bd.C, (2, 3)).valid
+        assert not q_perturbed(spec, bd, (2, 3)).valid
