@@ -14,10 +14,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numkernel as nk
+from .errors import ConvergenceFailure
 from .operators import BoundaryTriple, CoefficientTriple, winding_number
 from .transfer import (DEGENERACY_TOL, TIE_TOL, boundary_transfer_matrices,
                        match_branches, modulus_order, ordered_eig,
-                       riesz_projections, transfer_matrices, transfer_matrix)
+                       ordered_eig_stack, riesz_projections, transfer_matrices,
+                       transfer_matrix)
 from .widom import q_hat_stack, q_perturbed_stack
 
 EXCLUSION_FACTOR = 3.0
@@ -57,10 +59,18 @@ class ScanGrid:
     h: float
     degeneracy_tol: float = DEGENERACY_TOL
     tie_tol: float = TIE_TOL
+    # (right columns, left rows) of ordered_eig, each (ny, nx, 2L, 2L), kept
+    # only until the outlier field is computed
+    vectors: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # work of the equal-modulus detector, summed over its calls on this grid
     detector_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "candidate_edges": 0, "swapped_edges": 0, "bisection_evals": 0,
         "crossings_kept": 0})
+    # seeds, rounds, q rows and rejections of the outlier stage's Newton runs
+    newton_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
+        "newton_seeds": 0, "newton_rounds": 0, "newton_q_rows": 0,
+        "newton_rejected_out_of_region": 0, "newton_rejected_residual": 0,
+        "newton_rejected_exclusion": 0, "newton_rejected_duplicate": 0})
 
     @property
     def L(self) -> int:
@@ -174,50 +184,83 @@ def model_hash(coeffs: CoefficientTriple,
 # grid scan
 
 
-def _batched_eigvals(stack: np.ndarray, workers: Optional[int]) -> np.ndarray:
-    if not workers or workers <= 1 or stack.shape[0] < 256:
-        return np.linalg.eigvals(stack)
-    chunks = np.array_split(np.arange(stack.shape[0]), workers * 4)
-    out = np.empty(stack.shape[:2], dtype=np.complex128)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for idx, vals in zip(chunks, pool.map(
-                lambda c: np.linalg.eigvals(stack[c]), chunks)):
-            out[idx] = vals
-    return out
+def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
+                 tie_tol: float, workers: Optional[int], vectors: bool):
+    """Modulus-ordered transfer eigenvalues at a flat energy array, with the
+    right columns and left rows of ``ordered_eig`` when ``vectors``.
+
+    Worker chunks build their own transfer stacks and write into
+    preallocated outputs. A chunk whose stacked solve fails is solved node by
+    node; a node that still fails is masked and keeps zero rows, so it also
+    reads as degenerate and its q is NaN. Returns (values, right or None,
+    left rows or None, masked).
+    """
+    n, m = energies.size, 2 * coeffs.L
+    outs = [np.zeros((n, m), dtype=np.complex128)]
+    if vectors:
+        outs += [np.zeros((n, m, m), dtype=np.complex128) for _ in range(2)]
+    masked = np.zeros(n, dtype=bool)
+
+    def solve(idx: np.ndarray) -> None:
+        if vectors:
+            # the stack is built in the call, so the kernel frees it before
+            # its inverse
+            parts = ordered_eig_stack(
+                transfer_matrices(coeffs, energies[idx]), tie_tol)[:3]
+        else:
+            vals = np.linalg.eigvals(transfer_matrices(coeffs, energies[idx]))
+            parts = (np.take_along_axis(vals, modulus_order(vals, tie_tol)[0],
+                                        axis=1),)
+        for out, part in zip(outs, parts):
+            out[idx] = part
+
+    def fill(idx: np.ndarray) -> None:
+        try:
+            solve(idx)
+        except (np.linalg.LinAlgError, ConvergenceFailure):
+            # rare: fall back to per-node solves, masking failures
+            for i in idx:
+                try:
+                    solve(np.array([i]))
+                except (np.linalg.LinAlgError, ConvergenceFailure):
+                    masked[i] = True
+
+    if not workers or workers <= 1 or n < 256:
+        fill(np.arange(n))
+    else:
+        chunks = np.array_split(np.arange(n), workers * 4)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, chunks))
+    right, left_rows = outs[1:] if vectors else (None, None)
+    return outs[0], right, left_rows, masked
 
 
 def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
               degeneracy_tol: float = DEGENERACY_TOL,
               tie_tol: float = TIE_TOL,
-              workers: Optional[int] = None) -> ScanGrid:
+              workers: Optional[int] = None,
+              eigenvectors: bool = False) -> ScanGrid:
+    """Transfer spectra over an nx x ny grid of the region; with
+    ``eigenvectors`` the scan also keeps the right columns and left rows of
+    every node, so that an outlier field needs no second eigensolve."""
     if nx < 16 or ny < 16:
         raise ValueError("nx, ny >= 16 required")
     re = np.linspace(region.re_min, region.re_max, nx)
     im = np.linspace(region.im_min, region.im_max, ny)
     h = max(re[1] - re[0], im[1] - im[0])
     energies = (re[None, :] + 1j * im[:, None]).ravel()
-    stack = transfer_matrices(coeffs, energies)
-    masked = np.zeros(energies.size, dtype=bool)
-    try:
-        vals = _batched_eigvals(stack, workers)
-    except np.linalg.LinAlgError:
-        # rare: fall back to per-node solves, masking failures
-        vals = np.zeros((energies.size, 2 * coeffs.L), dtype=np.complex128)
-        for i in range(energies.size):
-            try:
-                vals[i] = np.linalg.eigvals(stack[i])
-            except np.linalg.LinAlgError:
-                masked[i] = True
-    order, _ = modulus_order(vals, tie_tol)
-    vals = np.take_along_axis(vals, order, axis=1)
+    vals, right, left_rows, masked = _solve_nodes(coeffs, energies, tie_tol,
+                                                  workers, eigenvectors)
     moduli = np.abs(vals)
     degenerate = np.any(nk.close_pairs(vals, degeneracy_tol), axis=(1, 2))
     shape = (ny, nx)
-    return ScanGrid(coeffs, region, re, im,
-                    vals.reshape(shape + (2 * coeffs.L,)),
-                    moduli.reshape(shape + (2 * coeffs.L,)),
-                    degenerate.reshape(shape), masked.reshape(shape), float(h),
-                    degeneracy_tol, tie_tol)
+    m = 2 * coeffs.L
+    vectors = None if right is None else (right.reshape(shape + (m, m)),
+                                          left_rows.reshape(shape + (m, m)))
+    return ScanGrid(coeffs, region, re, im, vals.reshape(shape + (m,)),
+                    moduli.reshape(shape + (m,)), degenerate.reshape(shape),
+                    masked.reshape(shape), float(h), degeneracy_tol, tie_tol,
+                    vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -508,40 +551,89 @@ def lambda_r(scan: ScanGrid, r: int) -> List[Arc]:
 # outliers
 
 
+def refine_zeros(q: Callable[[np.ndarray], np.ndarray], seeds, h0: float,
+                 scale: float = 1.0, max_iter: int = 50
+                 ) -> Tuple[List[Tuple[complex, float, str]], int, int]:
+    """Newton iterations with a central-difference derivative, run in
+    lockstep over the seeds: each round makes one stacked q call on z + h
+    and z - h of the live seeds, and one on their stepped z.
+
+    q maps a flat energy array to complex values row by row. Each seed keeps
+    the control flow and the Python-complex arithmetic of a lone run, so its
+    result does not depend on the other seeds (numpy's complex division
+    rounds differently from Python's).
+
+    Returns ([(point, |q(point)|, status)] per seed, rounds, q rows
+    evaluated); unconverged seeds are reported, not discarded.
+    """
+    seeds = [complex(s) for s in seeds]
+    n = len(seeds)
+    if n == 0:
+        return [], 0, 0
+    z, h = list(seeds), [float(h0)] * n
+    fz = [complex(v) for v in q(np.array(z))]
+    rows = n
+    results: List[Optional[Tuple[complex, float, str]]] = [None] * n
+    live, rounds = list(range(n)), 0
+    while live and rounds < max_iter:
+        rounds += 1
+        differentiate = []
+        for i in live:
+            if not (np.isfinite(z[i]) and np.isfinite(fz[i])):
+                # hit an invalid evaluation (degenerate spectrum, overflow);
+                # report the seed as unconverged rather than wandering off
+                results[i] = (seeds[i], np.inf, "unconverged")
+            elif abs(fz[i]) < 1e-12 * scale:
+                results[i] = (z[i], abs(fz[i]), "converged")
+            else:
+                differentiate.append(i)
+        m = len(differentiate)
+        if m == 0:
+            break
+        around = q(np.array([z[i] + h[i] for i in differentiate]
+                            + [z[i] - h[i] for i in differentiate]))
+        rows += 2 * m
+        live, moved, steps = [], [], []
+        for k, i in enumerate(differentiate):
+            df = (complex(around[k]) - complex(around[m + k])) / (2 * h[i])
+            if df == 0:
+                h[i] *= 0.5
+                if not h[i] < 1e-13:
+                    live.append(i)
+                continue
+            step = fz[i] / df
+            z[i] = z[i] - step
+            moved.append(i)
+            steps.append(step)
+        if moved:
+            stepped = q(np.array([z[i] for i in moved]))
+            rows += len(moved)
+            for i, step, v in zip(moved, steps, stepped):
+                fz[i] = complex(v)
+                if not abs(step) < 1e-13:
+                    h[i] = max(min(h[i], 0.5 * abs(step) + 1e-12), 1e-9)
+                    live.append(i)
+    for i in range(n):
+        if results[i] is not None:
+            continue
+        if not (np.isfinite(z[i]) and np.isfinite(fz[i])):
+            results[i] = (seeds[i], np.inf, "unconverged")
+        else:
+            residual = abs(fz[i])
+            results[i] = (z[i], residual, "converged"
+                          if residual < 1e-12 * scale else "unconverged")
+    return results, rounds, rows
+
+
 def refine_zero(f: Callable[[complex], complex], seed: complex,
                 h0: float, scale: float = 1.0,
                 max_iter: int = 50) -> Tuple[complex, float, str]:
-    """Newton iteration with a central-difference derivative.
+    """The one-seed row of ``refine_zeros``, for f mapping one complex to
+    complex: (point, |f(point)|, status)."""
+    def q(energies: np.ndarray) -> np.ndarray:
+        return np.array([f(complex(E)) for E in energies], dtype=np.complex128)
 
-    Returns (point, |f(point)|, status); unconverged seeds are reported, not
-    discarded.
-    """
-    z = complex(seed)
-    h = float(h0)
-    fz = f(z)
-    for _ in range(max_iter):
-        if not (np.isfinite(z) and np.isfinite(fz)):
-            # hit an invalid evaluation (degenerate spectrum, overflow);
-            # report the seed as unconverged rather than wandering off
-            return complex(seed), np.inf, "unconverged"
-        if abs(fz) < 1e-12 * scale:
-            return z, abs(fz), "converged"
-        df = (f(z + h) - f(z - h)) / (2 * h)
-        if df == 0:
-            h *= 0.5
-            if h < 1e-13:
-                break
-            continue
-        step = fz / df
-        z = z - step
-        fz = f(z)
-        if abs(step) < 1e-13:
-            break
-        h = max(min(h, 0.5 * abs(step) + 1e-12), 1e-9)
-    if not (np.isfinite(z) and np.isfinite(fz)):
-        return complex(seed), np.inf, "unconverged"
-    status = "converged" if abs(fz) < 1e-12 * scale else "unconverged"
-    return z, abs(fz), status
+    return refine_zeros(q, [seed], h0, scale, max_iter)[0][0]
 
 
 def _local_minima_mask(mag: np.ndarray, valid: np.ndarray,
@@ -572,54 +664,71 @@ def _arc_distance(point: complex, arcs: Sequence[Arc]) -> float:
     return best
 
 
-def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
-                     label: str, arcs: Sequence[Arc]) -> List[Outlier]:
-    """Newton-refined zeros of q, seeded from the minima of |q| over the grid;
-    q maps a flat energy array to complex values, NaN where invalid."""
+def _q_field(scan: ScanGrid, q: Callable) -> np.ndarray:
+    """|q| over the scan nodes, from the scan's kept eigen-triple when it has
+    one, else from a fresh solve."""
     energies = scan.energies
-    field = np.abs(q(energies.ravel())).reshape(energies.shape)
+    triple = None
+    if scan.vectors is not None:
+        n = energies.size
+        right, left_rows = (v.reshape((n,) + v.shape[2:]) for v in scan.vectors)
+        triple = (scan.values.reshape(n, -1), right, left_rows)
+    return np.abs(q(energies.ravel(), triple)).reshape(energies.shape)
+
+
+def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
+                     label: str, arcs: Sequence[Arc],
+                     q_field: np.ndarray) -> List[Outlier]:
+    """Newton-refined zeros of q, seeded from the minima of its |q| grid
+    field; q maps a flat energy array to complex values, NaN where invalid.
+    Seeds, Newton's work and every rejection add to ``scan.newton_counts``."""
     valid = scan.valid
-    finite = field[valid & np.isfinite(field)]
+    finite = q_field[valid & np.isfinite(q_field)]
     if finite.size == 0:
         return []
     scale = float(np.median(finite))
     threshold = SEED_FACTOR * float(np.quantile(finite, SEED_QUANTILE))
-    seeds_mask = _local_minima_mask(field, valid, threshold)
-
-    def f(E: complex) -> complex:   # the one-energy row of q
-        return complex(q(np.array([E]))[0])
-
+    seeds = scan.energies[_local_minima_mask(q_field, valid, threshold)]
+    results, rounds, rows = refine_zeros(q, seeds, scan.h / 10, scale=scale)
+    counts = scan.newton_counts
+    counts["newton_seeds"] += seeds.size
+    counts["newton_rounds"] += rounds
+    counts["newton_q_rows"] += rows
+    region, h = scan.region, scan.h
     outliers: List[Outlier] = []
-    for iy, ix in zip(*np.nonzero(seeds_mask)):
-        seed = complex(energies[iy, ix])
-        point, residual, status = refine_zero(f, seed, scan.h / 10, scale=scale)
-        in_region = (scan.region.re_min - scan.h <= point.real <= scan.region.re_max + scan.h
-                     and scan.region.im_min - scan.h <= point.imag <= scan.region.im_max + scan.h)
-        if not in_region:
+    for point, residual, status in results:
+        if not (region.re_min - h <= point.real <= region.re_max + h
+                and region.im_min - h <= point.imag <= region.im_max + h):
             # left the scan window: either a zero outside scope or a diverged
             # Newton run from a shallow minimum; not a reportable outlier
-            continue
+            rejected = "out_of_region"
         # residual and exclusion filters apply regardless of Newton status;
         # "unconverged" then only marks points that reached the residual bar
         # without meeting the step criterion
-        if residual > ACCEPT_RESIDUAL * scale:
+        elif residual > ACCEPT_RESIDUAL * scale:
+            rejected = "residual"
+        elif _arc_distance(point, arcs) <= EXCLUSION_FACTOR * h:
+            rejected = "exclusion"
+        elif any(abs(point - o.point) < h / 10 for o in outliers):
+            rejected = "duplicate"
+        else:
+            outliers.append(Outlier(label, point, residual, status))
             continue
-        if _arc_distance(point, arcs) <= EXCLUSION_FACTOR * scan.h:
-            continue
-        if any(abs(point - o.point) < scan.h / 10 for o in outliers):
-            continue
-        outliers.append(Outlier(label, point, residual, status))
+        counts["newton_rejected_" + rejected] += 1
     return outliers
 
 
 def q_open(coeffs: CoefficientTriple, C, degeneracy_tol: float,
-           tie_tol: float) -> Callable[[np.ndarray], np.ndarray]:
+           tie_tol: float) -> Callable[..., np.ndarray]:
     """Flat energy array -> the dominant open-boundary q, q_hat over the
-    0-based index set {L, ..., 2L-1}; NaN at degenerate energies."""
+    0-based index set {L, ..., 2L-1}; NaN at degenerate energies. A given
+    ``triple`` (values, right columns, left rows of ``ordered_eig`` at those
+    energies) stands in for the eigensolve."""
     members = range(coeffs.L, 2 * coeffs.L)
 
-    def q(energies: np.ndarray) -> np.ndarray:
-        values, right, left_rows, _ = ordered_eig(coeffs, energies, tie_tol)
+    def q(energies: np.ndarray, triple=None) -> np.ndarray:
+        values, right, left_rows = (ordered_eig(coeffs, energies, tie_tol)[:3]
+                                    if triple is None else triple)
         out = q_hat_stack(riesz_projections(right, left_rows, members),
                           energies, C)
         out[np.any(nk.close_pairs(values, degeneracy_tol), axis=(1, 2))] = np.nan
@@ -630,12 +739,14 @@ def q_open(coeffs: CoefficientTriple, C, degeneracy_tol: float,
 
 def q_perturbed_dominant(coeffs: CoefficientTriple, boundary: BoundaryTriple,
                          degeneracy_tol: float,
-                         tie_tol: float) -> Callable[[np.ndarray], np.ndarray]:
+                         tie_tol: float) -> Callable[..., np.ndarray]:
     """Flat energy array -> q_perturbed over each energy's dominant index
-    set (r = rank(A)); NaN at degenerate energies."""
+    set (r = rank(A)); NaN at degenerate energies. ``triple`` as in
+    ``q_open``."""
 
-    def q(energies: np.ndarray) -> np.ndarray:
-        values, right, left_rows, _ = ordered_eig(coeffs, energies, tie_tol)
+    def q(energies: np.ndarray, triple=None) -> np.ndarray:
+        values, right, left_rows = (ordered_eig(coeffs, energies, tie_tol)[:3]
+                                    if triple is None else triple)
         Tbd = boundary_transfer_matrices(boundary, energies)
         # group energies by dominant set and evaluate q per group
         dominant = dominant_set(np.abs(values), boundary.rank_A)
@@ -653,23 +764,30 @@ def q_perturbed_dominant(coeffs: CoefficientTriple, boundary: BoundaryTriple,
 
 
 def outliers_open(coeffs: CoefficientTriple, C, scan: ScanGrid,
-                  arcs: Optional[Sequence[Arc]] = None) -> List[Outlier]:
-    """Zeros of the dominant open-boundary q-function off the Lambda arcs."""
+                  arcs: Optional[Sequence[Arc]] = None,
+                  q_field: Optional[np.ndarray] = None) -> List[Outlier]:
+    """Zeros of the dominant open-boundary q-function off the Lambda arcs;
+    ``q_field`` is its |q| over the scan nodes, when already computed."""
     if arcs is None:
         arcs = lambda_open(scan)
     q = q_open(coeffs, C, scan.degeneracy_tol, scan.tie_tol)
-    return _refine_outliers(scan, q, "Gamma_C", arcs)
+    if q_field is None:
+        q_field = _q_field(scan, q)
+    return _refine_outliers(scan, q, "Gamma_C", arcs, q_field)
 
 
 def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
                        scan: ScanGrid,
-                       arcs: Optional[Sequence[Arc]] = None) -> List[Outlier]:
+                       arcs: Optional[Sequence[Arc]] = None,
+                       q_field: Optional[np.ndarray] = None) -> List[Outlier]:
     """Zeros of q over the energy-dependent dominant index set, off the
-    Sigma_r and Lambda_r arcs."""
+    Sigma_r and Lambda_r arcs; ``q_field`` as in ``outliers_open``."""
     if arcs is None:
         arcs = sigma_r(scan, boundary.rank_A) + lambda_r(scan, boundary.rank_A)
     q = q_perturbed_dominant(coeffs, boundary, scan.degeneracy_tol, scan.tie_tol)
-    return _refine_outliers(scan, q, "Gamma_r", arcs)
+    if q_field is None:
+        q_field = _q_field(scan, q)
+    return _refine_outliers(scan, q, "Gamma_r", arcs, q_field)
 
 
 def omega_r_membership(coeffs: CoefficientTriple, E: complex, r: int) -> bool:
@@ -685,20 +803,31 @@ def compute_limit_sets(coeffs: CoefficientTriple,
                        degeneracy_tol: float = DEGENERACY_TOL,
                        tie_tol: float = TIE_TOL) -> LimitSpectrumResult:
     """One-stop pipeline: scan, arcs and outliers for the given model."""
-    scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol, workers)
+    # every corner case has an outlier stage, whose field reads the scan's
+    # eigenvectors instead of solving the grid again
+    scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol, workers,
+                     eigenvectors=boundary is not None)
     L = coeffs.L
     arcs: List[Arc] = []
     outliers: List[Outlier] = []
     if boundary is None:
         arcs.extend(sigma_r(scan, L))
     else:
-        case = boundary.classify(coeffs)
-        if case in ("open", "boundary"):
+        open_case = boundary.classify(coeffs) in ("open", "boundary")
+        tols = (scan.degeneracy_tol, scan.tie_tol)
+        q = (q_open(coeffs, boundary.C, *tols) if open_case
+             else q_perturbed_dominant(coeffs, boundary, *tols))
+        # the field does not depend on the arcs: computing it first frees
+        # the vectors before the arc detectors allocate
+        q_field = _q_field(scan, q)
+        scan.vectors = None
+        if open_case:
             arcs.extend(lambda_open(scan))
             arcs.extend(sigma_r(scan, L))
             outliers.extend(outliers_open(coeffs, boundary.C, scan,
                                           arcs=[a for a in arcs
-                                                if a.label == "Lambda"]))
+                                                if a.label == "Lambda"],
+                                          q_field=q_field))
         else:
             rr = boundary.rank_A if r is None else r
             sig = sigma_r(scan, rr)
@@ -706,7 +835,7 @@ def compute_limit_sets(coeffs: CoefficientTriple,
             arcs.extend(sig)
             arcs.extend(lam)
             outliers.extend(outliers_perturbed(coeffs, boundary, scan,
-                                               arcs=sig + lam))
+                                               arcs=sig + lam, q_field=q_field))
     metadata = {
         "model_hash": model_hash(coeffs, boundary),
         "region": [region.re_min, region.re_max, region.im_min, region.im_max],
@@ -715,5 +844,6 @@ def compute_limit_sets(coeffs: CoefficientTriple,
         "masked_nodes": int(np.sum(scan.masked)),
         "degenerate_nodes": int(np.sum(scan.degenerate)),
         **scan.detector_counts,
+        **scan.newton_counts,
     }
     return LimitSpectrumResult(arcs, outliers, metadata)

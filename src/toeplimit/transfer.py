@@ -81,9 +81,15 @@ def ordered_eig(coeffs: CoefficientTriple, energies, tie_tol: float):
     """Modulus-ordered eigen-triples of the transfer matrices at a flat array
     of energies: values (n, 2L), right vector columns and biorthogonal left
     rows (n, 2L, 2L), and the tie flags of ``modulus_order``."""
-    # the transfer stack is a temporary, freed before the inverse below;
+    return ordered_eig_stack(transfer_matrices(coeffs, energies), tie_tol)
+
+
+def ordered_eig_stack(stack: np.ndarray, tie_tol: float):
+    """``ordered_eig`` of an (n, 2L, 2L) stack of transfer matrices."""
+    values, right = nk.eig_stack(stack)
+    # a stack built for this call is freed before the inverse below;
     # holding it through the inverse raises whole-grid peak memory
-    values, right = nk.eig_stack(transfer_matrices(coeffs, energies))
+    del stack
     # inverting before the reorder gives exactly the left rows of
     # nk.eigenpairs, permuted, rather than a re-rounded inverse
     left_rows = nk.biorthogonal_rows(right)

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_matrix, random_model
@@ -12,12 +12,12 @@ from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
                                  compute_limit_sets, dominant_set, lambda_open,
                                  lambda_r, omega_r_membership, outliers_open,
                                  outliers_perturbed, q_open,
-                                 q_perturbed_dominant, refine_zero, scan_grid,
-                                 sigma_r)
+                                 q_perturbed_dominant, refine_zero,
+                                 refine_zeros, scan_grid, sigma_r)
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  circulant_spectrum_fft)
 from toeplimit.transfer import (DEGENERACY_TOL, TIE_TOL, match_branches,
-                                ordered_spectrum, transfer_matrix)
+                                ordered_eig, ordered_spectrum, transfer_matrix)
 from toeplimit.widom import q_hat, q_perturbed
 
 REGION = Region(-3, 3, -3, 3)
@@ -242,6 +242,180 @@ def test_detector_counts_in_metadata():
     first, again = config_run("scalar"), config_run("scalar")
     assert {k: first.metadata[k] for k in counts} == counts
     assert again.metadata == first.metadata
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("demo_boundary", {"newton_seeds": 2, "newton_rounds": 4,
+                       "newton_q_rows": 20, "newton_rejected_residual": 0}),
+    ("demo_H", {"newton_seeds": 11, "newton_rounds": 42,
+                "newton_q_rows": 929, "newton_rejected_residual": 11})])
+def test_newton_counts_in_metadata(name, counts):
+    first, again = config_run(name, 64), config_run(name, 64)
+    meta = first.metadata
+    assert {k: meta[k] for k in counts} == counts
+    assert meta["newton_rejected_out_of_region"] == 0
+    assert meta["newton_rejected_exclusion"] == 0
+    assert meta["newton_rejected_duplicate"] == 0
+    # every seed is either accepted or rejected for one reason
+    rejected = sum(v for k, v in meta.items()
+                   if k.startswith("newton_rejected_"))
+    assert meta["newton_seeds"] == len(first.outliers) + rejected
+    assert len(first.outliers) == (2 if name == "demo_boundary" else 0)
+    assert again.metadata == meta
+    assert again.to_csv() == first.to_csv()
+
+
+def test_masked_node_does_not_abort_the_outlier_stage(monkeypatch):
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, "demo_boundary.json"))
+    region = Region(*cfg.region)
+    clean = compute_limit_sets(cfg.coeffs, cfg.boundary, region, 48, 48)
+    # node (0, 0) lies on the border, so it never seeds Newton
+    bad = transfer_matrix(cfg.coeffs, complex(region.re_min, region.im_min))
+
+    def failing(solver):
+        def solve(a):
+            if np.all(np.asarray(a) == bad, axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("forced failure")
+            return solver(a)
+        return solve
+
+    # the stacked solve of the node's chunk fails, then its own solve
+    monkeypatch.setattr(np.linalg, "eig", failing(np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", failing(np.linalg.eigvals))
+    result = compute_limit_sets(cfg.coeffs, cfg.boundary, region, 48, 48)
+    assert result.metadata["masked_nodes"] == 1
+    assert clean.metadata["masked_nodes"] == 0
+    assert len(result.outliers) == 2
+    assert ([o.point for o in result.outliers]
+            == [o.point for o in clean.outliers])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_scan_keeps_the_ordered_eig_triple(L):
+    coeffs, _ = random_model(np.random.default_rng(L), L)
+    plain = scan_grid(coeffs, REGION, 20, 20)
+    assert plain.vectors is None
+    n, m = 20 * 20, 2 * L
+    for workers in (1, 2):
+        scan = scan_grid(coeffs, REGION, 20, 20, workers=workers,
+                         eigenvectors=True)
+        values, right, left_rows, _ = ordered_eig(
+            coeffs, scan.energies.ravel(), TIE_TOL)
+        assert same_bits(scan.values.reshape(n, m), values)
+        assert same_bits(scan.vectors[0].reshape(n, m, m), right)
+        assert same_bits(scan.vectors[1].reshape(n, m, m), left_rows)
+        # LAPACK's eig and eigvals return the same eigenvalues, bit for bit
+        assert same_bits(scan.values, plain.values)
+        assert np.array_equal(scan.degenerate, plain.degenerate)
+
+
+def lone_newton(f, seed, h0, scale=1.0, max_iter=50):
+    """Newton on one seed as a scalar loop, the reference for the rows of
+    refine_zeros: (result, f evaluations, iterations entered)."""
+    calls = iterations = 0
+
+    def g(E):
+        nonlocal calls
+        calls += 1
+        return f(E)
+
+    z = complex(seed)
+    h = float(h0)
+    fz = g(z)
+    for _ in range(max_iter):
+        iterations += 1
+        if not (np.isfinite(z) and np.isfinite(fz)):
+            return (complex(seed), np.inf, "unconverged"), calls, iterations
+        if abs(fz) < 1e-12 * scale:
+            return (z, abs(fz), "converged"), calls, iterations
+        df = (g(z + h) - g(z - h)) / (2 * h)
+        if df == 0:
+            h *= 0.5
+            if h < 1e-13:
+                break
+            continue
+        step = fz / df
+        z = z - step
+        fz = g(z)
+        if abs(step) < 1e-13:
+            break
+        h = max(min(h, 0.5 * abs(step) + 1e-12), 1e-9)
+    if not (np.isfinite(z) and np.isfinite(fz)):
+        return (complex(seed), np.inf, "unconverged"), calls, iterations
+    status = "converged" if abs(fz) < 1e-12 * scale else "unconverged"
+    return (z, abs(fz), status), calls, iterations
+
+
+def same_result(a, b):
+    return (same_bits(a[0], b[0]) and np.float64(a[1]).tobytes()
+            == np.float64(b[1]).tobytes() and a[2] == b[2])
+
+
+def polynomial(roots, offset, radius):
+    """prod(E - r) + offset in Python complex arithmetic, NaN off |E| <=
+    radius."""
+    def f(E):
+        if abs(E) > radius:
+            return complex(np.nan, np.nan)
+        value = complex(1.0)
+        for r in roots:
+            value *= E - r
+        return value + offset
+    return f
+
+
+# dyadic roots and steps keep z +- h - root exact, so a seed at the centre
+# of a double root sees f(z + h) == f(z - h): the df == 0 branch
+DYADIC = st.builds(complex, st.integers(-8, 8).map(lambda k: k / 4),
+                   st.integers(-8, 8).map(lambda k: k / 4))
+
+
+@st.composite
+def newton_case(draw):
+    """A polynomial of degree 1-3, NaN off a disc or not, and 1-8 seeds."""
+    roots = draw(st.lists(DYADIC, min_size=1, max_size=3))
+    double = len(roots) > 1 and draw(st.booleans())
+    if double:
+        roots[1] = roots[0]
+    f = polynomial(roots, draw(st.sampled_from([0.0, 0.0, 0.25, 1e-14j])),
+                   draw(st.sampled_from([np.inf, 0.75, 2.0])))
+    coord = st.floats(-2.5, 2.5, allow_nan=False, allow_infinity=False)
+    seeds = draw(st.lists(st.one_of(DYADIC, st.builds(complex, coord, coord)),
+                          min_size=1, max_size=8))
+    if double:
+        seeds[draw(st.integers(0, len(seeds) - 1))] = roots[0]
+    return (f, seeds, draw(st.sampled_from([2.0 ** -3, 2.0 ** -6, 0.01])),
+            draw(st.sampled_from([1.0, 1e-3, 0.0])),
+            draw(st.sampled_from([50, 50, 3, 1, 0])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(newton_case())
+# df == 0 until h < 1e-13: a seed at the centre of a double root
+@example((polynomial([0.5j, 0.5j], 0.25, np.inf), [0.5j, 1 + 1j], 0.125,
+          1.0, 50))
+# a derivative probe off the disc where f is finite: a NaN step, then the
+# non-finite branch one iteration later
+@example((polynomial([0.25], 0.0, 0.75), [0.7], 0.125, 1.0, 50))
+# exhaustion after one iteration
+@example((polynomial([1.0, -1.0, 2j], 0.0, np.inf), [0.3 + 0.1j, 2.2],
+          0.125, 1.0, 1))
+def test_lockstep_newton_rows_are_lone_runs(case):
+    f, seeds, h0, scale, max_iter = case
+
+    def q(energies):
+        return np.array([f(complex(E)) for E in energies], dtype=np.complex128)
+
+    results, rounds, rows = refine_zeros(q, seeds, h0, scale, max_iter)
+    lone = [lone_newton(f, s, h0, scale, max_iter) for s in seeds]
+    assert len(results) == len(seeds)
+    for got, (want, _, _) in zip(results, lone):
+        assert same_result(got, want)
+    for s, (want, _, _) in zip(seeds, lone):
+        assert same_result(refine_zero(f, s, h0, scale, max_iter), want)
+    assert rows == sum(calls for _, calls, _ in lone)
+    assert rounds == max(iterations for _, _, iterations in lone)
+    assert refine_zeros(q, [], h0) == ([], 0, 0)
 
 
 @pytest.mark.parametrize("name", ["demo_open", "demo_Htilde"])
