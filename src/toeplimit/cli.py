@@ -189,13 +189,15 @@ def _sha256(text: str) -> str:
 
 
 class ArtifactWriter:
-    """Collects run outputs and a manifest; the manifest timestamp is kept
-    outside the payload checksums so reruns are byte-comparable."""
+    """Collects run outputs and a manifest; the manifest timestamp and any
+    ``stage_seconds`` are kept outside the payload checksums so reruns are
+    byte-comparable."""
 
     def __init__(self, out_dir: str, config: Optional[ModelConfig]):
         self.out_dir = out_dir
         self.config = config
         self.entries: List[Dict] = []
+        self.stage_seconds: Optional[Dict[str, float]] = None
 
     def write(self, kind: str, name: str, payload) -> str:
         text = (payload if isinstance(payload, str)
@@ -212,6 +214,8 @@ class ArtifactWriter:
             "config": self.config.to_dict() if self.config else None,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
+        if self.stage_seconds is not None:
+            manifest["stage_seconds"] = self.stage_seconds
         path = os.path.join(self.out_dir, "manifest.json")
         _atomic_write(path, json.dumps(manifest, indent=1, sort_keys=True))
         return path
@@ -250,6 +254,7 @@ def _cmd_limit_spectrum(args) -> int:
         writer.write("limit_sets", "limit_sets.csv", result.to_csv())
     else:
         writer.write("limit_sets", "limit_sets.json", result.to_json_dict())
+    writer.stage_seconds = result.timings
     writer.finish()
     arcs = sum(len(a.points) for a in result.arcs)
     print(f"limit-spectrum: {len(result.arcs)} arcs ({arcs} points), "

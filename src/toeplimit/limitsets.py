@@ -6,9 +6,11 @@ crossings for the Lambda-type sets. Outliers are zeros of the dominant
 q-function, Newton-refined from grid minima.
 """
 import hashlib
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +64,9 @@ class ScanGrid:
     # (right columns, left rows) of ordered_eig, each (ny, nx, 2L, 2L), kept
     # only until the outlier field is computed
     vectors: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    # work of the equal-modulus detector, summed over its calls on this grid
+    # work of the equal-modulus detector, summed over its calls on this grid;
+    # with a point filter the counts are taken after its endpoint pre-test,
+    # so they cover only the edges that can hold a kept crossing
     detector_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "candidate_edges": 0, "swapped_edges": 0, "bisection_evals": 0,
         "crossings_kept": 0})
@@ -96,7 +100,9 @@ class ScanGrid:
     def edge_moves(self) -> Tuple[np.ndarray, np.ndarray]:
         """Bound on branch movement along each horizontal, then each
         vertical edge: max_i min_j |v_i(E) - v_j(E')|, the same for every
-        branch pair, so computed once per grid."""
+        branch pair, so computed once per grid. Twice this is the slack of
+        the pair detector's gap test and of its endpoint pre-test with a
+        point filter."""
         moves = []
         for va, vb in _edges(self.values):
             move = np.zeros(va.shape[:2])
@@ -140,6 +146,9 @@ class LimitSpectrumResult:
     arcs: List[Arc]
     outliers: List[Outlier]
     metadata: Dict
+    # perf_counter seconds per stage; not serialized, so payloads stay
+    # byte-identical across reruns
+    timings: Dict[str, float]
 
     def to_json_dict(self) -> Dict:
         return {
@@ -369,6 +378,14 @@ def _sorted_moduli(stack: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvals(stack)), axis=-1)
 
 
+def _on_unit_circle(mods: np.ndarray, a: int, slack, tol: float) -> np.ndarray:
+    """Rows of an (n, 2L) sorted-moduli stack whose pair (a, a + 1) lies
+    within tol + slack of the unit circle: the Sigma fold crossings."""
+    near = tol + slack
+    return ((np.abs(mods[:, a] - 1.0) < near)
+            & (np.abs(mods[:, a + 1] - 1.0) < near))
+
+
 def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
     """Arcs where some |z_j(E)| = 1 with 1-based crossing index
     j >= L - r + 1.
@@ -399,12 +416,7 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
         for line in _assemble_polylines(segments, scan.h * 1e-6):
             arcs.append(Arc(label, r, line, crossing_index=j,
                             flagged_points=violations))
-    unit_tol = scan.h / 10
-
-    def on_unit_circle(mods, a):
-        return ((np.abs(mods[:, a] - 1.0) < unit_tol)
-                & (np.abs(mods[:, a + 1] - 1.0) < unit_tol))
-
+    on_unit_circle = partial(_on_unit_circle, tol=scan.h / 10)
     for ju in range(max(L - r + 1, 2), 2 * L + 1):
         fold = _lambda_pair_arcs(scan, ju - 2, ju - 1, label, r,
                                  point_filter=on_unit_circle)
@@ -453,18 +465,31 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     """Arcs of |z_a| = |z_b| (0-based consecutive ordered branches) by
     branch-matched edge crossings assembled through cell adjacency.
 
-    ``point_filter(mods, a)`` maps an (n, 2L) stack of sorted moduli at the
-    crossing points to the mask of points kept.
+    ``point_filter(mods, a, slack)`` maps an (n, 2L) stack of sorted moduli
+    to the mask of rows kept, each condition loosened by ``slack`` (a scalar
+    or one value per row). The crossing points are kept by it at slack 0.
+    Before bisecting, an edge is dropped unless one of its endpoint rows
+    passes it at slack ``2 * move``, the bound on how far a branch moves
+    along the edge that the gap test below also relies on.
     """
     counts = scan.detector_counts
     gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
     candidates = []
-    for (ok0, ok1), (g0, g1), move in zip(_edges(scan.valid), _edges(gap),
-                                          scan.edge_moves):
+    for (ok0, ok1), (g0, g1), (m0, m1), move in zip(
+            _edges(scan.valid), _edges(gap), _edges(scan.moduli),
+            scan.edge_moves):
         # an order swap needs the pair gap to close somewhere on the edge,
         # and the pair to start in order (g0 < 0 only inside a tie group)
-        candidates.append(ok0 & ok1 & ~(np.minimum(g0, g1) > 2 * move + 1e-12)
-                          & ~(g0 < 0))
+        candidate = (ok0 & ok1 & ~(np.minimum(g0, g1) > 2 * move + 1e-12)
+                     & ~(g0 < 0))
+        if point_filter is not None:
+            # a crossing on the edge can pass the filter only if an endpoint
+            # passes it with the edge's movement bound as slack
+            rows, slack = m0.reshape(-1, m0.shape[-1]), 2 * move.ravel()
+            reach = (point_filter(rows, a, slack)
+                     | point_filter(m1.reshape(rows.shape), a, slack))
+            candidate &= reach.reshape(move.shape)
+        candidates.append(candidate)
 
     def gather(nodal, end):
         return np.concatenate([e[end][m] for e, m in
@@ -489,7 +514,7 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
         flagged = int(np.sum(mods[:, a] - mods[:, a - 1]
                              < scan.tie_tol * (1 + mods[:, a])))
     if point_filter is not None:
-        keep = point_filter(mods, a)
+        keep = point_filter(mods, a, 0.0)
         swapped, points = swapped[keep], points[keep]
     counts["crossings_kept"] += swapped.size
 
@@ -520,12 +545,12 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     return arcs
 
 
-def _unit_side(mods: np.ndarray, a: int) -> np.ndarray:
+def _unit_side(mods: np.ndarray, a: int, slack) -> np.ndarray:
     """Rows of an (n, 2L) sorted-moduli stack that meet the unit-modulus side
-    conditions of the rank-r Lambda definition."""
-    keep = ~(mods[:, a] < 1.0 - UNIT_COND_TOL)
+    conditions of the rank-r Lambda definition, each loosened by slack."""
+    keep = ~(mods[:, a] < 1.0 - UNIT_COND_TOL - slack)
     if a >= 1:
-        keep &= ~(mods[:, a - 1] > 1.0 + UNIT_COND_TOL)
+        keep &= ~(mods[:, a - 1] > 1.0 + UNIT_COND_TOL + slack)
     return keep
 
 
@@ -796,22 +821,41 @@ def omega_r_membership(coeffs: CoefficientTriple, E: complex, r: int) -> bool:
     return winding_number(coeffs, E) > -r
 
 
+STAGES = ("scan", "q_field", "sigma", "lambda", "newton")
+
+
+@contextmanager
+def _stage(timings: Dict[str, float], name: str):
+    """Adds the perf_counter seconds of the block to timings[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] += time.perf_counter() - start
+
+
 def compute_limit_sets(coeffs: CoefficientTriple,
                        boundary: Optional[BoundaryTriple],
                        region: Region, nx: int, ny: int, r: Optional[int] = None,
                        workers: Optional[int] = None,
                        degeneracy_tol: float = DEGENERACY_TOL,
                        tie_tol: float = TIE_TOL) -> LimitSpectrumResult:
-    """One-stop pipeline: scan, arcs and outliers for the given model."""
+    """One-stop pipeline: scan, arcs and outliers for the given model.
+
+    The result's ``timings`` holds the perf_counter seconds of each stage;
+    a stage the model's case does not run reads 0.
+    """
+    timings = dict.fromkeys(STAGES, 0.0)
     # every corner case has an outlier stage, whose field reads the scan's
     # eigenvectors instead of solving the grid again
-    scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol, workers,
-                     eigenvectors=boundary is not None)
+    with _stage(timings, "scan"):
+        scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol,
+                         workers, eigenvectors=boundary is not None)
     L = coeffs.L
-    arcs: List[Arc] = []
     outliers: List[Outlier] = []
     if boundary is None:
-        arcs.extend(sigma_r(scan, L))
+        with _stage(timings, "sigma"):
+            arcs = sigma_r(scan, L)
     else:
         open_case = boundary.classify(coeffs) in ("open", "boundary")
         tols = (scan.degeneracy_tol, scan.tie_tol)
@@ -819,23 +863,21 @@ def compute_limit_sets(coeffs: CoefficientTriple,
              else q_perturbed_dominant(coeffs, boundary, *tols))
         # the field does not depend on the arcs: computing it first frees
         # the vectors before the arc detectors allocate
-        q_field = _q_field(scan, q)
+        with _stage(timings, "q_field"):
+            q_field = _q_field(scan, q)
         scan.vectors = None
-        if open_case:
-            arcs.extend(lambda_open(scan))
-            arcs.extend(sigma_r(scan, L))
-            outliers.extend(outliers_open(coeffs, boundary.C, scan,
-                                          arcs=[a for a in arcs
-                                                if a.label == "Lambda"],
-                                          q_field=q_field))
-        else:
-            rr = boundary.rank_A if r is None else r
+        rr = L if open_case else (boundary.rank_A if r is None else r)
+        with _stage(timings, "sigma"):
             sig = sigma_r(scan, rr)
-            lam = lambda_r(scan, rr)
-            arcs.extend(sig)
-            arcs.extend(lam)
-            outliers.extend(outliers_perturbed(coeffs, boundary, scan,
-                                               arcs=sig + lam, q_field=q_field))
+        with _stage(timings, "lambda"):
+            lam = lambda_open(scan) if open_case else lambda_r(scan, rr)
+        arcs = lam + sig if open_case else sig + lam
+        with _stage(timings, "newton"):
+            outliers = (
+                outliers_open(coeffs, boundary.C, scan, arcs=lam,
+                              q_field=q_field) if open_case
+                else outliers_perturbed(coeffs, boundary, scan, arcs=arcs,
+                                        q_field=q_field))
     metadata = {
         "model_hash": model_hash(coeffs, boundary),
         "region": [region.re_min, region.re_max, region.im_min, region.im_max],
@@ -846,4 +888,4 @@ def compute_limit_sets(coeffs: CoefficientTriple,
         **scan.detector_counts,
         **scan.newton_counts,
     }
-    return LimitSpectrumResult(arcs, outliers, metadata)
+    return LimitSpectrumResult(arcs, outliers, metadata, timings)

@@ -6,6 +6,7 @@ import pytest
 
 from toeplimit import cli
 from toeplimit.errors import BadConfig
+from toeplimit.limitsets import STAGES
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 SCALAR = os.path.join(CONFIG_DIR, "scalar.json")
@@ -94,6 +95,23 @@ def test_limit_spectrum_deterministic_checksums(tmp_path):
         return {e["path"]: e["checksum"] for e in m["artifacts"]}
 
     assert checksums("a") == checksums("b")
+
+
+def test_limit_spectrum_manifest_records_stage_seconds(tmp_path):
+    argv = ["limit-spectrum", "--config", DEMO_BOUNDARY, "--grid", "32,32"]
+    for d in ("a", "b"):
+        assert run(argv + ["--out", str(tmp_path / d)]) == 0
+    payloads = [(tmp_path / d / "limit_sets.json").read_bytes()
+                for d in ("a", "b")]
+    assert payloads[0] == payloads[1]
+    assert b"stage_seconds" not in payloads[0]
+    for d in ("a", "b"):
+        m = json.loads((tmp_path / d / "manifest.json").read_text())
+        stages = m["stage_seconds"]
+        assert set(stages) == set(STAGES)
+        # demo_boundary runs every stage
+        assert all(isinstance(t, float) and t > 0 for t in stages.values())
+        assert [e["path"] for e in m["artifacts"]] == ["limit_sets.json"]
 
 
 def test_limit_spectrum_scans_with_config_tolerances(tmp_path):

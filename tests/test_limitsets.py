@@ -1,5 +1,6 @@
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_matrix, random_model
 from toeplimit import cli
 from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
+                                 _on_unit_circle, _unit_side,
                                  compute_limit_sets, dominant_set, lambda_open,
                                  lambda_r, omega_r_membership, outliers_open,
                                  outliers_perturbed, q_open,
@@ -234,14 +236,25 @@ def test_compute_limit_sets_circulant_only_sigma(scalar_model):
     result = compute_limit_sets(scalar_model, None, REGION, 64, 64)
     assert all(a.label == "Sigma" for a in result.arcs)
     assert result.outliers == []
+    # the stages a circulant model does not run read 0
+    assert result.timings["scan"] > 0 and result.timings["sigma"] > 0
+    assert [result.timings[k] for k in ("q_field", "lambda", "newton")] == [
+        0.0, 0.0, 0.0]
 
 
 def test_detector_counts_in_metadata():
-    counts = {"candidate_edges": 432, "swapped_edges": 84,
-              "bisection_evals": 588, "crossings_kept": 84}
-    first, again = config_run("scalar"), config_run("scalar")
-    assert {k: first.metadata[k] for k in counts} == counts
-    assert again.metadata == first.metadata
+    keys = ("candidate_edges", "swapped_edges", "bisection_evals",
+            "crossings_kept")
+    pins = [("scalar", None, (432, 84, 588, 84)),
+            # without the endpoint pre-test the fold pairs of these three
+            # bisect every swapped edge: 1,855 / 2,170 / 2,520 evaluations
+            ("demo_circulant", 64, (219, 42, 294, 3)),
+            ("demo_H", 64, (219, 42, 294, 3)),
+            ("demo_boundary", 64, (737, 137, 959, 98))]
+    for name, grid, counts in pins:
+        first, again = config_run(name, grid), config_run(name, grid)
+        assert {k: first.metadata[k] for k in keys} == dict(zip(keys, counts))
+        assert again.metadata == first.metadata
 
 
 @pytest.mark.parametrize("name, counts", [
@@ -484,6 +497,60 @@ def test_pair_detector_matches_per_edge_reference(demo_model):
         assert reference
         assert scan.detector_counts["swapped_edges"] - before == len(reference)
         assert set(arc_points(arcs).tolist()) <= set(reference)
+
+
+def unpruned(point_filter):
+    """``point_filter`` with the pre-test switched off: every edge passes a
+    call with nonzero slack, so every swapped edge is bisected."""
+    def f(mods, a, slack):
+        if np.any(slack):
+            return np.ones(len(mods), dtype=bool)
+        return point_filter(mods, a, slack)
+    return f
+
+
+def pruning_scans():
+    for name in ("demo_boundary", "demo_H", "demo_Htilde", "demo_circulant"):
+        cfg = cli.load_config(os.path.join(CONFIG_DIR, name + ".json"))
+        yield name, scan_grid(cfg.coeffs, Region(*cfg.region), 48, 48)
+    rng = np.random.default_rng(2024)
+    # the coefficients of an L = 3 rank(A) = 1 model and an L = 4 boundary
+    # model: the arc detectors read no corner
+    for L in (3, 4):
+        coeffs, _ = random_model(rng, L)
+        yield f"L{L}", scan_grid(coeffs, Region(-4, 4, -4, 4), 48, 48)
+
+
+def test_endpoint_pretest_keeps_every_crossing():
+    total = {"pruned": 0, "unpruned": 0, "kept": 0}
+    for name, scan in pruning_scans():
+        L = scan.L
+        fold = partial(_on_unit_circle, tol=scan.h / 10)
+        # every Sigma fold pair over r = 0..L, and every Lambda_r pair
+        pairs = ([(a, "Sigma_r", fold) for a in range(2 * L - 1)]
+                 + [(a, "Lambda_r", _unit_side) for a in range(L)])
+        for a, label, point_filter in pairs:
+            runs = []
+            for f in (point_filter, unpruned(point_filter)):
+                before = dict(scan.detector_counts)
+                arcs = _lambda_pair_arcs(scan, a, a + 1, label, 1,
+                                         point_filter=f)
+                runs.append((arcs, {k: v - before[k] for k, v
+                                    in scan.detector_counts.items()}))
+            (pruned, work), (full, full_work) = runs
+            where = (name, a, label)
+            assert len(pruned) == len(full), where
+            for p, q in zip(pruned, full):
+                assert same_bits(p.points, q.points), where
+                assert (p.label, p.r, p.crossing_index, p.flagged_points) == (
+                    q.label, q.r, q.crossing_index, q.flagged_points), where
+            assert work["crossings_kept"] == full_work["crossings_kept"], where
+            assert work["swapped_edges"] <= full_work["swapped_edges"], where
+            total["pruned"] += work["bisection_evals"]
+            total["unpruned"] += full_work["bisection_evals"]
+            total["kept"] += work["crossings_kept"]
+    # the models have kept crossings, and the pre-test saves work
+    assert total["kept"] > 0 and total["pruned"] < total["unpruned"]
 
 
 @pytest.mark.parametrize("kind", ["modulus", "saddles"])

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import gaussian_matrix, nondegenerate_energy, random_model
 from toeplimit import numkernel as nk
-from toeplimit.errors import DegenerateSplit
+from toeplimit.errors import DegenerateSplit, OnCurve
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
-                                 assemble_operator, charpoly_direct)
-from toeplimit.transfer import ordered_spectrum, transfer_matrix
+                                 assemble_operator, charpoly_direct,
+                                 winding_number)
+from toeplimit.transfer import (DEGENERACY_TOL, ordered_spectrum,
+                                transfer_matrix)
 from toeplimit.widom import (charpoly_circulant, charpoly_semipermeable,
                              dump_terms, index_sets, q_hat, q_perturbed,
                              q_tilde, widom_sum_open, widom_sum_perturbed,
@@ -148,3 +152,43 @@ def test_dump_terms_csv(tmp_path, scalar_model):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("index_set,")
     assert len(lines) == 1 + len(ws.terms)
+
+
+@st.composite
+def model_rank_energy(draw):
+    """A random model with L in {1, 2, 3} and rank(A) in {0..L}, one energy
+    off the degeneracy set, and its transfer spectrum."""
+    L = draw(st.integers(1, 3))
+    rank_a = draw(st.integers(0, L))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs, boundary = random_model(rng, L, rank_a)
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    E = complex(draw(coord), draw(coord))
+    spec = ordered_spectrum(coeffs, E)
+    assume(not nk.close_pairs(spec.values, DEGENERACY_TOL).any())
+    return coeffs, boundary, E, spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model_rank_energy(), st.integers(3, 6))
+def test_widom_sums_match_dense_determinant(case, N):
+    coeffs, boundary, E, spec = case
+    perturbed = widom_sum_perturbed(coeffs, boundary, N, E, spec=spec).total
+    direct = charpoly_direct(coeffs, boundary, N, E)
+    assert abs(perturbed - direct) <= 1e-8 * (1 + abs(direct))
+    open_bd = BoundaryTriple.boundary(boundary.C)
+    total = widom_sum_open(coeffs, boundary.C, N, E, spec=spec).total
+    direct = charpoly_direct(coeffs, open_bd, N, E)
+    assert abs(total - direct) <= 1e-8 * (1 + abs(direct))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model_rank_energy())
+def test_growing_count_is_minus_winding(case):
+    coeffs, _, E, spec = case
+    try:
+        wind = winding_number(coeffs, E)
+    except OnCurve:
+        assume(False)
+    assume(not np.any(np.abs(spec.moduli - 1.0) < 1e-8))
+    assert int(np.sum(spec.moduli > 1.0)) - coeffs.L == -wind
