@@ -12,21 +12,22 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import numkernel as nk
 from .asymptotics import (genericity_check, q_hat_leading, q_leading,
-                          q_tilde_leading, rt_spectral_data)
+                          rt_spectral_data)
 from .errors import BadConfig, ToeplimitError
-from .limitsets import Region, compute_limit_sets
+from .limitsets import Region, check_rank, compute_limit_sets
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
-                        circulant_spectrum_fft, finite_spectrum)
+                        charpoly_direct, circulant_spectrum_fft,
+                        finite_spectrum)
 from .transfer import DEGENERACY_TOL, TIE_TOL, ordered_spectrum
 from .widom import (charpoly_circulant, index_sets, q_hat, q_perturbed,
                     widom_sum_open, widom_sum_perturbed)
-from .operators import charpoly_direct
 
 CASES = ("circulant", "open", "boundary", "perturbed", "custom")
 SKIN_EFFECT_N = 100
@@ -66,7 +67,7 @@ def _decode_matrix(obj, name: str) -> np.ndarray:
         raise BadConfig(f"{name}: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     L: int
     N: int
@@ -85,11 +86,12 @@ class ModelConfig:
     seed: int = 0
     warnings: List[str] = field(default_factory=list)
 
-    @property
+    # built once (the triples invert R, T and B); frozen, so never stale
+    @cached_property
     def coeffs(self) -> CoefficientTriple:
         return CoefficientTriple(self.R, self.T, self.V)
 
-    @property
+    @cached_property
     def boundary(self) -> BoundaryTriple:
         return BoundaryTriple(self.A, self.B, self.C)
 
@@ -134,7 +136,8 @@ def config_from_dict(data: Dict) -> ModelConfig:
     if case not in CASES:
         raise BadConfig(f"case must be one of {CASES}, got {case!r}")
     region = tuple(float(x) for x in data.get("region", (-3, 3, -3, 3)))
-    if len(region) != 4 or region[1] <= region[0] or region[3] <= region[2]:
+    if len(region) != 4 or not (region[0] < region[1] and region[2] < region[3]
+                                and np.all(np.isfinite(region))):
         raise BadConfig("region must be (re_min, re_max, im_min, im_max)")
     nx = int(data.get("nx", 128))
     ny = int(data.get("ny", 128))
@@ -155,7 +158,9 @@ def config_from_dict(data: Dict) -> ModelConfig:
     return cfg
 
 
-def load_config(path: str) -> ModelConfig:
+def load_config(path: str, overrides: Optional[Dict] = None) -> ModelConfig:
+    """The config at path, with ``overrides`` replacing its top-level keys
+    before validation, so an override is checked like the file itself."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -163,6 +168,8 @@ def load_config(path: str) -> ModelConfig:
         raise BadConfig(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BadConfig(f"invalid JSON in {path}: {exc}") from exc
+    if isinstance(data, dict):
+        data.update(overrides or {})
     return config_from_dict(data)
 
 
@@ -184,10 +191,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 class ArtifactWriter:
     """Collects run outputs and a manifest; the manifest timestamp and any
     ``stage_seconds`` are kept outside the payload checksums so reruns are
@@ -204,8 +207,8 @@ class ArtifactWriter:
                 else json.dumps(payload, indent=1, sort_keys=True))
         path = os.path.join(self.out_dir, name)
         _atomic_write(path, text)
-        self.entries.append({"kind": kind, "path": name,
-                             "checksum": _sha256(text)})
+        self.entries.append({"kind": kind, "path": name, "checksum":
+                             hashlib.sha256(text.encode()).hexdigest()})
         return path
 
     def finish(self) -> str:
@@ -221,39 +224,67 @@ class ArtifactWriter:
         return path
 
 
-def _is_normal_model(cfg: ModelConfig) -> bool:
-    H = assemble_operator(cfg.coeffs, cfg.boundary, min(cfg.N, 12))
-    comm = H @ H.conj().T - H.conj().T @ H
-    return float(np.linalg.norm(comm)) <= 1e-10 * (1 + np.linalg.norm(H) ** 2)
-
-
 def _spectrum_series(eigs: np.ndarray, label: str) -> str:
-    lines = ["re,im,label"]
-    for e in eigs:
-        lines.append(f"{e.real:.17g},{e.imag:.17g},{label}")
-    return "\n".join(lines) + "\n"
+    return "re,im,label\n" + "".join(
+        f"{e.real:.17g},{e.imag:.17g},{label}\n" for e in eigs)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_limit_spectrum(args) -> int:
-    cfg = load_config(args.config)
+def _load(args) -> ModelConfig:
+    """The command's one run config: the JSON at ``--config`` with the
+    ``--N``, ``--grid`` and ``--region`` overrides merged in before
+    validation. Prints the config's warnings."""
+    given = {key: getattr(args, key, None) for key in ("N", "grid", "region")}
+    overrides = {key: v for key, v in given.items() if v is not None}
+    if "grid" in overrides:
+        overrides["nx"], overrides["ny"] = overrides.pop("grid")
+    cfg = load_config(args.config, overrides)
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    nx, ny = (args.grid if args.grid else (cfg.nx, cfg.ny))
-    region = Region(*(args.region if args.region else cfg.region))
-    boundary = None if cfg.case == "circulant" else cfg.boundary
-    result = compute_limit_sets(cfg.coeffs, boundary, region, nx, ny,
-                                r=args.r, workers=args.workers,
-                                degeneracy_tol=cfg.degeneracy_tol,
-                                tie_tol=cfg.tie_tol)
+    return cfg
+
+
+def _limit_sets(cfg: ModelConfig, args):
+    """Arcs and outliers at the config's grid; the corner is dropped only
+    when the matrices are circulant. A ``--r`` the run would not read is a
+    config error."""
+    coeffs = cfg.coeffs
+    boundary = (None if cfg.boundary.classify(coeffs) == "circulant"
+                else cfg.boundary)
+    try:
+        check_rank(coeffs, boundary, args.r)
+    except ValueError as exc:
+        raise BadConfig(f"--r {args.r}: {exc}") from exc
+    return compute_limit_sets(coeffs, boundary, Region(*cfg.region), cfg.nx,
+                              cfg.ny, r=args.r, workers=args.workers,
+                              degeneracy_tol=cfg.degeneracy_tol,
+                              tie_tol=cfg.tie_tol)
+
+
+def _finite_spectrum(cfg: ModelConfig, fft: bool = False) -> np.ndarray:
+    """The spectrum of H_N in (re, im) order: dense, or by FFT for a
+    circulant model. Prints the skin-effect note past SKIN_EFFECT_N when
+    the model is not normal."""
+    if cfg.N > SKIN_EFFECT_N:
+        H = assemble_operator(cfg.coeffs, cfg.boundary, 12)
+        comm = H @ H.conj().T - H.conj().T @ H
+        if np.linalg.norm(comm) > 1e-10 * (1 + np.linalg.norm(H) ** 2):
+            print(SKIN_EFFECT_NOTE.format(n=SKIN_EFFECT_N), file=sys.stderr)
+    eigs = (circulant_spectrum_fft(cfg.coeffs, cfg.N) if fft else
+            finite_spectrum(assemble_operator(cfg.coeffs, cfg.boundary, cfg.N)))
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
+
+
+def _cmd_limit_spectrum(args) -> int:
+    cfg = _load(args)
+    result = _limit_sets(cfg, args)
     writer = ArtifactWriter(args.out, cfg)
-    if args.format == "csv":
-        writer.write("limit_sets", "limit_sets.csv", result.to_csv())
-    else:
-        writer.write("limit_sets", "limit_sets.json", result.to_json_dict())
+    writer.write("limit_sets", f"limit_sets.{args.format}",
+                 result.to_csv() if args.format == "csv"
+                 else result.to_json_dict())
     writer.stage_seconds = result.timings
     writer.finish()
     arcs = sum(len(a.points) for a in result.arcs)
@@ -263,19 +294,12 @@ def _cmd_limit_spectrum(args) -> int:
 
 
 def _cmd_finite_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    for w in cfg.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    N = args.N if args.N else cfg.N
-    if N > SKIN_EFFECT_N and not _is_normal_model(cfg):
-        print(SKIN_EFFECT_NOTE.format(n=SKIN_EFFECT_N), file=sys.stderr)
-    if args.method == "fft":
-        if cfg.boundary.classify(cfg.coeffs) != "circulant":
-            raise BadConfig("--method fft requires the circulant case")
-        eigs = circulant_spectrum_fft(cfg.coeffs, N)
-    else:
-        eigs = finite_spectrum(assemble_operator(cfg.coeffs, cfg.boundary, N))
-    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    cfg = _load(args)
+    N = cfg.N
+    fft = args.method == "fft"
+    if fft and cfg.boundary.classify(cfg.coeffs) != "circulant":
+        raise BadConfig("--method fft requires the circulant case")
+    eigs = _finite_spectrum(cfg, fft)
     writer = ArtifactWriter(args.out, cfg)
     if args.format == "csv":
         writer.write("finite_spectrum", "finite_spectrum.csv",
@@ -292,40 +316,34 @@ def _cmd_finite_spectrum(args) -> int:
 
 
 def _cmd_verify_widom(args) -> int:
-    cfg = load_config(args.config)
-    for w in cfg.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    N = args.N if args.N else cfg.N
-    E = args.E if args.E is not None else 0.0 + 0.0j
-    coeffs = cfg.coeffs
-    boundary = cfg.boundary
+    cfg = _load(args)
+    N, E = cfg.N, args.E
+    coeffs, boundary = cfg.coeffs, cfg.boundary
     case = boundary.classify(coeffs)
+    if case == "custom":
+        raise BadConfig(f"no verification route for case {case!r}")
+    spec = ordered_spectrum(coeffs, E, cfg.degeneracy_tol, cfg.tie_tol)
     direct = charpoly_direct(coeffs, boundary, N, E)
+    print(f"verify-widom: N={N}, E={E}, case={case}, direct={direct:.12g}")
+    routes = {}
+    if case == "circulant":
+        routes["circulant_formula"] = charpoly_circulant(coeffs, N, E)
+    if case in ("open", "boundary"):
+        routes["open_sum"] = widom_sum_open(coeffs, boundary.C, N, E,
+                                            spec=spec).total
+    if case in ("circulant", "perturbed"):
+        routes["perturbed_sum"] = widom_sum_perturbed(coeffs, boundary, N, E,
+                                                      spec=spec).total
     report = {"N": N, "E": _encode_complex(E), "case": case,
               "direct": _encode_complex(direct), "routes": {}}
-    tol = 1e-8 * (1 + abs(direct))
-    ok = True
-
-    def record(name, value):
-        nonlocal ok
+    for name, value in routes.items():
         err = abs(value - direct)
-        passed = err <= tol
-        ok = ok and passed
+        passed = err <= 1e-8 * (1 + abs(direct))
         report["routes"][name] = {"value": _encode_complex(value),
                                   "abs_error": err, "pass": passed}
         print(f"  {name}: {value:.12g} |err| = {err:.3e} "
               f"{'PASS' if passed else 'FAIL'}")
-
-    print(f"verify-widom: N={N}, E={E}, case={case}, direct={direct:.12g}")
-    if case == "circulant":
-        record("circulant_formula", charpoly_circulant(coeffs, N, E))
-    if case in ("open", "boundary"):
-        record("open_sum", widom_sum_open(coeffs, boundary.C, N, E).total)
-    if case in ("circulant", "perturbed"):
-        record("perturbed_sum",
-               widom_sum_perturbed(coeffs, boundary, N, E).total)
-    if not report["routes"]:
-        raise BadConfig(f"no verification route for case {case!r}")
+    ok = all(route["pass"] for route in report["routes"].values())
     report["pass"] = ok
     writer = ArtifactWriter(args.out, cfg)
     writer.write("widom_verify", "widom_verify.json", report)
@@ -335,7 +353,7 @@ def _cmd_verify_widom(args) -> int:
 
 
 def _cmd_asymptotics_check(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args)
     rt = rt_spectral_data(cfg.R, cfg.T)
     L = cfg.L
     magnitude = args.magnitude
@@ -343,25 +361,18 @@ def _cmd_asymptotics_check(args) -> int:
     E = magnitude * np.exp(2j * np.pi * rng.random())
     spec = ordered_spectrum(cfg.coeffs, E, cfg.degeneracy_tol, cfg.tie_tol)
     boundary = cfg.boundary
-    rows = []
-    worst = 0.0
-    for I in index_sets(2 * L, [L]):
-        coeff, expo = q_hat_leading(rt, I, cfg.C, cfg.V)
-        q = q_hat(spec, cfg.C, I)
-        if not q.valid or abs(coeff) < 1e-12:
-            continue
-        dev = float(abs(q.value / (coeff * E ** expo) - 1))
-        worst = max(worst, dev)
-        rows.append({"kind": "q_hat", "I": list(I), "deviation": dev})
+    # (kind, I, leading (coeff, exponent), q) per index set
+    checks = [("q_hat", I, q_hat_leading(rt, I, cfg.C, cfg.V),
+               q_hat(spec, cfg.C, I)) for I in index_sets(2 * L, [L])]
     if boundary.classify(cfg.coeffs) in ("circulant", "perturbed"):
-        for I in index_sets(2 * L, range(L + boundary.rank_A + 1)):
-            coeff, expo = q_leading(rt, boundary, I)
-            q = q_perturbed(spec, boundary, I)
-            if not q.valid or abs(coeff) < 1e-12:
-                continue
-            dev = float(abs(q.value / (coeff * E ** expo) - 1))
-            worst = max(worst, dev)
-            rows.append({"kind": "q", "I": list(I), "deviation": dev})
+        checks += [("q", I, q_leading(rt, boundary, I),
+                    q_perturbed(spec, boundary, I))
+                   for I in index_sets(2 * L, range(L + boundary.rank_A + 1))]
+    rows = [{"kind": kind, "I": list(I),
+             "deviation": float(abs(q.value / (coeff * E ** expo) - 1))}
+            for kind, I, (coeff, expo), q in checks
+            if q.valid and abs(coeff) >= 1e-12]
+    worst = max([0.0, *(row["deviation"] for row in rows)])
     ok = bool(worst <= args.tolerance)
     report = {"E": _encode_complex(E), "magnitude": magnitude,
               "worst_deviation": worst, "tolerance": args.tolerance,
@@ -379,49 +390,31 @@ def _cmd_genericity(args) -> int:
     writer = ArtifactWriter(args.out, None)
     writer.write("genericity", "genericity.json", report.to_dict())
     writer.finish()
-    frac = report.nonzero_fraction
     print(f"genericity: {report.nonzero}/{report.nonzero + report.zero} draws "
           f"with all leading coefficients nonzero "
           f"({report.not_simple} not simple, "
           f"{report.rank_mismatch} rank mismatches) -> {args.out}")
-    return 0 if frac == 1.0 else 2
+    return 0 if report.nonzero_fraction == 1.0 else 2
 
 
 def _cmd_plot_data(args) -> int:
-    cfg = load_config(args.config)
-    for w in cfg.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    N = args.N if args.N else cfg.N
-    region = Region(*cfg.region)
-    boundary = None if cfg.case == "circulant" else cfg.boundary
+    cfg = _load(args)
+    # the arcs first: a failing run writes no series
+    result = _limit_sets(cfg, args)
     writer = ArtifactWriter(args.out, cfg)
-    # periodic cloud series
-    cloud = circulant_spectrum_fft(cfg.coeffs, 512)
     writer.write("plot_series", "series_sigma_cloud.csv",
-                 _spectrum_series(cloud, "Sigma_cloud"))
-    # arcs and outliers
-    result = compute_limit_sets(cfg.coeffs, boundary, region, cfg.nx, cfg.ny,
-                                r=args.r, workers=args.workers,
-                                degeneracy_tol=cfg.degeneracy_tol,
-                                tie_tol=cfg.tie_tol)
-    by_label: Dict[str, List[str]] = {}
+                 _spectrum_series(circulant_spectrum_fft(cfg.coeffs, 512),
+                                  "Sigma_cloud"))
+    by_label: Dict[str, List[complex]] = {}
     for a in result.arcs:
-        rows = by_label.setdefault(a.label, ["re,im,label"])
-        for p in a.points:
-            rows.append(f"{p.real:.17g},{p.imag:.17g},{a.label}")
+        by_label.setdefault(a.label, []).extend(a.points)
     for o in result.outliers:
-        rows = by_label.setdefault(o.label, ["re,im,label"])
-        rows.append(f"{o.point.real:.17g},{o.point.imag:.17g},{o.label}")
-    for label, rows in sorted(by_label.items()):
+        by_label.setdefault(o.label, []).append(o.point)
+    for label, points in sorted(by_label.items()):
         writer.write("plot_series", f"series_{label.lower()}.csv",
-                     "\n".join(rows) + "\n")
-    # finite-N cloud
-    if N > SKIN_EFFECT_N and not _is_normal_model(cfg):
-        print(SKIN_EFFECT_NOTE.format(n=SKIN_EFFECT_N), file=sys.stderr)
-    eigs = finite_spectrum(assemble_operator(cfg.coeffs, cfg.boundary, N))
-    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    writer.write("plot_series", f"series_finite_N{N}.csv",
-                 _spectrum_series(eigs, f"H_{N}"))
+                     _spectrum_series(points, label))
+    writer.write("plot_series", f"series_finite_N{cfg.N}.csv",
+                 _spectrum_series(_finite_spectrum(cfg), f"H_{cfg.N}"))
     writer.finish()
     print(f"plot-data: {len(writer.entries)} series files -> {args.out}")
     return 0
@@ -440,75 +433,81 @@ def _parse_pair(text: str) -> complex:
     raise argparse.ArgumentTypeError("expected re or re,im")
 
 
-def _parse_grid(text: str) -> Tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected NX,NY")
-    return int(parts[0]), int(parts[1])
+def _parse_tuple(kind, names: str):
+    """argparse type: the comma-separated values ``names`` as ``kind``."""
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != names.count(",") + 1:
+            raise argparse.ArgumentTypeError(f"expected {names}")
+        return tuple(kind(p) for p in parts)
+    return parse
 
 
-def _parse_region(text: str) -> Tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected re_min,re_max,im_min,im_max")
-    return tuple(float(p) for p in parts)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each declaring only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="toeplimit",
         description="limit spectra of block tridiagonal Toeplitz operators "
                     "with corner perturbations")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--workers": dict(type=int, default=os.cpu_count()),
+        "--N": dict(type=int, default=None,
+                    help="number of blocks (default: the config's N)"),
+        "--r": dict(type=int, default=None,
+                    help="perturbation rank (perturbed corners only)"),
+    }
 
-    def common(p, needs_config=True):
-        if needs_config:
+    def command(name, help_text, func, *flags, config=True):
+        p = sub.add_parser(name, help=help_text)
+        if config:
             p.add_argument("--config", required=True, help="model JSON path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=os.cpu_count())
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("limit-spectrum", help="extract arcs and outliers")
-    common(p)
-    p.add_argument("--r", type=int, default=None, help="perturbation rank")
-    p.add_argument("--grid", type=_parse_grid, default=None, metavar="NX,NY")
-    p.add_argument("--region", type=_parse_region, default=None,
-                   metavar="a,b,c,d")
-    p.set_defaults(func=_cmd_limit_spectrum)
+    p = command("limit-spectrum", "extract arcs and outliers",
+                _cmd_limit_spectrum, "--format", "--workers", "--r")
+    p.add_argument("--grid", type=_parse_tuple(int, "NX,NY"), default=None,
+                   metavar="NX,NY")
+    p.add_argument("--region", default=None, metavar="a,b,c,d",
+                   type=_parse_tuple(float, "re_min,re_max,im_min,im_max"), help="scan region; negative values "
+                   "need the = form: --region=-2,2,-2,2")
 
-    p = sub.add_parser("finite-spectrum", help="dense or FFT finite-N spectrum")
-    common(p)
-    p.add_argument("--N", type=int, default=None)
+    p = command("finite-spectrum", "dense or FFT finite-N spectrum",
+                _cmd_finite_spectrum, "--format", "--N")
     p.add_argument("--method", choices=("dense", "fft"), default="dense")
-    p.set_defaults(func=_cmd_finite_spectrum)
 
-    p = sub.add_parser("verify-widom",
-                       help="compare determinant routes at one energy")
-    common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--E", type=_parse_pair, default=None, metavar="re,im")
-    p.set_defaults(func=_cmd_verify_widom)
+    p = command("verify-widom", "compare determinant routes at one energy",
+                _cmd_verify_widom, "--N")
+    p.add_argument("--E", type=_parse_pair, default=0j, metavar="re,im",
+                   help="energy (default 0); negative values need the = "
+                   "form: --E=-0.4,0.3")
 
-    p = sub.add_parser("asymptotics-check",
-                       help="leading-coefficient ratio test at large energy")
-    common(p)
+    p = command("asymptotics-check",
+                "leading-coefficient ratio test at large energy",
+                _cmd_asymptotics_check)
     p.add_argument("--magnitude", type=float, default=1e4)
     p.add_argument("--tolerance", type=float, default=0.02)
-    p.set_defaults(func=_cmd_asymptotics_check)
 
-    p = sub.add_parser("genericity", help="random-draw nonvanishing check")
-    common(p, needs_config=False)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--L", type=int, default=2)
+    p = command("genericity", "random-draw nonvanishing check",
+                _cmd_genericity, config=False)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--L", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_genericity)
 
-    p = sub.add_parser("plot-data", help="emit plot-ready series files")
-    common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.set_defaults(func=_cmd_plot_data)
-
+    command("plot-data", "emit plot-ready series files", _cmd_plot_data,
+            "--workers", "--N", "--r")
     return parser
 
 
@@ -523,11 +522,8 @@ def run_command(argv) -> int:
     except BadConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ToeplimitError as exc:
+    except (ToeplimitError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

@@ -834,6 +834,18 @@ def _stage(timings: Dict[str, float], name: str):
         timings[name] += time.perf_counter() - start
 
 
+def check_rank(coeffs: CoefficientTriple, boundary: Optional[BoundaryTriple],
+               r: Optional[int]) -> None:
+    """Refuses a perturbation rank the pipeline would not read: ``r`` sets
+    Sigma_r and Lambda_r only for a perturbed corner, and lies in 0..L."""
+    if r is None:
+        return
+    if boundary is None or boundary.classify(coeffs) in ("open", "boundary"):
+        raise ValueError("r applies only to a perturbed corner")
+    if not 0 <= r <= coeffs.L:
+        raise ValueError(f"r must lie in 0..{coeffs.L}, got {r}")
+
+
 def compute_limit_sets(coeffs: CoefficientTriple,
                        boundary: Optional[BoundaryTriple],
                        region: Region, nx: int, ny: int, r: Optional[int] = None,
@@ -845,6 +857,7 @@ def compute_limit_sets(coeffs: CoefficientTriple,
     The result's ``timings`` holds the perf_counter seconds of each stage;
     a stage the model's case does not run reads 0.
     """
+    check_rank(coeffs, boundary, r)
     timings = dict.fromkeys(STAGES, 0.0)
     # every corner case has an outlier stage, whose field reads the scan's
     # eigenvectors instead of solving the grid again

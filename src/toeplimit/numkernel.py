@@ -35,22 +35,16 @@ def _require_square(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues with biorthogonal right/left eigenvector matrices.
+    """Eigenvalues with biorthogonal right columns and left rows.
 
-    Columns of ``left_vectors`` are normalized so that
-    ``left_vectors[:, i].conj() @ right_vectors[:, j] == delta_ij``
-    (exact up to solve tolerance, since the left matrix is obtained from the
-    inverse of the right one rather than a second eigensolve).
+    ``left_rows[i] @ right_vectors[:, j] == delta_ij`` (exact up to solve
+    tolerance, since the left rows are the inverse of the right matrix
+    rather than a second eigensolve).
     """
     values: np.ndarray         # (n,)
     right_vectors: np.ndarray  # (n, n), columns
-    left_vectors: np.ndarray   # (n, n), columns
+    left_rows: np.ndarray      # (n, n), rows
     condition_flags: np.ndarray  # (n,) bool, near-degenerate eigenvalues
-
-    @property
-    def left_rows(self) -> np.ndarray:
-        """Rows w_i with w_i @ right_j = delta_ij (= inv(right_vectors))."""
-        return self.left_vectors.conj().T
 
 
 def close_pairs(values: np.ndarray, tol: float) -> np.ndarray:
@@ -90,7 +84,7 @@ def eigenpairs(m, degeneracy_tol: float = DEGENERACY_TOL) -> EigenDecomposition:
     values, right = eig_stack(_require_square(m))
     w = biorthogonal_rows(right)
     flags = np.any(close_pairs(values, degeneracy_tol), axis=1)
-    return EigenDecomposition(values, right, w.conj().T, flags)
+    return EigenDecomposition(values, right, w, flags)
 
 
 def determinant(m) -> complex:

@@ -271,12 +271,3 @@ def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     qvals = [q_perturbed(spec, boundary, I).value for I in sets]
     return _assemble_sum(spec, N, sets, N - 1, qvals, detT, detB)
 
-
-def dump_terms(ws: WidomSum, path: str) -> None:
-    """CSV dump of the per-index-set contributions, largest |Z| first."""
-    with open(path, "w") as fh:
-        fh.write("index_set,abs_Z_power,q_re,q_im,contrib_re,contrib_im\n")
-        for members, zp, q, contrib in ws.terms:
-            label = "|".join(str(i) for i in members) or "empty"
-            fh.write(f"{label},{abs(zp):.17g},{q.real:.17g},{q.imag:.17g},"
-                     f"{contrib.real:.17g},{contrib.imag:.17g}\n")

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 
@@ -17,6 +19,19 @@ DEMO_BOUNDARY = os.path.join(CONFIG_DIR, "demo_boundary.json")
 
 def run(argv):
     return cli.run_command(argv)
+
+
+def manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
+def retagged(tmp_path, path, **changes):
+    """A copy of the config at path with top-level keys replaced."""
+    data = json.loads(open(path).read())
+    data.update(changes)
+    copy = tmp_path / ("retagged_" + os.path.basename(path))
+    copy.write_text(json.dumps(data))
+    return str(copy)
 
 
 def test_config_round_trip():
@@ -226,3 +241,163 @@ def test_plot_data_rejects_grid(tmp_path, capsys):
     assert code == 1
     assert "unrecognized arguments: --grid 32,32" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_widom_reads_config_tolerances(tmp_path, capsys):
+    # a degeneracy tolerance of 10 makes every energy degenerate, as it does
+    # for the limit-spectrum scan
+    config = retagged(tmp_path, DEMO_H, tolerances={"degeneracy": 10})
+    code = run(["verify-widom", "--config", config, "--E", "0.4,0.3",
+                "--N", "6", "--out", str(tmp_path / "w")])
+    assert code == 2
+    assert "DegenerateSplit" in capsys.readouterr().err
+
+
+def test_negative_values_take_the_equals_form(tmp_path):
+    out = tmp_path / "w"
+    code = run(["verify-widom", "--config", DEMO_H, "--E=-0.4,0.3", "--N", "6",
+                "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "widom_verify.json").read_text())["E"] == [
+        -0.4, 0.3]
+
+
+OPTIONS = {
+    "limit-spectrum": {"--config", "--out", "--format", "--workers", "--r",
+                       "--grid", "--region"},
+    "finite-spectrum": {"--config", "--out", "--format", "--N", "--method"},
+    "verify-widom": {"--config", "--out", "--N", "--E"},
+    "asymptotics-check": {"--config", "--out", "--magnitude", "--tolerance"},
+    "genericity": {"--out", "--trials", "--L", "--seed"},
+    "plot-data": {"--config", "--out", "--workers", "--N", "--r"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {flag for action in p._actions
+                       if not isinstance(action, argparse._HelpAction)
+                       for flag in action.option_strings}
+                for name, p in sub.choices.items()}
+    assert declared == OPTIONS
+    assert sum(len(flags) for flags in declared.values()) == 29
+
+
+REMOVED = ([(c, "--format", "json") for c in
+            ("verify-widom", "asymptotics-check", "genericity", "plot-data")]
+           + [(c, "--workers", "2") for c in
+              ("finite-spectrum", "verify-widom", "asymptotics-check",
+               "genericity")])
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED)
+def test_removed_option_is_a_usage_error(tmp_path, capsys, command, flag,
+                                         value):
+    out = tmp_path / "o"
+    config = [] if command == "genericity" else ["--config", SCALAR]
+    code = run([command, *config, flag, value, "--out", str(out)])
+    assert code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+OUT_OF_RANGE = {
+    "grid": ["limit-spectrum", "--config", DEMO_H, "--grid", "8,8"],
+    "region": ["limit-spectrum", "--config", DEMO_H, "--region=1,0,0,1"],
+    "rank": ["limit-spectrum", "--config", DEMO_H, "--r", "5"],
+    "finite-N": ["finite-spectrum", "--config", DEMO_H, "--N", "2"],
+    "widom-N": ["verify-widom", "--config", DEMO_H, "--N", "2"],
+    "plot-N": ["plot-data", "--config", DEMO_H, "--N", "2"],
+    "trials": ["genericity", "--trials", "0"],
+    "L": ["genericity", "--L", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_out_of_range_value_fails_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("limit-spectrum", DEMO_BOUNDARY), ("plot-data", DEMO_OPEN),
+    ("limit-spectrum", os.path.join(CONFIG_DIR, "demo_circulant.json"))])
+def test_r_is_refused_where_the_run_would_not_read_it(tmp_path, capsys,
+                                                       command, config):
+    out = tmp_path / "o"
+    assert run([command, "--config", config, "--r", "0",
+                "--out", str(out)]) == 1
+    assert "config error: --r 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_config_is_the_config_that_ran(tmp_path):
+    out = tmp_path / "ls"
+    assert run(["limit-spectrum", "--config", DEMO_BOUNDARY, "--grid", "32,32",
+                "--region=-2,2,-2,2", "--out", str(out)]) == 0
+    config = manifest(out)["config"]
+    meta = json.loads((out / "limit_sets.json").read_text())["metadata"]
+    ran = (meta["nx"], meta["ny"], meta["region"])
+    assert ran == (32, 32, [-2.0, 2.0, -2.0, 2.0])
+    assert (config["nx"], config["ny"], config["region"]) == ran
+    for command, payload in (("verify-widom", "widom_verify.json"),
+                             ("finite-spectrum", "finite_spectrum.json")):
+        out = tmp_path / command
+        assert run([command, "--config", DEMO_BOUNDARY, "--N", "6",
+                    "--out", str(out)]) == 0
+        assert json.loads((out / payload).read_text())["N"] == 6
+        assert manifest(out)["config"]["N"] == 6
+    out = tmp_path / "p"
+    assert run(["plot-data", "--config", SCALAR, "--N", "7",
+                "--out", str(out)]) == 0
+    assert (out / "series_finite_N7.csv").exists()
+    assert manifest(out)["config"]["N"] == 7
+
+
+def test_asymptotics_check_prints_config_warnings(tmp_path, capsys):
+    config = retagged(tmp_path, SCALAR, case="open")
+    assert run(["asymptotics-check", "--config", config,
+                "--out", str(tmp_path / "a")]) == 0
+    assert ("warning: case tag 'open' does not match the matrices "
+            "(found 'circulant')") in capsys.readouterr().err
+
+
+def test_case_comes_from_the_matrices_not_the_tag(tmp_path, capsys):
+    argv = ["limit-spectrum", "--grid", "32,32"]
+    mistagged = retagged(tmp_path, DEMO_BOUNDARY, case="circulant")
+    assert run(argv + ["--config", mistagged,
+                       "--out", str(tmp_path / "tag")]) == 0
+    assert "does not match" in capsys.readouterr().err
+    assert run(argv + ["--config", DEMO_BOUNDARY,
+                       "--out", str(tmp_path / "ok")]) == 0
+    payload = (tmp_path / "tag" / "limit_sets.json").read_bytes()
+    assert payload == (tmp_path / "ok" / "limit_sets.json").read_bytes()
+    assert {a["label"] for a in json.loads(payload)["arcs"]} >= {
+        "Sigma", "Lambda"}
+
+
+SMALL_RUNS = {
+    "limit-spectrum": ["--config", DEMO_BOUNDARY, "--grid", "32,32"],
+    "finite-spectrum": ["--config", DEMO_H, "--N", "8", "--format", "csv"],
+    "verify-widom": ["--config", DEMO_H, "--E", "0.4,0.3", "--N", "6"],
+    "asymptotics-check": ["--config", SCALAR],
+    "genericity": ["--trials", "5"],
+    "plot-data": ["--config", SCALAR],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_manifest_checksums_match_the_written_files(tmp_path, command):
+    out = tmp_path / "o"
+    assert run([command, *SMALL_RUNS[command], "--out", str(out)]) == 0
+    artifacts = manifest(out)["artifacts"]
+    assert sorted(os.listdir(out)) == sorted(
+        [e["path"] for e in artifacts] + ["manifest.json"])
+    for e in artifacts:
+        data = (out / e["path"]).read_bytes()
+        assert e["checksum"] == hashlib.sha256(data).hexdigest()

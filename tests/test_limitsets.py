@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_matrix, random_model
 from toeplimit import cli
 from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
-                                 _on_unit_circle, _unit_side,
+                                 _on_unit_circle, _unit_side, check_rank,
                                  compute_limit_sets, dominant_set, lambda_open,
                                  lambda_r, omega_r_membership, outliers_open,
                                  outliers_perturbed, q_open,
@@ -29,7 +29,8 @@ CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 def config_run(name, grid=None):
     cfg = cli.load_config(os.path.join(CONFIG_DIR, name + ".json"))
     nx, ny = (grid, grid) if grid else (cfg.nx, cfg.ny)
-    boundary = None if cfg.case == "circulant" else cfg.boundary
+    circulant = cfg.boundary.classify(cfg.coeffs) == "circulant"
+    boundary = None if circulant else cfg.boundary
     return compute_limit_sets(cfg.coeffs, boundary, Region(*cfg.region),
                               nx, ny)
 
@@ -240,6 +241,20 @@ def test_compute_limit_sets_circulant_only_sigma(scalar_model):
     assert result.timings["scan"] > 0 and result.timings["sigma"] > 0
     assert [result.timings[k] for k in ("q_field", "lambda", "newton")] == [
         0.0, 0.0, 0.0]
+
+
+def test_compute_limit_sets_refuses_an_unread_r(demo_model):
+    # r sets Sigma_r and Lambda_r only for a perturbed corner, within 0..L
+    _, perturbed = random_model(np.random.default_rng(5), 2, rank_a=1)
+    refused = [(None, 0), (BoundaryTriple.open(demo_model), 1),
+               (BoundaryTriple.boundary(np.eye(2)), 2),
+               (perturbed, -1), (perturbed, 3)]
+    for boundary, r in refused:
+        with pytest.raises(ValueError):
+            compute_limit_sets(demo_model, boundary, REGION, 16, 16, r=r)
+    for r in (None, 0, 1, 2):
+        check_rank(demo_model, perturbed, r)
+    check_rank(demo_model, None, None)
 
 
 def test_detector_counts_in_metadata():

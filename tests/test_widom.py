@@ -12,9 +12,8 @@ from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
 from toeplimit.transfer import (DEGENERACY_TOL, ordered_spectrum,
                                 transfer_matrix)
 from toeplimit.widom import (charpoly_circulant, charpoly_semipermeable,
-                             dump_terms, index_sets, q_hat, q_perturbed,
-                             q_tilde, widom_sum_open, widom_sum_perturbed,
-                             z_factor)
+                             index_sets, q_hat, q_perturbed, q_tilde,
+                             widom_sum_open, widom_sum_perturbed, z_factor)
 
 
 def test_index_sets_counts():
@@ -143,15 +142,6 @@ def test_windowed_q_hat_consistency():
         direct = charpoly_direct(co, BoundaryTriple.open(co), N + 2, E)
         value = ws.total * detT ** 2
         assert abs(value - direct) <= 1e-8 * (1 + abs(direct))
-
-
-def test_dump_terms_csv(tmp_path, scalar_model):
-    ws = widom_sum_open(scalar_model, np.zeros((1, 1)), 4, 3.0)
-    path = tmp_path / "terms.csv"
-    dump_terms(ws, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("index_set,")
-    assert len(lines) == 1 + len(ws.terms)
 
 
 @st.composite
