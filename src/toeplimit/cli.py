@@ -12,7 +12,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -450,6 +450,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str, zero: bool = False) -> float:
+    """argparse type: a finite float > 0, or >= 0 with ``zero``."""
+    value = float(text)
+    if not (np.isfinite(value) and (value >= 0 if zero else value > 0)):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number {'>=' if zero else '>'} 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each declaring only the options it reads."""
     parser = argparse.ArgumentParser(
@@ -459,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
         "--format": dict(choices=("json", "csv"), default="json"),
-        "--workers": dict(type=int, default=os.cpu_count()),
+        "--workers": dict(type=_positive_int, default=os.cpu_count()),
         "--N": dict(type=int, default=None,
                     help="number of blocks (default: the config's N)"),
         "--r": dict(type=int, default=None,
@@ -497,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("asymptotics-check",
                 "leading-coefficient ratio test at large energy",
                 _cmd_asymptotics_check)
-    p.add_argument("--magnitude", type=float, default=1e4)
-    p.add_argument("--tolerance", type=float, default=0.02)
+    p.add_argument("--magnitude", type=_positive_float, default=1e4)
+    p.add_argument("--tolerance", default=0.02,
+                   type=partial(_positive_float, zero=True))
 
     p = command("genericity", "random-draw nonvanishing check",
                 _cmd_genericity, config=False)

@@ -6,6 +6,7 @@ crossings for the Lambda-type sets. Outliers are zeros of the dominant
 q-function, Newton-refined from grid minima.
 """
 import hashlib
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -20,8 +21,7 @@ from .errors import ConvergenceFailure
 from .operators import BoundaryTriple, CoefficientTriple, winding_number
 from .transfer import (DEGENERACY_TOL, TIE_TOL, boundary_transfer_matrices,
                        match_branches, modulus_order, ordered_eig,
-                       ordered_eig_stack, riesz_projections, transfer_matrices,
-                       transfer_matrix)
+                       riesz_projections, transfer_matrices, transfer_matrix)
 from .widom import q_hat_stack, q_perturbed_stack
 
 EXCLUSION_FACTOR = 3.0
@@ -61,9 +61,8 @@ class ScanGrid:
     h: float
     degeneracy_tol: float = DEGENERACY_TOL
     tie_tol: float = TIE_TOL
-    # (right columns, left rows) of ordered_eig, each (ny, nx, 2L, 2L), kept
-    # only until the outlier field is computed
-    vectors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # (ny, nx) |q| of the q function the scan was given, NaN at masked nodes
+    q_field: Optional[np.ndarray] = None
     # work of the equal-modulus detector, summed over its calls on this grid;
     # with a point filter the counts are taken after its endpoint pre-test,
     # so they cover only the edges that can hold a kept crossing
@@ -194,34 +193,32 @@ def model_hash(coeffs: CoefficientTriple,
 
 
 def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
-                 tie_tol: float, workers: Optional[int], vectors: bool):
+                 tie_tol: float, workers: Optional[int],
+                 q: Optional[Callable]):
     """Modulus-ordered transfer eigenvalues at a flat energy array, with the
-    right columns and left rows of ``ordered_eig`` when ``vectors``.
+    |q| of each node from the same ``ordered_eig`` triple when a q function
+    is given.
 
     Worker chunks build their own transfer stacks and write into
-    preallocated outputs. A chunk whose stacked solve fails is solved node by
-    node; a node that still fails is masked and keeps zero rows, so it also
-    reads as degenerate and its q is NaN. Returns (values, right or None,
-    left rows or None, masked).
+    preallocated outputs, so a chunk's eigenvectors are dropped when it
+    returns. A chunk whose stacked solve fails is solved node by node; a node
+    that still fails is masked and keeps zero values, so it also reads as
+    degenerate, and NaN |q|. Returns (values, |q| or None, masked).
     """
-    n, m = energies.size, 2 * coeffs.L
-    outs = [np.zeros((n, m), dtype=np.complex128)]
-    if vectors:
-        outs += [np.zeros((n, m, m), dtype=np.complex128) for _ in range(2)]
+    n = energies.size
+    values = np.zeros((n, 2 * coeffs.L), dtype=np.complex128)
+    q_field = None if q is None else np.full(n, np.nan)
     masked = np.zeros(n, dtype=bool)
 
     def solve(idx: np.ndarray) -> None:
-        if vectors:
-            # the stack is built in the call, so the kernel frees it before
-            # its inverse
-            parts = ordered_eig_stack(
-                transfer_matrices(coeffs, energies[idx]), tie_tol)[:3]
-        else:
+        if q is None:
             vals = np.linalg.eigvals(transfer_matrices(coeffs, energies[idx]))
-            parts = (np.take_along_axis(vals, modulus_order(vals, tie_tol)[0],
-                                        axis=1),)
-        for out, part in zip(outs, parts):
-            out[idx] = part
+            values[idx] = np.take_along_axis(
+                vals, modulus_order(vals, tie_tol)[0], axis=1)
+            return
+        triple = ordered_eig(coeffs, energies[idx], tie_tol)[:3]
+        q_field[idx] = np.abs(q(energies[idx], triple))
+        values[idx] = triple[0]
 
     def fill(idx: np.ndarray) -> None:
         try:
@@ -234,42 +231,40 @@ def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
                 except (np.linalg.LinAlgError, ConvergenceFailure):
                     masked[i] = True
 
-    if not workers or workers <= 1 or n < 256:
+    # more threads than CPUs only add chunks and thread start-ups
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers <= 1 or n < 256:
         fill(np.arange(n))
     else:
         chunks = np.array_split(np.arange(n), workers * 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
-    right, left_rows = outs[1:] if vectors else (None, None)
-    return outs[0], right, left_rows, masked
+    return values, q_field, masked
 
 
 def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
               degeneracy_tol: float = DEGENERACY_TOL,
               tie_tol: float = TIE_TOL,
               workers: Optional[int] = None,
-              eigenvectors: bool = False) -> ScanGrid:
-    """Transfer spectra over an nx x ny grid of the region; with
-    ``eigenvectors`` the scan also keeps the right columns and left rows of
-    every node, so that an outlier field needs no second eigensolve."""
+              q: Optional[Callable] = None) -> ScanGrid:
+    """Transfer spectra over an nx x ny grid of the region; with a q
+    function (``q_open``, ``q_perturbed_dominant``) the scan also computes
+    its |q| field from the same solve, so no node is solved twice."""
     if nx < 16 or ny < 16:
         raise ValueError("nx, ny >= 16 required")
     re = np.linspace(region.re_min, region.re_max, nx)
     im = np.linspace(region.im_min, region.im_max, ny)
     h = max(re[1] - re[0], im[1] - im[0])
     energies = (re[None, :] + 1j * im[:, None]).ravel()
-    vals, right, left_rows, masked = _solve_nodes(coeffs, energies, tie_tol,
-                                                  workers, eigenvectors)
+    vals, q_field, masked = _solve_nodes(coeffs, energies, tie_tol, workers, q)
     moduli = np.abs(vals)
     degenerate = np.any(nk.close_pairs(vals, degeneracy_tol), axis=(1, 2))
     shape = (ny, nx)
     m = 2 * coeffs.L
-    vectors = None if right is None else (right.reshape(shape + (m, m)),
-                                          left_rows.reshape(shape + (m, m)))
     return ScanGrid(coeffs, region, re, im, vals.reshape(shape + (m,)),
                     moduli.reshape(shape + (m,)), degenerate.reshape(shape),
                     masked.reshape(shape), float(h), degeneracy_tol, tie_tol,
-                    vectors)
+                    None if q_field is None else q_field.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -689,24 +684,15 @@ def _arc_distance(point: complex, arcs: Sequence[Arc]) -> float:
     return best
 
 
-def _q_field(scan: ScanGrid, q: Callable) -> np.ndarray:
-    """|q| over the scan nodes, from the scan's kept eigen-triple when it has
-    one, else from a fresh solve."""
-    energies = scan.energies
-    triple = None
-    if scan.vectors is not None:
-        n = energies.size
-        right, left_rows = (v.reshape((n,) + v.shape[2:]) for v in scan.vectors)
-        triple = (scan.values.reshape(n, -1), right, left_rows)
-    return np.abs(q(energies.ravel(), triple)).reshape(energies.shape)
-
-
 def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
                      label: str, arcs: Sequence[Arc],
-                     q_field: np.ndarray) -> List[Outlier]:
+                     q_field: Optional[np.ndarray]) -> List[Outlier]:
     """Newton-refined zeros of q, seeded from the minima of its |q| grid
-    field; q maps a flat energy array to complex values, NaN where invalid.
-    Seeds, Newton's work and every rejection add to ``scan.newton_counts``."""
+    field, solved here when not given; q maps a flat energy array to complex
+    values, NaN where invalid. Seeds, Newton's work and every rejection add
+    to ``scan.newton_counts``."""
+    if q_field is None:
+        q_field = np.abs(q(scan.energies.ravel())).reshape(scan.energies.shape)
     valid = scan.valid
     finite = q_field[valid & np.isfinite(q_field)]
     if finite.size == 0:
@@ -792,12 +778,11 @@ def outliers_open(coeffs: CoefficientTriple, C, scan: ScanGrid,
                   arcs: Optional[Sequence[Arc]] = None,
                   q_field: Optional[np.ndarray] = None) -> List[Outlier]:
     """Zeros of the dominant open-boundary q-function off the Lambda arcs;
-    ``q_field`` is its |q| over the scan nodes, when already computed."""
+    ``q_field`` is its |q| over the scan nodes, when already computed. A
+    scan's own ``q_field`` is never read here: it may be another q's."""
     if arcs is None:
         arcs = lambda_open(scan)
     q = q_open(coeffs, C, scan.degeneracy_tol, scan.tie_tol)
-    if q_field is None:
-        q_field = _q_field(scan, q)
     return _refine_outliers(scan, q, "Gamma_C", arcs, q_field)
 
 
@@ -810,8 +795,6 @@ def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     if arcs is None:
         arcs = sigma_r(scan, boundary.rank_A) + lambda_r(scan, boundary.rank_A)
     q = q_perturbed_dominant(coeffs, boundary, scan.degeneracy_tol, scan.tie_tol)
-    if q_field is None:
-        q_field = _q_field(scan, q)
     return _refine_outliers(scan, q, "Gamma_r", arcs, q_field)
 
 
@@ -821,7 +804,7 @@ def omega_r_membership(coeffs: CoefficientTriple, E: complex, r: int) -> bool:
     return winding_number(coeffs, E) > -r
 
 
-STAGES = ("scan", "q_field", "sigma", "lambda", "newton")
+STAGES = ("scan", "sigma", "lambda", "newton")
 
 
 @contextmanager
@@ -859,26 +842,23 @@ def compute_limit_sets(coeffs: CoefficientTriple,
     """
     check_rank(coeffs, boundary, r)
     timings = dict.fromkeys(STAGES, 0.0)
-    # every corner case has an outlier stage, whose field reads the scan's
-    # eigenvectors instead of solving the grid again
-    with _stage(timings, "scan"):
-        scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol,
-                         workers, eigenvectors=boundary is not None)
     L = coeffs.L
     outliers: List[Outlier] = []
+    q = None
+    if boundary is not None:
+        # every corner case has an outlier stage, whose |q| field the scan
+        # computes from its one solve per node
+        open_case = boundary.classify(coeffs) in ("open", "boundary")
+        tols = (degeneracy_tol, tie_tol)
+        q = (q_open(coeffs, boundary.C, *tols) if open_case
+             else q_perturbed_dominant(coeffs, boundary, *tols))
+    with _stage(timings, "scan"):
+        scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol,
+                         workers, q)
     if boundary is None:
         with _stage(timings, "sigma"):
             arcs = sigma_r(scan, L)
     else:
-        open_case = boundary.classify(coeffs) in ("open", "boundary")
-        tols = (scan.degeneracy_tol, scan.tie_tol)
-        q = (q_open(coeffs, boundary.C, *tols) if open_case
-             else q_perturbed_dominant(coeffs, boundary, *tols))
-        # the field does not depend on the arcs: computing it first frees
-        # the vectors before the arc detectors allocate
-        with _stage(timings, "q_field"):
-            q_field = _q_field(scan, q)
-        scan.vectors = None
         rr = L if open_case else (boundary.rank_A if r is None else r)
         with _stage(timings, "sigma"):
             sig = sigma_r(scan, rr)
@@ -888,9 +868,9 @@ def compute_limit_sets(coeffs: CoefficientTriple,
         with _stage(timings, "newton"):
             outliers = (
                 outliers_open(coeffs, boundary.C, scan, arcs=lam,
-                              q_field=q_field) if open_case
+                              q_field=scan.q_field) if open_case
                 else outliers_perturbed(coeffs, boundary, scan, arcs=arcs,
-                                        q_field=q_field))
+                                        q_field=scan.q_field))
     metadata = {
         "model_hash": model_hash(coeffs, boundary),
         "region": [region.re_min, region.re_max, region.im_min, region.im_max],

@@ -312,6 +312,18 @@ OUT_OF_RANGE = {
     "plot-N": ["plot-data", "--config", DEMO_H, "--N", "2"],
     "trials": ["genericity", "--trials", "0"],
     "L": ["genericity", "--L", "0"],
+    "workers": ["limit-spectrum", "--config", DEMO_H, "--workers", "0"],
+    "plot-workers": ["plot-data", "--config", DEMO_H, "--workers=-2"],
+    # |E| = 0 divided by zero in the ratio test and exited 2 with a report
+    "magnitude": ["asymptotics-check", "--config", SCALAR, "--magnitude", "0"],
+    "magnitude-sign": ["asymptotics-check", "--config", SCALAR,
+                       "--magnitude=-1e4"],
+    "magnitude-inf": ["asymptotics-check", "--config", SCALAR,
+                      "--magnitude", "inf"],
+    "tolerance": ["asymptotics-check", "--config", SCALAR,
+                  "--tolerance=-0.1"],
+    "tolerance-nan": ["asymptotics-check", "--config", SCALAR,
+                      "--tolerance", "nan"],
 }
 
 

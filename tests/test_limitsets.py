@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_matrix, random_model
-from toeplimit import cli
+from toeplimit import cli, limitsets
 from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
                                  _on_unit_circle, _unit_side, check_rank,
                                  compute_limit_sets, dominant_set, lambda_open,
@@ -239,8 +239,7 @@ def test_compute_limit_sets_circulant_only_sigma(scalar_model):
     assert result.outliers == []
     # the stages a circulant model does not run read 0
     assert result.timings["scan"] > 0 and result.timings["sigma"] > 0
-    assert [result.timings[k] for k in ("q_field", "lambda", "newton")] == [
-        0.0, 0.0, 0.0]
+    assert [result.timings[k] for k in ("lambda", "newton")] == [0.0, 0.0]
 
 
 def test_compute_limit_sets_refuses_an_unread_r(demo_model):
@@ -296,7 +295,9 @@ def test_newton_counts_in_metadata(name, counts):
 def test_masked_node_does_not_abort_the_outlier_stage(monkeypatch):
     cfg = cli.load_config(os.path.join(CONFIG_DIR, "demo_boundary.json"))
     region = Region(*cfg.region)
+    q = q_open(cfg.coeffs, cfg.boundary.C, DEGENERACY_TOL, TIE_TOL)
     clean = compute_limit_sets(cfg.coeffs, cfg.boundary, region, 48, 48)
+    clean_field = scan_grid(cfg.coeffs, region, 48, 48, q=q).q_field
     # node (0, 0) lies on the border, so it never seeds Newton
     bad = transfer_matrix(cfg.coeffs, complex(region.re_min, region.im_min))
 
@@ -311,6 +312,11 @@ def test_masked_node_does_not_abort_the_outlier_stage(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", failing(np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", failing(np.linalg.eigvals))
     result = compute_limit_sets(cfg.coeffs, cfg.boundary, region, 48, 48)
+    field = scan_grid(cfg.coeffs, region, 48, 48, q=q).q_field
+    # the masked node reads NaN; every other node keeps its |q|
+    assert np.isnan(field[0, 0]) and np.isfinite(clean_field[0, 0])
+    field[0, 0] = clean_field[0, 0]
+    assert np.array_equal(field, clean_field, equal_nan=True)
     assert result.metadata["masked_nodes"] == 1
     assert clean.metadata["masked_nodes"] == 0
     assert len(result.outliers) == 2
@@ -319,22 +325,56 @@ def test_masked_node_does_not_abort_the_outlier_stage(monkeypatch):
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_scan_keeps_the_ordered_eig_triple(L):
-    coeffs, _ = random_model(np.random.default_rng(L), L)
+def test_scan_q_field_is_the_q_rows(L):
+    coeffs, boundary = random_model(np.random.default_rng(L), L)
     plain = scan_grid(coeffs, REGION, 20, 20)
-    assert plain.vectors is None
-    n, m = 20 * 20, 2 * L
-    for workers in (1, 2):
-        scan = scan_grid(coeffs, REGION, 20, 20, workers=workers,
-                         eigenvectors=True)
-        values, right, left_rows, _ = ordered_eig(
-            coeffs, scan.energies.ravel(), TIE_TOL)
-        assert same_bits(scan.values.reshape(n, m), values)
-        assert same_bits(scan.vectors[0].reshape(n, m, m), right)
-        assert same_bits(scan.vectors[1].reshape(n, m, m), left_rows)
-        # LAPACK's eig and eigvals return the same eigenvalues, bit for bit
-        assert same_bits(scan.values, plain.values)
-        assert np.array_equal(scan.degenerate, plain.degenerate)
+    assert plain.q_field is None
+    tols = (DEGENERACY_TOL, TIE_TOL)
+    for q in (q_open(coeffs, boundary.C, *tols),
+              q_perturbed_dominant(coeffs, boundary, *tols)):
+        for workers in (1, 2):
+            scan = scan_grid(coeffs, REGION, 20, 20, workers=workers, q=q)
+            energies = scan.energies.ravel()
+            assert (scan.q_field.tobytes()
+                    == np.abs(q(energies)).reshape(20, 20).tobytes())
+            values = ordered_eig(coeffs, energies, TIE_TOL)[0]
+            assert same_bits(scan.values.reshape(values.shape), values)
+            # LAPACK's eig and eigvals return the same eigenvalues, bit for bit
+            assert same_bits(scan.values, plain.values)
+            assert np.array_equal(scan.degenerate, plain.degenerate)
+
+
+def test_scan_workers_are_capped_at_the_cpu_count(monkeypatch):
+    pools = []
+
+    class Recorder:
+        """Runs the chunks in this thread and records the pool it stands
+        in for."""
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            self.chunks = len(chunks)
+            return map(fn, chunks)
+
+    coeffs, _ = random_model(np.random.default_rng(0), 2)
+    serial = scan_grid(coeffs, REGION, 20, 20, workers=1)
+    monkeypatch.setattr(limitsets, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(limitsets.os, "cpu_count", lambda: 3)
+    scan = scan_grid(coeffs, REGION, 20, 20, workers=100_000)
+    assert [(p.max_workers, p.chunks) for p in pools] == [(3, 12)]
+    assert same_bits(scan.values, serial.values)
+    # an unknown CPU count runs one worker: no pool at all
+    monkeypatch.setattr(limitsets.os, "cpu_count", lambda: None)
+    scan_grid(coeffs, REGION, 20, 20, workers=100_000)
+    assert len(pools) == 1
 
 
 def lone_newton(f, seed, h0, scale=1.0, max_iter=50):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import gaussian_matrix, random_model
+from conftest import random_model
 from toeplimit.errors import OnCurve, SingularMatrix, ZeroArgument
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  assemble_operator, charpoly_direct,
@@ -70,16 +72,13 @@ def test_assemble_operator_structure(demo_model, demo_corner):
         assemble_operator(demo_model, demo_corner, 2)
 
 
-def test_fft_matches_dense_circulant():
-    rng = np.random.default_rng(3)
-    for L in (1, 2, 3):
-        co = CoefficientTriple(gaussian_matrix(rng, L), gaussian_matrix(rng, L),
-                               gaussian_matrix(rng, L))
-        N = int(rng.integers(3, 33))
-        dense = finite_spectrum(
-            assemble_operator(co, BoundaryTriple.circulant(co), N))
-        fft = circulant_spectrum_fft(co, N)
-        assert multiset_distance(dense, fft) < 1e-9
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
+def test_fft_matches_dense_circulant(L, N, seed):
+    co, _ = random_model(np.random.default_rng(seed), L)
+    dense = finite_spectrum(assemble_operator(co, BoundaryTriple.circulant(co), N))
+    fft = circulant_spectrum_fft(co, N)
+    assert multiset_distance(dense, fft) < 1e-9
 
 
 def test_fft_closed_form_fixture():

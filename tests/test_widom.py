@@ -71,18 +71,6 @@ def test_q_invalid_on_degenerate_spectrum():
     assert not q_hat(spec, np.zeros((1, 1)), (0,)).valid
 
 
-def test_circulant_identity_random():
-    rng = np.random.default_rng(22)
-    for _ in range(8):
-        L = int(rng.integers(1, 4))
-        co, _ = random_model(rng, L)
-        N = int(rng.integers(3, 8))
-        E, _ = nondegenerate_energy(rng, co)
-        direct = charpoly_direct(co, BoundaryTriple.circulant(co), N, E)
-        value = charpoly_circulant(co, N, E)
-        assert abs(value - direct) <= 1e-8 * (1 + abs(direct))
-
-
 def test_circulant_scalar_anchor(scalar_model):
     assert charpoly_circulant(scalar_model, 3, 0.0) == pytest.approx(2.0)
 
@@ -170,6 +158,15 @@ def test_widom_sums_match_dense_determinant(case, N):
     total = widom_sum_open(coeffs, boundary.C, N, E, spec=spec).total
     direct = charpoly_direct(coeffs, open_bd, N, E)
     assert abs(total - direct) <= 1e-8 * (1 + abs(direct))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model_rank_energy(), st.integers(3, 8))
+def test_circulant_identity_random(case, N):
+    coeffs, _, E, _ = case
+    direct = charpoly_direct(coeffs, BoundaryTriple.circulant(coeffs), N, E)
+    value = charpoly_circulant(coeffs, N, E)
+    assert abs(value - direct) <= 1e-8 * (1 + abs(direct))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
