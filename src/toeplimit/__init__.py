@@ -11,9 +11,9 @@ from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
 from .transfer import (TransferSpectrum, boundary_transfer_matrix,
                        match_branches, ordered_spectrum, riesz_projection,
                        riesz_projection_contour, transfer_matrix)
-from .widom import (QEvaluation, WidomSum, charpoly_circulant,
-                    charpoly_semipermeable, index_sets, q_hat, q_perturbed,
-                    q_tilde, transfer_recursion_residual, widom_sum_open,
+from .widom import (WidomSum, charpoly_circulant, charpoly_semipermeable,
+                    index_sets, q_hat, q_perturbed, q_tilde,
+                    transfer_recursion_residual, widom_sum_open,
                     widom_sum_perturbed, z_factor)
 from .limitsets import (Arc, LimitSpectrumResult, Outlier, Region, ScanGrid,
                         compute_limit_sets, lambda_open, lambda_r,

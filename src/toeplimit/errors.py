@@ -22,8 +22,8 @@ class ZeroArgument(ToeplimitError):
 
 
 class DegenerateSplit(ToeplimitError):
-    """The requested index set splits a numerically degenerate eigenvalue
-    cluster (energy too close to the degeneracy set)."""
+    """Two transfer eigenvalues coincide within the degeneracy tolerance, so
+    no index set of the modulus ordering is well defined at this energy."""
 
 
 class OnCurve(ToeplimitError):

@@ -65,10 +65,12 @@ class ScanGrid:
     q_field: Optional[np.ndarray] = None
     # work of the equal-modulus detector, summed over its calls on this grid;
     # with a point filter the counts are taken after its endpoint pre-test,
-    # so they cover only the edges that can hold a kept crossing
+    # so they cover only the edges that can hold a kept crossing.
+    # tie_flagged_crossings counts the bisected crossings whose pair ties the
+    # branch below it, before the point filter
     detector_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "candidate_edges": 0, "swapped_edges": 0, "bisection_evals": 0,
-        "crossings_kept": 0})
+        "crossings_kept": 0, "tie_flagged_crossings": 0})
     # seeds, rounds, q rows and rejections of the outlier stage's Newton runs
     newton_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "newton_seeds": 0, "newton_rounds": 0, "newton_q_rows": 0,
@@ -126,7 +128,6 @@ class Arc:
     r: Optional[int]
     points: np.ndarray            # complex polyline vertices
     crossing_index: Optional[int] = None   # 1-based j for Sigma-type arcs
-    flagged_points: int = 0       # hypothesis-violation count
 
 
 @dataclass
@@ -153,7 +154,6 @@ class LimitSpectrumResult:
         return {
             "arcs": [{"label": a.label, "r": a.r,
                       "crossing_index": a.crossing_index,
-                      "flagged_points": a.flagged_points,
                       "points": [[float(p.real), float(p.imag)]
                                  for p in a.points]}
                      for a in self.arcs],
@@ -233,7 +233,7 @@ def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
 
     # more threads than CPUs only add chunks and thread start-ups
     workers = min(workers or 1, os.cpu_count() or 1)
-    if workers <= 1 or n < 256:
+    if workers <= 1:
         fill(np.arange(n))
     else:
         chunks = np.array_split(np.arange(n), workers * 4)
@@ -396,9 +396,6 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
         raise ValueError("0 <= r <= L required")
     valid = scan.valid
     label = "Sigma" if r == L else "Sigma_r"
-    # single-crossing hypothesis: two ordered moduli near 1 at one node
-    near_one = np.abs(scan.moduli - 1.0) < scan.tie_tol
-    violations = int(np.sum(np.sum(near_one, axis=2) > 1))
     arcs = []
     for j in range(L - r + 1, 2 * L + 1):
         field = scan.moduli[:, :, j - 1] - 1.0
@@ -409,8 +406,7 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
 
         segments = _marching_squares(field, valid, scan.re, scan.im, mid)
         for line in _assemble_polylines(segments, scan.h * 1e-6):
-            arcs.append(Arc(label, r, line, crossing_index=j,
-                            flagged_points=violations))
+            arcs.append(Arc(label, r, line, crossing_index=j))
     on_unit_circle = partial(_on_unit_circle, tol=scan.h / 10)
     for ju in range(max(L - r + 1, 2), 2 * L + 1):
         fold = _lambda_pair_arcs(scan, ju - 2, ju - 1, label, r,
@@ -504,10 +500,9 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
                                gather(energies, 0)[swapped],
                                gather(energies, 1)[swapped])
     mods = _sorted_moduli(transfer_matrices(scan.coeffs, points))
-    flagged = 0
     if a >= 1:
-        flagged = int(np.sum(mods[:, a] - mods[:, a - 1]
-                             < scan.tie_tol * (1 + mods[:, a])))
+        counts["tie_flagged_crossings"] += int(np.sum(
+            mods[:, a] - mods[:, a - 1] < scan.tie_tol * (1 + mods[:, a])))
     if point_filter is not None:
         keep = point_filter(mods, a, 0.0)
         swapped, points = swapped[keep], points[keep]
@@ -535,9 +530,8 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
                 p0 = cell.pop(0)
                 nearest = min(range(len(cell)), key=lambda i: abs(cell[i] - p0))
                 segments.append((p0, cell.pop(nearest)))
-    arcs = [Arc(label, r, line, flagged_points=flagged)
+    return [Arc(label, r, line)
             for line in _assemble_polylines(segments, scan.h * 1e-6)]
-    return arcs
 
 
 def _unit_side(mods: np.ndarray, a: int, slack) -> np.ndarray:
@@ -878,6 +872,10 @@ def compute_limit_sets(coeffs: CoefficientTriple,
         "degeneracy_tol": scan.degeneracy_tol, "tie_tol": scan.tie_tol,
         "masked_nodes": int(np.sum(scan.masked)),
         "degenerate_nodes": int(np.sum(scan.degenerate)),
+        # nodes against Sigma's single-crossing hypothesis: two ordered
+        # moduli within tie_tol of 1
+        "sigma_tie_nodes": int(np.sum(np.sum(
+            np.abs(scan.moduli - 1.0) < scan.tie_tol, axis=2) > 1)),
         **scan.detector_counts,
         **scan.newton_counts,
     }

@@ -5,7 +5,7 @@ eigenvalue recursion by one site; its eigenvalues z_1(E), ..., z_2L(E), kept
 in non-decreasing modulus order, drive every limit-spectrum formula.
 """
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -101,23 +101,11 @@ class TransferSpectrum:
     right_vectors: np.ndarray   # (2L, 2L) columns, aligned to the ordering
     left_rows: np.ndarray       # (2L, 2L) rows, biorthogonal to the columns
     moduli: np.ndarray
-    degenerate: bool
-    tie_groups: Tuple[Tuple[int, ...], ...]
-    degeneracy_tol: float = DEGENERACY_TOL
+    degenerate: bool            # two eigenvalues within the degeneracy tol
 
     @property
     def L(self) -> int:
         return self.values.size // 2
-
-    def degeneracy_clusters(self, tol: Optional[float] = None) -> list:
-        """Index clusters of nearly equal eigenvalues (chains of close pairs)."""
-        n = self.values.size
-        reach = nk.close_pairs(self.values, self.degeneracy_tol if tol is None
-                               else tol) | np.eye(n, dtype=bool)
-        for _ in range(n.bit_length()):   # transitive closure by squaring
-            reach = (reach.astype(int) @ reach) > 0
-        clusters = {tuple(np.flatnonzero(row).tolist()) for row in reach}
-        return sorted(c for c in clusters if len(c) > 1)
 
 
 def ordered_spectrum(coeffs: CoefficientTriple, E: complex,
@@ -125,30 +113,11 @@ def ordered_spectrum(coeffs: CoefficientTriple, E: complex,
                      tie_tol: float = TIE_TOL) -> TransferSpectrum:
     """Eigendecomposition of the transfer matrix, modulus-ordered: the
     one-energy row of ``ordered_eig``."""
-    values, right, left_rows, tied = (
+    values, right, left_rows, _ = (
         a[0] for a in ordered_eig(coeffs, [E], tie_tol))
-    edges = [0, *(np.flatnonzero(~tied) + 1).tolist(), values.size]
-    tie_groups = tuple(tuple(range(a, b)) for a, b in zip(edges, edges[1:])
-                       if b - a > 1)
     degenerate = bool(np.any(nk.close_pairs(values, degeneracy_tol)))
     return TransferSpectrum(E, values, right, left_rows, np.abs(values),
-                            degenerate, tie_groups, degeneracy_tol)
-
-
-def _check_split(spec: TransferSpectrum, members: Sequence[int],
-                 allow_tie_split: bool) -> None:
-    mem = set(members)
-    for cluster in spec.degeneracy_clusters():
-        inside = mem.intersection(cluster)
-        if inside and len(inside) < len(cluster):
-            raise DegenerateSplit(
-                f"index set splits degenerate cluster {cluster} at E = {spec.energy}")
-    if not allow_tie_split:
-        for group in spec.tie_groups:
-            inside = mem.intersection(group)
-            if inside and len(inside) < len(group):
-                raise DegenerateSplit(
-                    f"index set splits modulus tie group {group} at E = {spec.energy}")
+                            degenerate)
 
 
 def riesz_projections(right: np.ndarray, left_rows: np.ndarray,
@@ -162,15 +131,15 @@ def riesz_projections(right: np.ndarray, left_rows: np.ndarray,
     return right[:, :, idx] @ left_rows[:, idx, :]
 
 
-def riesz_projection(spec: TransferSpectrum, members: Sequence[int],
-                     allow_tie_split: bool = False) -> np.ndarray:
-    """One-row case of ``riesz_projections`` that refuses to split a
-    degenerate cluster, or a modulus tie group unless allowed; equals the
-    contour-integral Riesz projection for simple spectrum."""
-    P = riesz_projections(spec.right_vectors[None], spec.left_rows[None],
-                          members)[0]
-    _check_split(spec, members, allow_tie_split)
-    return P
+def riesz_projection(spec: TransferSpectrum,
+                     members: Sequence[int]) -> np.ndarray:
+    """The one-row case of ``riesz_projections``; equals the contour-integral
+    Riesz projection. Like the Widom sums, it refuses a degenerate
+    spectrum."""
+    if spec.degenerate:
+        raise DegenerateSplit(f"E = {spec.energy} lies in a degeneracy band")
+    return riesz_projections(spec.right_vectors[None], spec.left_rows[None],
+                             members)[0]
 
 
 def riesz_projection_contour(coeffs: CoefficientTriple, E: complex,

@@ -6,6 +6,8 @@ and the generalized sum for an invertible-B corner perturbation. All three are
 pinned against the dense brute-force determinant in the tests.
 
 Index sets are 0-based subsets of {0, ..., 2L-1} into the modulus ordering.
+On a degenerate spectrum each one-energy q is NaN, like the rows of the
+stacked q functions, and the Widom sums raise DegenerateSplit.
 """
 import math
 from dataclasses import dataclass
@@ -19,18 +21,9 @@ from .errors import DegenerateSplit
 from .operators import BoundaryTriple, CoefficientTriple
 from .transfer import (TransferSpectrum, boundary_transfer_matrices,
                        boundary_transfer_matrix, ordered_spectrum,
-                       riesz_projections, transfer_matrix)
+                       riesz_projection, transfer_matrix)
 
 POWER_NORM_LIMIT = 1e120
-
-
-@dataclass(frozen=True)
-class QEvaluation:
-    energy: complex
-    members: Tuple[int, ...]
-    kind: str                   # "q_tilde" | "q_hat" | "q_perturbed"
-    value: Optional[complex]    # None when invalid
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -61,25 +54,12 @@ def z_factor(spec: TransferSpectrum, members: Sequence[int], detT: complex) -> c
     return (-1) ** L * detT * prod
 
 
-def _invalid(spec, members, kind):
-    return QEvaluation(spec.energy, tuple(members), kind, None, False)
-
-
-def _projection(spec: TransferSpectrum, members: Sequence[int]) -> np.ndarray:
-    # without riesz_projection's split check: on a non-degenerate spectrum
-    # no two eigenvalues are close, so no degenerate cluster can be split
-    return riesz_projections(spec.right_vectors[None], spec.left_rows[None],
-                             members)
-
-
-def q_tilde(spec: TransferSpectrum, members: Sequence[int]) -> QEvaluation:
+def q_tilde(spec: TransferSpectrum, members: Sequence[int]) -> complex:
     """det of the lower-left L x L block of the Riesz projection."""
     if spec.degenerate:
-        return _invalid(spec, members, "q_tilde")
+        return complex(np.nan)
     L = spec.L
-    P = _projection(spec, members)[0]
-    return QEvaluation(spec.energy, tuple(members), "q_tilde",
-                       nk.determinant(P[L:, :L]), True)
+    return nk.determinant(riesz_projection(spec, members)[L:, :L])
 
 
 def q_hat_stack(proj: np.ndarray, energies, C) -> np.ndarray:
@@ -102,7 +82,7 @@ def q_perturbed_stack(proj: np.ndarray, Tbd: np.ndarray) -> np.ndarray:
 
 def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
           window: Optional[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]] = None
-          ) -> QEvaluation:
+          ) -> complex:
     """det_L of the bottom-left L x L corner of W_ri R_I W_le M_bd: the
     one-row case of ``q_hat_stack``.
 
@@ -111,30 +91,28 @@ def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
     as T_K ... T_1.
     """
     if spec.degenerate:
-        return _invalid(spec, members, "q_hat")
-    G = _projection(spec, members)[0]
+        return complex(np.nan)
+    G = riesz_projection(spec, members)
     if window is not None:
         ri, le = window
         for t in ri:
             G = t @ G
         for t in reversed(le):
             G = G @ t
-    value = q_hat_stack(G[None], [spec.energy], C)[0]
-    return QEvaluation(spec.energy, tuple(members), "q_hat", complex(value), True)
+    return complex(q_hat_stack(G[None], [spec.energy], C)[0])
 
 
 def q_perturbed(spec: TransferSpectrum, boundary: BoundaryTriple,
-                members: Sequence[int]) -> QEvaluation:
+                members: Sequence[int]) -> complex:
     """det_2L(R_I T_bd - R_{I^c}); exact 0 once |I| > L + rank(A). The
     one-row case of ``q_perturbed_stack``."""
     if spec.degenerate:
-        return _invalid(spec, members, "q_perturbed")
-    members = tuple(sorted(members))
+        return complex(np.nan)
     if len(members) > spec.L + boundary.rank_A:
-        return QEvaluation(spec.energy, members, "q_perturbed", 0.0 + 0j, True)
-    value = q_perturbed_stack(_projection(spec, members),
-                              boundary_transfer_matrices(boundary, [spec.energy]))[0]
-    return QEvaluation(spec.energy, members, "q_perturbed", complex(value), True)
+        return 0.0 + 0j
+    return complex(q_perturbed_stack(
+        riesz_projection(spec, members)[None],
+        boundary_transfer_matrices(boundary, [spec.energy]))[0])
 
 
 def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -251,7 +229,7 @@ def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
     L = coeffs.L
     detT = nk.determinant(coeffs.T)
     sets = index_sets(2 * L, [L])
-    qvals = [q_hat(spec, C, I, window=window).value for I in sets]
+    qvals = [q_hat(spec, C, I, window=window) for I in sets]
     return _assemble_sum(spec, N, sets, N, qvals, detT, 1.0 + 0j)
 
 
@@ -268,6 +246,6 @@ def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     detT = nk.determinant(coeffs.T)
     detB = nk.determinant(boundary.B)
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
-    qvals = [q_perturbed(spec, boundary, I).value for I in sets]
+    qvals = [q_perturbed(spec, boundary, I) for I in sets]
     return _assemble_sum(spec, N, sets, N - 1, qvals, detT, detB)
 

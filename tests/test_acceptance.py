@@ -151,8 +151,7 @@ def test_criterion_06_projector_algebra():
         E, spec = nondegenerate_energy(rng, co)
         specs.append(spec)
         eye = np.eye(4)
-        projs = {I: riesz_projection(spec, I, allow_tie_split=True)
-                 for I in subsets}
+        projs = {I: riesz_projection(spec, I) for I in subsets}
         for I, P in projs.items():
             comp = tuple(sorted(set(range(4)) - set(I)))
             ok = ok and np.linalg.norm(P @ P - P) < 1e-8
@@ -167,7 +166,7 @@ def test_criterion_06_projector_algebra():
             P = riesz_projection_contour(co, spec.energy, spec.values[j],
                                          radius, nodes=2048)
             ok = ok and np.linalg.norm(
-                P - riesz_projection(spec, (j,), allow_tie_split=True)) < 1e-6
+                P - riesz_projection(spec, (j,))) < 1e-6
     check(6, "projector idempotency/completeness/commutation + contour check",
           ok)
 
@@ -188,16 +187,16 @@ def test_criterion_07_asymptotic_ratios():
         for I in index_sets(2 * L, [L]):
             c, e = q_tilde_leading(rt, I)
             if abs(c) > 1e-9:
-                ok = ok and abs(q_tilde(spec, I).value / (c * E ** e) - 1) <= 0.02
+                ok = ok and abs(q_tilde(spec, I) / (c * E ** e) - 1) <= 0.02
             c, e = q_hat_leading(rt, I, bd.C, co.V)
             if abs(c) > 1e-9:
                 ok = ok and abs(
-                    q_hat(spec, bd.C, I).value / (c * E ** e) - 1) <= 0.02
+                    q_hat(spec, bd.C, I) / (c * E ** e) - 1) <= 0.02
         for I in index_sets(2 * L, range(L + bd.rank_A + 1)):
             c, e = q_leading(rt, bd, I)
             if abs(c) > 1e-9:
                 ok = ok and abs(
-                    q_perturbed(spec, bd, I).value / (c * E ** e) - 1) <= 0.02
+                    q_perturbed(spec, bd, I) / (c * E ** e) - 1) <= 0.02
     # scalar anchors for the leading powers themselves
     rt1 = rt_spectral_data([[1.0]], [[1.0]])
     ok = ok and q_tilde_leading(rt1, (1,)) == (pytest.approx(1.0), -1)

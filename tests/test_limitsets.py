@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_matrix, random_model
+from conftest import random_model
 from toeplimit import cli, limitsets
+from toeplimit.errors import DegenerateSplit
 from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
                                  _on_unit_circle, _unit_side, check_rank,
                                  compute_limit_sets, dominant_set, lambda_open,
@@ -19,8 +20,10 @@ from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  circulant_spectrum_fft)
 from toeplimit.transfer import (DEGENERACY_TOL, TIE_TOL, match_branches,
-                                ordered_eig, ordered_spectrum, transfer_matrix)
-from toeplimit.widom import q_hat, q_perturbed
+                                ordered_eig, ordered_spectrum,
+                                riesz_projection, transfer_matrix)
+from toeplimit.widom import (q_hat, q_perturbed, q_tilde, widom_sum_open,
+                             widom_sum_perturbed)
 
 REGION = Region(-3, 3, -3, 3)
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
@@ -258,17 +261,23 @@ def test_compute_limit_sets_refuses_an_unread_r(demo_model):
 
 def test_detector_counts_in_metadata():
     keys = ("candidate_edges", "swapped_edges", "bisection_evals",
-            "crossings_kept")
-    pins = [("scalar", None, (432, 84, 588, 84)),
+            "crossings_kept", "sigma_tie_nodes", "tie_flagged_crossings")
+    pins = [("scalar", None, (432, 84, 588, 84, 0, 0)),
             # without the endpoint pre-test the fold pairs of these three
             # bisect every swapped edge: 1,855 / 2,170 / 2,520 evaluations
-            ("demo_circulant", 64, (219, 42, 294, 3)),
-            ("demo_H", 64, (219, 42, 294, 3)),
-            ("demo_boundary", 64, (737, 137, 959, 98))]
+            ("demo_circulant", 64, (219, 42, 294, 3, 0, 0)),
+            ("demo_H", 64, (219, 42, 294, 3, 0, 0)),
+            ("demo_boundary", 64, (737, 137, 959, 98, 0, 0))]
     for name, grid, counts in pins:
         first, again = config_run(name, grid), config_run(name, grid)
         assert {k: first.metadata[k] for k in keys} == dict(zip(keys, counts))
         assert again.metadata == first.metadata
+    # two decoupled channels with the slits [-2, 2] and [-1.5, 2.5] on the
+    # real axis, a grid row: each slit node holds two unimodular eigenvalues,
+    # and the fold crossings of the upper pairs tie the branch below
+    co = CoefficientTriple(np.eye(2), np.eye(2), np.diag([0.0, 0.5]))
+    meta = compute_limit_sets(co, None, Region(-3, 3, -1, 1), 17, 17).metadata
+    assert (meta["sigma_tie_nodes"], meta["tie_flagged_crossings"]) == (12, 5)
 
 
 @pytest.mark.parametrize("name, counts", [
@@ -597,8 +606,8 @@ def test_endpoint_pretest_keeps_every_crossing():
             assert len(pruned) == len(full), where
             for p, q in zip(pruned, full):
                 assert same_bits(p.points, q.points), where
-                assert (p.label, p.r, p.crossing_index, p.flagged_points) == (
-                    q.label, q.r, q.crossing_index, q.flagged_points), where
+                assert (p.label, p.r, p.crossing_index) == (
+                    q.label, q.r, q.crossing_index), where
             assert work["crossings_kept"] == full_work["crossings_kept"], where
             assert work["swapped_edges"] <= full_work["swapped_edges"], where
             total["pruned"] += work["bisection_evals"]
@@ -681,31 +690,43 @@ def test_outlier_q_rows_are_the_scalar_q_functions(case):
         hat = q_hat(spec, boundary.C, range(L, 2 * L))
         perturbed = q_perturbed(spec, boundary, np.flatnonzero(
             dominant_set(spec.moduli, boundary.rank_A)))
+        # the one-energy q is the row of its stack, NaN included
+        assert same_bits(hat, open_rows[k])
+        assert same_bits(perturbed, perturbed_rows[k])
         if spec.degenerate:
-            assert not hat.valid and not perturbed.valid
             assert np.isnan(open_rows[k]) and np.isnan(perturbed_rows[k])
             continue
-        # the split check that the q rows skip could not have fired
-        assert spec.degeneracy_clusters() == []
-        assert same_bits(hat.value, open_rows[k])
-        assert same_bits(perturbed.value, perturbed_rows[k])
         assert same_bits(reference_q_hat(spec, boundary.C, range(L, 2 * L)),
                          open_rows[k])
 
 
-def test_outlier_q_refuses_identical_channels():
-    # two identical decoupled channels: every transfer eigenvalue is double
-    co = CoefficientTriple(0.7j * np.eye(2), (1.3 - 0.4j) * np.eye(2),
-                           (0.2 + 0.1j) * np.eye(2))
-    rng = np.random.default_rng(5)
-    bd = BoundaryTriple(np.diag([1.0, 0.0]), gaussian_matrix(rng, 2),
-                        gaussian_matrix(rng, 2))
-    energies = rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(2, 3), st.data())
+def test_outlier_q_refuses_identical_channels(L, data):
+    # L identical decoupled channels: every transfer eigenvalue has
+    # multiplicity L, so every energy is degenerate
+    rank_a = data.draw(st.integers(0, L), label="rank_a")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    r, t, v = (complex(*rng.standard_normal(2)) for _ in range(3))
+    co = CoefficientTriple(r * np.eye(L), t * np.eye(L), v * np.eye(L))
+    _, bd = random_model(rng, L, rank_a)
+    energies = rng.uniform(-3, 3, 8) + 1j * rng.uniform(-3, 3, 8)
     assert np.isnan(q_open(co, bd.C, DEGENERACY_TOL, TIE_TOL)(energies)).all()
     assert np.isnan(q_perturbed_dominant(co, bd, DEGENERACY_TOL, TIE_TOL)(
         energies)).all()
+    members = range(L, 2 * L)
     for E in energies:
         spec = ordered_spectrum(co, E)
-        assert spec.degenerate and spec.degeneracy_clusters()
-        assert not q_hat(spec, bd.C, (2, 3)).valid
-        assert not q_perturbed(spec, bd, (2, 3)).valid
+        assert spec.degenerate
+        assert np.isnan(q_hat(spec, bd.C, members))
+        assert np.isnan(q_perturbed(spec, bd, members))
+        assert np.isnan(q_tilde(spec, members))
+        with pytest.raises(DegenerateSplit):
+            riesz_projection(spec, members)
+        with pytest.raises(DegenerateSplit):
+            widom_sum_open(co, bd.C, 4, E)
+        with pytest.raises(DegenerateSplit):
+            widom_sum_perturbed(co, bd, 4, E)
+    result = compute_limit_sets(co, bd, REGION, 24, 24, workers=1)
+    assert result.arcs == [] and result.outliers == []
+    assert result.metadata["degenerate_nodes"] == 24 * 24

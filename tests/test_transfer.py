@@ -52,7 +52,7 @@ def test_modulus_ordering_and_scalar_tie_break(scalar_model):
     # both eigenvalues unimodular; argument in [0, 2pi) breaks the tie
     assert spec.values[0] == pytest.approx(1j)
     assert spec.values[1] == pytest.approx(-1j)
-    assert spec.tie_groups == ((0, 1),)
+    assert ordered_eig(scalar_model, [0.0], TIE_TOL)[3].tolist() == [[True]]
     assert np.all(np.diff(spec.moduli) >= -1e-12)
 
 
@@ -61,7 +61,7 @@ def test_riesz_projection_algebra():
     co, _ = random_model(rng, 2)
     E, spec = nondegenerate_energy(rng, co)
     n = 2 * co.L
-    projections = {I: riesz_projection(spec, I, allow_tie_split=True)
+    projections = {I: riesz_projection(spec, I)
                    for I in index_sets(n, range(n + 1))}
     eye = np.eye(n)
     for I, P in projections.items():
@@ -82,7 +82,7 @@ def test_riesz_projection_reproduces_eigenvalue_action():
     E, spec = nondegenerate_energy(rng, co)
     M = transfer_matrix(co, E)
     I = (0, 3)
-    P = riesz_projection(spec, I, allow_tie_split=True)
+    P = riesz_projection(spec, I)
     rebuilt = sum(spec.values[i] * np.outer(spec.right_vectors[:, i],
                                             spec.left_rows[i, :]) for i in I)
     assert np.linalg.norm(M @ P - rebuilt) < 1e-8 * np.linalg.norm(M)
@@ -97,28 +97,29 @@ def test_contour_cross_check():
     radius = 0.5 * (mods[1] + mods[2])
     if mods[2] - mods[1] < 0.1:
         pytest.skip("random instance lacks a clean modulus gap")
-    P_eig = riesz_projection(spec, (0, 1), allow_tie_split=True)
+    P_eig = riesz_projection(spec, (0, 1))
     P_contour = riesz_projection_contour(co, E, 0.0, radius, nodes=2048)
     assert np.linalg.norm(P_eig - P_contour) < 1e-6
 
 
-def test_split_of_tie_group_refused(scalar_model):
+def test_projection_onto_one_tie_member_is_a_projection(scalar_model):
+    # z = i and z = -i share modulus 1 at E = 0: a tie, not a degeneracy
     spec = ordered_spectrum(scalar_model, 0.0)
-    with pytest.raises(DegenerateSplit):
-        riesz_projection(spec, (0,))
-    # explicit override for the q-function internals
-    P = riesz_projection(spec, (0,), allow_tie_split=True)
+    assert not spec.degenerate
+    P = riesz_projection(spec, (0,))
     assert np.linalg.norm(P @ P - P) < 1e-8
 
 
-def test_split_of_degenerate_cluster_always_refused():
+def test_riesz_projection_refuses_degenerate_spectrum():
     co = CoefficientTriple([[1.0]], [[1.0]], [[0.0]])
     # double eigenvalue z = 1 at the band edge; the backend resolves it to
     # ~1e-8 accuracy, so pass a tolerance that reflects that uncertainty
     spec = ordered_spectrum(co, 2.0, degeneracy_tol=1e-6)
     assert spec.degenerate
-    with pytest.raises(DegenerateSplit):
-        riesz_projection(spec, (0,), allow_tie_split=True)
+    # refused whether or not the index set splits the pair
+    for members in ((0,), (0, 1), ()):
+        with pytest.raises(DegenerateSplit):
+            riesz_projection(spec, members)
 
 
 def test_no_spurious_ties_at_large_energy():
@@ -126,9 +127,8 @@ def test_no_spurious_ties_at_large_energy():
     # group just because the global modulus scale is large
     rng = np.random.default_rng(14)
     co, _ = random_model(rng, 2)
-    spec = ordered_spectrum(co, 1e4)
-    assert spec.tie_groups == ()
-    assert not spec.degenerate
+    assert not ordered_eig(co, [1e4], TIE_TOL)[3].any()
+    assert not ordered_spectrum(co, 1e4).degenerate
 
 
 def test_match_branches_identity_and_continuity():
@@ -225,7 +225,6 @@ def test_scalar_calls_are_rows_of_the_batched_kernels(case):
         assert np.array_equal(spec.right_vectors, right[k])
         assert np.max(np.abs(spec.left_rows - left_rows[k])) <= 1e-12 * max(
             1.0, np.max(np.abs(left_rows[k])))
-        assert all(tied[k, i] for g in spec.tie_groups for i in g[:-1])
         assert np.array_equal(transfer_matrix(coeffs, E), stack[k])
         assert np.array_equal(boundary_transfer_matrix(boundary, E), bstack[k])
         # numpy rounds a complex product of two one-element arrays in another
