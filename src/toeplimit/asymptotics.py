@@ -14,7 +14,7 @@ from .errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
                      SingularMatrix)
 from .operators import BoundaryTriple, CoefficientTriple, numerical_rank
 from .transfer import ordered_spectrum
-from .widom import index_sets, q_perturbed
+from .widom import index_sets, q_perturbed_sets
 
 SIMPLE_TOL = 1e-10
 # leading coefficients and q values at or below this count as zero in
@@ -282,10 +282,10 @@ def genericity_check(trials: int, L: int = 2,
         # (degenerate spectrum) compares false and confirms nothing
         for _ in range(ENERGY_CHECKS):
             E = complex(rng.standard_normal(), rng.standard_normal()) * 3.0
-            spec = ordered_spectrum(coeffs, E)
-            for I in index_sets(2 * L, [L]):
-                if abs(q_perturbed(spec, boundary, I)) <= COEFF_TOL:
-                    ok = False
+            q = q_perturbed_sets(ordered_spectrum(coeffs, E), boundary,
+                                 index_sets(2 * L, [L]))
+            if np.any(np.abs(q) <= COEFF_TOL):
+                ok = False
         if ok:
             nonzero += 1
             entry["status"] = "nonzero"

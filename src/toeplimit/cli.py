@@ -26,8 +26,8 @@ from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
                         charpoly_direct, circulant_spectrum_fft,
                         finite_spectrum)
 from .transfer import DEGENERACY_TOL, TIE_TOL, ordered_spectrum
-from .widom import (charpoly_circulant, index_sets, q_hat, q_perturbed,
-                    widom_sum_open, widom_sum_perturbed)
+from .widom import (charpoly_circulant, index_sets, q_hat_sets,
+                    q_perturbed_sets, widom_sum_open, widom_sum_perturbed)
 
 CASES = ("circulant", "open", "boundary", "perturbed", "custom")
 SKIN_EFFECT_N = 100
@@ -362,12 +362,14 @@ def _cmd_asymptotics_check(args) -> int:
     spec = ordered_spectrum(cfg.coeffs, E, cfg.degeneracy_tol, cfg.tie_tol)
     boundary = cfg.boundary
     # (kind, I, leading (coeff, exponent), q) per index set
-    checks = [("q_hat", I, q_hat_leading(rt, I, cfg.C, cfg.V),
-               q_hat(spec, cfg.C, I)) for I in index_sets(2 * L, [L])]
+    sets = index_sets(2 * L, [L])
+    checks = [("q_hat", I, q_hat_leading(rt, I, cfg.C, cfg.V), q) for I, q
+              in zip(sets, q_hat_sets(spec, cfg.C, sets).tolist())]
     if boundary.classify(cfg.coeffs) in ("circulant", "perturbed"):
-        checks += [("q", I, q_leading(rt, boundary, I),
-                    q_perturbed(spec, boundary, I))
-                   for I in index_sets(2 * L, range(L + boundary.rank_A + 1))]
+        sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
+        qs = q_perturbed_sets(spec, boundary, sets).tolist()
+        checks += [("q", I, q_leading(rt, boundary, I), q)
+                   for I, q in zip(sets, qs)]
     rows = [{"kind": kind, "I": list(I),
              "deviation": float(abs(q / (coeff * E ** expo) - 1))}
             for kind, I, (coeff, expo), q in checks

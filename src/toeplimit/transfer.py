@@ -120,15 +120,35 @@ def ordered_spectrum(coeffs: CoefficientTriple, E: complex,
                             degenerate)
 
 
+def size_groups(sets: Sequence[Sequence[int]], n: int):
+    """Per set size k: the positions of the k-member sets in ``sets``, and
+    their sorted distinct members, checked to lie in [0, n), as a
+    (positions, k) array."""
+    idxs = [sorted(set(int(i) for i in I)) for I in sets]
+    if any(I and not 0 <= I[0] <= I[-1] < n for I in idxs):
+        raise ValueError(f"branch indices out of range: {list(sets)}")
+    for k in sorted({len(I) for I in idxs}):
+        rows = [r for r, I in enumerate(idxs) if len(I) == k]
+        yield rows, np.array([idxs[r] for r in rows], dtype=int)
+
+
 def riesz_projections(right: np.ndarray, left_rows: np.ndarray,
                       members: Sequence[int]) -> np.ndarray:
     """Spectral projectors onto the selected branches (0-based indices into
     the modulus ordering) of (n, 2L, 2L) right-column and left-row stacks.
     Member columns are selected: a 0/1 mask would round differently."""
-    idx = np.array(sorted(set(int(i) for i in members)), dtype=int)
-    if idx.size and (idx[0] < 0 or idx[-1] >= right.shape[-1]):
-        raise ValueError(f"branch indices out of range: {idx.tolist()}")
-    return right[:, :, idx] @ left_rows[:, idx, :]
+    [(_, idx)] = size_groups([members], right.shape[-1])
+    return right[:, :, idx[0]] @ left_rows[:, idx[0], :]
+
+
+def set_projections(right: np.ndarray, left_rows: np.ndarray,
+                    sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """(n_sets, 2L, 2L) projectors of one (2L, 2L) right-column and left-row
+    pair, one product per set size, each row as ``riesz_projections``."""
+    out = np.empty((len(sets),) + right.shape, np.complex128)
+    for rows, idx in size_groups(sets, right.shape[-1]):
+        out[rows] = right[:, idx].transpose(1, 0, 2) @ left_rows[idx]
+    return out
 
 
 def riesz_projection(spec: TransferSpectrum,

@@ -6,8 +6,8 @@ and the generalized sum for an invertible-B corner perturbation. All three are
 pinned against the dense brute-force determinant in the tests.
 
 Index sets are 0-based subsets of {0, ..., 2L-1} into the modulus ordering.
-On a degenerate spectrum each one-energy q is NaN, like the rows of the
-stacked q functions, and the Widom sums raise DegenerateSplit.
+The q functions take all index sets of one spectrum in one stacked call, NaN
+on a degenerate spectrum, where the Widom sums raise DegenerateSplit.
 """
 import math
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .errors import DegenerateSplit
 from .operators import BoundaryTriple, CoefficientTriple
 from .transfer import (TransferSpectrum, boundary_transfer_matrices,
                        boundary_transfer_matrix, ordered_spectrum,
-                       riesz_projection, transfer_matrix)
+                       set_projections, size_groups, transfer_matrix)
 
 POWER_NORM_LIMIT = 1e120
 
@@ -43,23 +43,35 @@ def index_sets(n: int, sizes: Iterable[int]) -> List[Tuple[int, ...]]:
     return out
 
 
-def z_factor(spec: TransferSpectrum, members: Sequence[int], detT: complex) -> complex:
-    """Z_I = (-1)^L det(T) * prod of the selected eigenvalues.
+def z_factors(spec: TransferSpectrum, sets: Sequence[Sequence[int]],
+              detT: complex) -> List[complex]:
+    """Z_I = (-1)^L det(T) * prod of the selected eigenvalues, one product per
+    set size; the empty product is 1, as the oracle suite pins."""
+    zs = [0j] * len(sets)
+    for rows, idx in size_groups(sets, spec.values.size):
+        for r, prod in zip(rows, np.prod(spec.values[idx], axis=1).tolist()):
+            zs[r] = (-1) ** spec.L * detT * prod
+    return zs
 
-    The empty product is 1, so Z for the empty set is (-1)^L det(T); the
-    oracle suite pins this convention.
-    """
-    L = spec.L
-    prod = complex(np.prod(spec.values[list(members)])) if members else 1.0 + 0j
-    return (-1) ** L * detT * prod
+
+def z_factor(spec: TransferSpectrum, members: Sequence[int], detT: complex) -> complex:
+    """The one-set row of ``z_factors``."""
+    return z_factors(spec, [members], detT)[0]
+
+
+def _q_rows(spec: TransferSpectrum, sets: Sequence[Sequence[int]],
+            q_stack) -> np.ndarray:
+    """``q_stack`` of the sets' projections, all NaN if ``spec.degenerate``."""
+    if spec.degenerate:
+        return np.full(len(sets), complex(np.nan))
+    return q_stack(set_projections(spec.right_vectors, spec.left_rows, sets))
 
 
 def q_tilde(spec: TransferSpectrum, members: Sequence[int]) -> complex:
     """det of the lower-left L x L block of the Riesz projection."""
-    if spec.degenerate:
-        return complex(np.nan)
     L = spec.L
-    return nk.determinant(riesz_projection(spec, members)[L:, :L])
+    return complex(_q_rows(spec, [members],
+                           lambda G: np.linalg.det(G[:, L:, :L]))[0])
 
 
 def q_hat_stack(proj: np.ndarray, energies, C) -> np.ndarray:
@@ -80,39 +92,47 @@ def q_perturbed_stack(proj: np.ndarray, Tbd: np.ndarray) -> np.ndarray:
     return np.linalg.det(proj @ Tbd - (eye[None] - proj))
 
 
-def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
-          window: Optional[Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]] = None
-          ) -> complex:
-    """det_L of the bottom-left L x L corner of W_ri R_I W_le M_bd: the
-    one-row case of ``q_hat_stack``.
+Window = Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
 
-    ``window`` optionally supplies ([T_ri_1..T_ri_K], [T_le_1..T_le_K]) for
-    perturbations a finite distance from the boundary; products are applied
-    as T_K ... T_1.
-    """
-    if spec.degenerate:
-        return complex(np.nan)
-    G = riesz_projection(spec, members)
-    if window is not None:
-        ri, le = window
+
+def q_hat_sets(spec: TransferSpectrum, C: np.ndarray,
+               sets: Sequence[Sequence[int]],
+               window: Optional[Window] = None) -> np.ndarray:
+    """det_L of the bottom-left L x L corner of W_ri R_I W_le M_bd for each
+    index set I, in one ``q_hat_stack`` call. ``window`` optionally supplies
+    ([T_ri_1..T_ri_K], [T_le_1..T_le_K]) for perturbations a finite distance
+    from the boundary; products are applied as T_K ... T_1."""
+    def q(G):
+        ri, le = window if window is not None else ((), ())
         for t in ri:
             G = t @ G
         for t in reversed(le):
             G = G @ t
-    return complex(q_hat_stack(G[None], [spec.energy], C)[0])
+        return q_hat_stack(G, np.full(len(sets), spec.energy), C)
+    return _q_rows(spec, sets, q)
+
+
+def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
+          window: Optional[Window] = None) -> complex:
+    """The one-set row of ``q_hat_sets``."""
+    return complex(q_hat_sets(spec, C, [members], window)[0])
+
+
+def q_perturbed_sets(spec: TransferSpectrum, boundary: BoundaryTriple,
+                     sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """det_2L(R_I T_bd - R_{I^c}) for each index set I, in one
+    ``q_perturbed_stack`` call; exact 0 once |I| > L + rank(A)."""
+    q = _q_rows(spec, sets, lambda G: q_perturbed_stack(
+        G, boundary_transfer_matrices(boundary, [spec.energy])))
+    if not spec.degenerate:
+        q[[len(I) > spec.L + boundary.rank_A for I in sets]] = 0
+    return q
 
 
 def q_perturbed(spec: TransferSpectrum, boundary: BoundaryTriple,
                 members: Sequence[int]) -> complex:
-    """det_2L(R_I T_bd - R_{I^c}); exact 0 once |I| > L + rank(A). The
-    one-row case of ``q_perturbed_stack``."""
-    if spec.degenerate:
-        return complex(np.nan)
-    if len(members) > spec.L + boundary.rank_A:
-        return 0.0 + 0j
-    return complex(q_perturbed_stack(
-        riesz_projection(spec, members)[None],
-        boundary_transfer_matrices(boundary, [spec.energy]))[0])
+    """The one-set row of ``q_perturbed_sets``."""
+    return complex(q_perturbed_sets(spec, boundary, [members])[0])
 
 
 def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -204,7 +224,7 @@ def _compensated_total(contribs: List[complex]) -> complex:
 def _assemble_sum(spec: TransferSpectrum, N: int, sets: List[Tuple[int, ...]],
                   z_power: int, qvals: List[complex], detT: complex,
                   prefactor: complex) -> WidomSum:
-    zs = [z_factor(spec, I, detT) for I in sets]
+    zs = z_factors(spec, sets, detT)
     order = sorted(range(len(sets)), key=lambda i: -abs(zs[i]))
     terms = []
     contribs = []
@@ -229,7 +249,7 @@ def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
     L = coeffs.L
     detT = nk.determinant(coeffs.T)
     sets = index_sets(2 * L, [L])
-    qvals = [q_hat(spec, C, I, window=window) for I in sets]
+    qvals = q_hat_sets(spec, C, sets, window).tolist()
     return _assemble_sum(spec, N, sets, N, qvals, detT, 1.0 + 0j)
 
 
@@ -246,6 +266,6 @@ def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     detT = nk.determinant(coeffs.T)
     detB = nk.determinant(boundary.B)
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
-    qvals = [q_perturbed(spec, boundary, I) for I in sets]
+    qvals = q_perturbed_sets(spec, boundary, sets).tolist()
     return _assemble_sum(spec, N, sets, N - 1, qvals, detT, detB)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +11,8 @@ from toeplimit.errors import DegenerateSplit, OnCurve
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  assemble_operator, charpoly_direct,
                                  winding_number)
-from toeplimit.transfer import (DEGENERACY_TOL, ordered_spectrum,
-                                transfer_matrix)
+from toeplimit.transfer import (DEGENERACY_TOL, boundary_transfer_matrix,
+                                ordered_spectrum, transfer_matrix)
 from toeplimit.widom import (charpoly_circulant, charpoly_semipermeable,
                              index_sets, q_hat, q_perturbed, q_tilde,
                              widom_sum_open, widom_sum_perturbed, z_factor)
@@ -181,3 +183,64 @@ def test_growing_count_is_minus_winding(case):
         assume(False)
     assume(not np.any(np.abs(spec.moduli - 1.0) < 1e-8))
     assert int(np.sum(spec.moduli > 1.0)) - coeffs.L == -wind
+
+
+def written_out_projection(spec, members):
+    """The Riesz projection of one index set, member columns selected."""
+    idx = list(members)
+    return spec.right_vectors[:, idx] @ spec.left_rows[idx, :]
+
+
+def reference_sum(spec, sets, z_power, qvals, detT, prefactor):
+    """(terms, dominant, total) assembled from one-set Z and q values: terms
+    by decreasing |Z|, the total compensated."""
+    zs = [z_factor(spec, I, detT) for I in sets]
+    for I, z in zip(sets, zs):
+        prod = complex(np.prod(spec.values[list(I)])) if I else 1.0 + 0j
+        assert repr(z) == repr((-1) ** spec.L * detT * prod)
+    order = sorted(range(len(sets)), key=lambda i: -abs(zs[i]))
+    terms = tuple((sets[i], zs[i] ** z_power, qvals[i],
+                   prefactor * zs[i] ** z_power * qvals[i]) for i in order)
+    total = complex(math.fsum(t[3].real for t in terms),
+                    math.fsum(t[3].imag for t in terms))
+    return terms, sets[order[0]], total
+
+
+def assert_same_sum(ws, reference):
+    terms, dominant, total = reference
+    assert repr(ws.terms) == repr(terms)
+    assert ws.dominant == dominant
+    assert repr(ws.total) == repr(total)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model_rank_energy(), st.integers(3, 6), st.booleans())
+def test_widom_sums_are_their_one_set_rows(case, N, windowed):
+    # every term of a stacked sum has the bits of its one-set q and Z
+    # calls, and those have the bits of the written-out formulas
+    coeffs, boundary, E, spec = case
+    L = coeffs.L
+    detT = nk.determinant(coeffs.T)
+    TE = transfer_matrix(coeffs, E)
+    window = ([TE], [TE]) if windowed else None
+    sets = index_sets(2 * L, [L])
+    qvals = [q_hat(spec, boundary.C, I, window=window) for I in sets]
+    col = np.vstack([E * np.eye(L) - boundary.C, np.eye(L)])
+    for I, q in zip(sets, qvals):
+        G = written_out_projection(spec, I)
+        if windowed:
+            G = TE @ G @ TE
+        assert repr(q) == repr(complex(np.linalg.det((G @ col)[L:, :])))
+    ws = widom_sum_open(coeffs, boundary.C, N, E, window=window, spec=spec)
+    assert_same_sum(ws, reference_sum(spec, sets, N, qvals, detT, 1.0 + 0j))
+
+    sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
+    qvals = [q_perturbed(spec, boundary, I) for I in sets]
+    Tbd = boundary_transfer_matrix(boundary, E)
+    for I, q in zip(sets, qvals):
+        P = written_out_projection(spec, I)
+        direct = np.linalg.det(P @ Tbd - (np.eye(2 * L) - P))
+        assert repr(q) == repr(complex(direct))
+    ws = widom_sum_perturbed(coeffs, boundary, N, E, spec=spec)
+    detB = nk.determinant(boundary.B)
+    assert_same_sum(ws, reference_sum(spec, sets, N - 1, qvals, detT, detB))
