@@ -25,7 +25,7 @@ from .limitsets import Region, check_rank, compute_limit_sets
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
                         charpoly_direct, circulant_spectrum_fft,
                         finite_spectrum)
-from .transfer import DEGENERACY_TOL, TIE_TOL, ordered_spectrum
+from .transfer import ordered_spectrum
 from .widom import (charpoly_circulant, index_sets, q_hat_sets,
                     q_perturbed_sets, widom_sum_open, widom_sum_perturbed)
 
@@ -45,11 +45,16 @@ def _encode_complex(z: complex) -> List[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_number(obj) -> bool:
+    """A JSON number; a JSON boolean decodes as an int but is not one."""
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _decode_complex(obj) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
     if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
+            and all(_is_number(x) for x in obj)):
         return complex(obj[0], obj[1])
     raise BadConfig(f"expected number or [re, im] pair, got {obj!r}")
 
@@ -63,8 +68,19 @@ def _decode_matrix(obj, name: str) -> np.ndarray:
         raise BadConfig(f"{name}: expected a nested row array")
     try:
         return nk.as_cmatrix([[_decode_complex(x) for x in row] for row in obj])
-    except (ValueError, BadConfig) as exc:
+    except (TypeError, ValueError, OverflowError, BadConfig) as exc:
         raise BadConfig(f"{name}: {exc}") from exc
+
+
+def _decode_scalar(kind, value, name: str):
+    """``kind(value)`` for kind int or float; a JSON boolean, or a value the
+    conversion refuses, is a config error."""
+    try:
+        if not isinstance(value, bool):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadConfig(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +97,6 @@ class ModelConfig:
     region: Tuple[float, float, float, float] = (-3.0, 3.0, -3.0, 3.0)
     nx: int = 128
     ny: int = 128
-    degeneracy_tol: float = DEGENERACY_TOL
-    tie_tol: float = TIE_TOL
     seed: int = 0
     warnings: List[str] = field(default_factory=list)
 
@@ -103,9 +117,6 @@ class ModelConfig:
             "B": _encode_matrix(self.B), "C": _encode_matrix(self.C),
             "case": self.case,
             "region": list(self.region), "nx": self.nx, "ny": self.ny,
-            "tolerances": {
-                "degeneracy": self.degeneracy_tol, "tie": self.tie_tol,
-            },
             "seed": self.seed,
         }
 
@@ -116,8 +127,12 @@ def config_from_dict(data: Dict) -> ModelConfig:
     for key in ("L", "N", "R", "T", "V", "case"):
         if key not in data:
             raise BadConfig(f"missing config key: {key}")
-    L = int(data["L"])
-    N = int(data["N"])
+    if "tolerances" in data:
+        # the run would ignore the values, so they must not look used
+        raise BadConfig("tolerances: the degeneracy and tie tolerances are "
+                        "fixed constants; remove the key")
+    L = _decode_scalar(int, data["L"], "L")
+    N = _decode_scalar(int, data["N"], "N")
     if L < 1:
         raise BadConfig("L >= 1 required")
     if N < 3:
@@ -135,19 +150,18 @@ def config_from_dict(data: Dict) -> ModelConfig:
     case = data["case"]
     if case not in CASES:
         raise BadConfig(f"case must be one of {CASES}, got {case!r}")
-    region = tuple(float(x) for x in data.get("region", (-3, 3, -3, 3)))
-    if len(region) != 4 or not (region[0] < region[1] and region[2] < region[3]
-                                and np.all(np.isfinite(region))):
+    region = data.get("region", (-3, 3, -3, 3))
+    if isinstance(region, (list, tuple)):
+        region = tuple(_decode_scalar(float, x, "region") for x in region)
+    if not (isinstance(region, tuple) and len(region) == 4
+            and region[0] < region[1] and region[2] < region[3]
+            and np.all(np.isfinite(region))):
         raise BadConfig("region must be (re_min, re_max, im_min, im_max)")
-    nx = int(data.get("nx", 128))
-    ny = int(data.get("ny", 128))
+    nx, ny, seed = (_decode_scalar(int, data.get(key, default), key)
+                    for key, default in (("nx", 128), ("ny", 128), ("seed", 0)))
     if nx < 16 or ny < 16:
         raise BadConfig("nx, ny >= 16 required")
-    tol = data.get("tolerances", {})
-    cfg = ModelConfig(
-        L, N, R, T, V, A, B, C, case, region, nx, ny,
-        float(tol.get("degeneracy", DEGENERACY_TOL)),
-        float(tol.get("tie", TIE_TOL)), int(data.get("seed", 0)))
+    cfg = ModelConfig(L, N, R, T, V, A, B, C, case, region, nx, ny, seed)
     try:
         actual = cfg.boundary.classify(cfg.coeffs)
     except ToeplimitError:
@@ -248,20 +262,14 @@ def _load(args) -> ModelConfig:
 
 
 def _limit_sets(cfg: ModelConfig, args):
-    """Arcs and outliers at the config's grid; the corner is dropped only
-    when the matrices are circulant. A ``--r`` the run would not read is a
-    config error."""
-    coeffs = cfg.coeffs
-    boundary = (None if cfg.boundary.classify(coeffs) == "circulant"
-                else cfg.boundary)
+    """Arcs and outliers at the config's grid. A ``--r`` the run would not
+    read is a config error."""
     try:
-        check_rank(coeffs, boundary, args.r)
+        check_rank(cfg.coeffs, cfg.boundary, args.r)
     except ValueError as exc:
         raise BadConfig(f"--r {args.r}: {exc}") from exc
-    return compute_limit_sets(coeffs, boundary, Region(*cfg.region), cfg.nx,
-                              cfg.ny, r=args.r, workers=args.workers,
-                              degeneracy_tol=cfg.degeneracy_tol,
-                              tie_tol=cfg.tie_tol)
+    return compute_limit_sets(cfg.coeffs, cfg.boundary, Region(*cfg.region),
+                              cfg.nx, cfg.ny, r=args.r, workers=args.workers)
 
 
 def _finite_spectrum(cfg: ModelConfig, fft: bool = False) -> np.ndarray:
@@ -322,18 +330,16 @@ def _cmd_verify_widom(args) -> int:
     case = boundary.classify(coeffs)
     if case == "custom":
         raise BadConfig(f"no verification route for case {case!r}")
-    spec = ordered_spectrum(coeffs, E, cfg.degeneracy_tol, cfg.tie_tol)
     direct = charpoly_direct(coeffs, boundary, N, E)
     print(f"verify-widom: N={N}, E={E}, case={case}, direct={direct:.12g}")
     routes = {}
     if case == "circulant":
         routes["circulant_formula"] = charpoly_circulant(coeffs, N, E)
     if case in ("open", "boundary"):
-        routes["open_sum"] = widom_sum_open(coeffs, boundary.C, N, E,
-                                            spec=spec).total
+        routes["open_sum"] = widom_sum_open(coeffs, boundary.C, N, E).total
     if case in ("circulant", "perturbed"):
-        routes["perturbed_sum"] = widom_sum_perturbed(coeffs, boundary, N, E,
-                                                      spec=spec).total
+        routes["perturbed_sum"] = widom_sum_perturbed(coeffs, boundary, N,
+                                                      E).total
     report = {"N": N, "E": _encode_complex(E), "case": case,
               "direct": _encode_complex(direct), "routes": {}}
     for name, value in routes.items():
@@ -359,7 +365,7 @@ def _cmd_asymptotics_check(args) -> int:
     magnitude = args.magnitude
     rng = np.random.default_rng(cfg.seed)
     E = magnitude * np.exp(2j * np.pi * rng.random())
-    spec = ordered_spectrum(cfg.coeffs, E, cfg.degeneracy_tol, cfg.tie_tol)
+    spec = ordered_spectrum(cfg.coeffs, E)
     boundary = cfg.boundary
     # (kind, I, leading (coeff, exponent), q) per index set
     sets = index_sets(2 * L, [L])

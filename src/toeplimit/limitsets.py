@@ -19,9 +19,9 @@ import numpy as np
 from . import numkernel as nk
 from .errors import ConvergenceFailure
 from .operators import BoundaryTriple, CoefficientTriple, winding_number
-from .transfer import (DEGENERACY_TOL, TIE_TOL, boundary_transfer_matrices,
-                       match_branches, modulus_order, ordered_eig,
-                       riesz_projections, transfer_matrices, transfer_matrix)
+from .transfer import (TIE_TOL, boundary_transfer_matrices, match_branches,
+                       modulus_order, ordered_eig, riesz_projections,
+                       transfer_matrices, transfer_matrix)
 from .widom import q_hat_stack, q_perturbed_stack
 
 EXCLUSION_FACTOR = 3.0
@@ -59,8 +59,6 @@ class ScanGrid:
     degenerate: np.ndarray        # (ny, nx) bool
     masked: np.ndarray            # (ny, nx) bool, failed nodes
     h: float
-    degeneracy_tol: float = DEGENERACY_TOL
-    tie_tol: float = TIE_TOL
     # (ny, nx) |q| of the q function the scan was given, NaN at masked nodes
     q_field: Optional[np.ndarray] = None
     # work of the equal-modulus detector, summed over its calls on this grid;
@@ -193,32 +191,33 @@ def model_hash(coeffs: CoefficientTriple,
 
 
 def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
-                 tie_tol: float, workers: Optional[int],
-                 q: Optional[Callable]):
-    """Modulus-ordered transfer eigenvalues at a flat energy array, with the
-    |q| of each node from the same ``ordered_eig`` triple when a q function
-    is given.
+                 workers: Optional[int], q: Optional[Callable]):
+    """Modulus-ordered transfer eigenvalues and their degeneracy flags at a
+    flat energy array, with the |q| of each node from the same
+    ``ordered_eig`` triple when a q function is given.
 
     Worker chunks build their own transfer stacks and write into
     preallocated outputs, so a chunk's eigenvectors are dropped when it
     returns. A chunk whose stacked solve fails is solved node by node; a node
-    that still fails is masked and keeps zero values, so it also reads as
-    degenerate, and NaN |q|. Returns (values, |q| or None, masked).
+    that still fails is masked and keeps zero values, a degenerate flag and
+    NaN |q|. Returns (values, degenerate, |q| or None, masked).
     """
     n = energies.size
     values = np.zeros((n, 2 * coeffs.L), dtype=np.complex128)
+    degenerate = np.ones(n, dtype=bool)
     q_field = None if q is None else np.full(n, np.nan)
     masked = np.zeros(n, dtype=bool)
 
     def solve(idx: np.ndarray) -> None:
         if q is None:
             vals = np.linalg.eigvals(transfer_matrices(coeffs, energies[idx]))
-            values[idx] = np.take_along_axis(
-                vals, modulus_order(vals, tie_tol)[0], axis=1)
+            values[idx] = np.take_along_axis(vals, modulus_order(vals)[0],
+                                             axis=1)
+            degenerate[idx] = np.any(nk.close_pairs(vals), axis=(1, 2))
             return
-        triple = ordered_eig(coeffs, energies[idx], tie_tol)[:3]
+        triple = ordered_eig(coeffs, energies[idx])
         q_field[idx] = np.abs(q(energies[idx], triple))
-        values[idx] = triple[0]
+        values[idx], degenerate[idx] = triple[0], triple[3]
 
     def fill(idx: np.ndarray) -> None:
         try:
@@ -239,12 +238,10 @@ def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
         chunks = np.array_split(np.arange(n), workers * 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
-    return values, q_field, masked
+    return values, degenerate, q_field, masked
 
 
 def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
-              degeneracy_tol: float = DEGENERACY_TOL,
-              tie_tol: float = TIE_TOL,
               workers: Optional[int] = None,
               q: Optional[Callable] = None) -> ScanGrid:
     """Transfer spectra over an nx x ny grid of the region; with a q
@@ -256,14 +253,14 @@ def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
     im = np.linspace(region.im_min, region.im_max, ny)
     h = max(re[1] - re[0], im[1] - im[0])
     energies = (re[None, :] + 1j * im[:, None]).ravel()
-    vals, q_field, masked = _solve_nodes(coeffs, energies, tie_tol, workers, q)
+    vals, degenerate, q_field, masked = _solve_nodes(coeffs, energies,
+                                                     workers, q)
     moduli = np.abs(vals)
-    degenerate = np.any(nk.close_pairs(vals, degeneracy_tol), axis=(1, 2))
     shape = (ny, nx)
     m = 2 * coeffs.L
     return ScanGrid(coeffs, region, re, im, vals.reshape(shape + (m,)),
                     moduli.reshape(shape + (m,)), degenerate.reshape(shape),
-                    masked.reshape(shape), float(h), degeneracy_tol, tie_tol,
+                    masked.reshape(shape), float(h),
                     None if q_field is None else q_field.reshape(shape))
 
 
@@ -502,7 +499,7 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     mods = _sorted_moduli(transfer_matrices(scan.coeffs, points))
     if a >= 1:
         counts["tie_flagged_crossings"] += int(np.sum(
-            mods[:, a] - mods[:, a - 1] < scan.tie_tol * (1 + mods[:, a])))
+            mods[:, a] - mods[:, a - 1] < TIE_TOL * (1 + mods[:, a])))
     if point_filter is not None:
         keep = point_filter(mods, a, 0.0)
         swapped, points = swapped[keep], points[keep]
@@ -723,35 +720,33 @@ def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
     return outliers
 
 
-def q_open(coeffs: CoefficientTriple, C, degeneracy_tol: float,
-           tie_tol: float) -> Callable[..., np.ndarray]:
+def q_open(coeffs: CoefficientTriple, C) -> Callable[..., np.ndarray]:
     """Flat energy array -> the dominant open-boundary q, q_hat over the
     0-based index set {L, ..., 2L-1}; NaN at degenerate energies. A given
-    ``triple`` (values, right columns, left rows of ``ordered_eig`` at those
-    energies) stands in for the eigensolve."""
+    ``triple`` (the ``ordered_eig`` result at those energies) stands in for
+    the eigensolve."""
     members = range(coeffs.L, 2 * coeffs.L)
 
     def q(energies: np.ndarray, triple=None) -> np.ndarray:
-        values, right, left_rows = (ordered_eig(coeffs, energies, tie_tol)[:3]
-                                    if triple is None else triple)
+        _, right, left_rows, degenerate = (
+            ordered_eig(coeffs, energies) if triple is None else triple)
         out = q_hat_stack(riesz_projections(right, left_rows, members),
                           energies, C)
-        out[np.any(nk.close_pairs(values, degeneracy_tol), axis=(1, 2))] = np.nan
+        out[degenerate] = np.nan
         return out
 
     return q
 
 
-def q_perturbed_dominant(coeffs: CoefficientTriple, boundary: BoundaryTriple,
-                         degeneracy_tol: float,
-                         tie_tol: float) -> Callable[..., np.ndarray]:
+def q_perturbed_dominant(coeffs: CoefficientTriple,
+                         boundary: BoundaryTriple) -> Callable[..., np.ndarray]:
     """Flat energy array -> q_perturbed over each energy's dominant index
     set (r = rank(A)); NaN at degenerate energies. ``triple`` as in
     ``q_open``."""
 
     def q(energies: np.ndarray, triple=None) -> np.ndarray:
-        values, right, left_rows = (ordered_eig(coeffs, energies, tie_tol)[:3]
-                                    if triple is None else triple)
+        values, right, left_rows, degenerate = (
+            ordered_eig(coeffs, energies) if triple is None else triple)
         Tbd = boundary_transfer_matrices(boundary, energies)
         # group energies by dominant set and evaluate q per group
         dominant = dominant_set(np.abs(values), boundary.rank_A)
@@ -762,7 +757,7 @@ def q_perturbed_dominant(coeffs: CoefficientTriple, boundary: BoundaryTriple,
             members = np.flatnonzero(dominant[np.argmax(sel)])
             out[sel] = q_perturbed_stack(
                 riesz_projections(right[sel], left_rows[sel], members), Tbd[sel])
-        out[np.any(nk.close_pairs(values, degeneracy_tol), axis=(1, 2))] = np.nan
+        out[degenerate] = np.nan
         return out
 
     return q
@@ -776,7 +771,7 @@ def outliers_open(coeffs: CoefficientTriple, C, scan: ScanGrid,
     scan's own ``q_field`` is never read here: it may be another q's."""
     if arcs is None:
         arcs = lambda_open(scan)
-    q = q_open(coeffs, C, scan.degeneracy_tol, scan.tie_tol)
+    q = q_open(coeffs, C)
     return _refine_outliers(scan, q, "Gamma_C", arcs, q_field)
 
 
@@ -788,7 +783,7 @@ def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     Sigma_r and Lambda_r arcs; ``q_field`` as in ``outliers_open``."""
     if arcs is None:
         arcs = sigma_r(scan, boundary.rank_A) + lambda_r(scan, boundary.rank_A)
-    q = q_perturbed_dominant(coeffs, boundary, scan.degeneracy_tol, scan.tie_tol)
+    q = q_perturbed_dominant(coeffs, boundary)
     return _refine_outliers(scan, q, "Gamma_r", arcs, q_field)
 
 
@@ -817,7 +812,8 @@ def check_rank(coeffs: CoefficientTriple, boundary: Optional[BoundaryTriple],
     Sigma_r and Lambda_r only for a perturbed corner, and lies in 0..L."""
     if r is None:
         return
-    if boundary is None or boundary.classify(coeffs) in ("open", "boundary"):
+    if boundary is None or boundary.classify(coeffs) in (
+            "circulant", "open", "boundary"):
         raise ValueError("r applies only to a perturbed corner")
     if not 0 <= r <= coeffs.L:
         raise ValueError(f"r must lie in 0..{coeffs.L}, got {r}")
@@ -826,29 +822,29 @@ def check_rank(coeffs: CoefficientTriple, boundary: Optional[BoundaryTriple],
 def compute_limit_sets(coeffs: CoefficientTriple,
                        boundary: Optional[BoundaryTriple],
                        region: Region, nx: int, ny: int, r: Optional[int] = None,
-                       workers: Optional[int] = None,
-                       degeneracy_tol: float = DEGENERACY_TOL,
-                       tie_tol: float = TIE_TOL) -> LimitSpectrumResult:
+                       workers: Optional[int] = None) -> LimitSpectrumResult:
     """One-stop pipeline: scan, arcs and outliers for the given model.
 
-    The result's ``timings`` holds the perf_counter seconds of each stage;
-    a stage the model's case does not run reads 0.
+    A circulant corner runs as no corner: its q = +-prod z_j never vanishes,
+    so only the Sigma arcs are extracted. The result's ``timings`` holds the
+    perf_counter seconds of each stage; a stage the model's case does not
+    run reads 0.
     """
     check_rank(coeffs, boundary, r)
+    if boundary is not None and boundary.classify(coeffs) == "circulant":
+        boundary = None
     timings = dict.fromkeys(STAGES, 0.0)
     L = coeffs.L
     outliers: List[Outlier] = []
     q = None
     if boundary is not None:
-        # every corner case has an outlier stage, whose |q| field the scan
-        # computes from its one solve per node
+        # every other corner case has an outlier stage, whose |q| field the
+        # scan computes from its one solve per node
         open_case = boundary.classify(coeffs) in ("open", "boundary")
-        tols = (degeneracy_tol, tie_tol)
-        q = (q_open(coeffs, boundary.C, *tols) if open_case
-             else q_perturbed_dominant(coeffs, boundary, *tols))
+        q = (q_open(coeffs, boundary.C) if open_case
+             else q_perturbed_dominant(coeffs, boundary))
     with _stage(timings, "scan"):
-        scan = scan_grid(coeffs, region, nx, ny, degeneracy_tol, tie_tol,
-                         workers, q)
+        scan = scan_grid(coeffs, region, nx, ny, workers, q)
     if boundary is None:
         with _stage(timings, "sigma"):
             arcs = sigma_r(scan, L)
@@ -869,13 +865,13 @@ def compute_limit_sets(coeffs: CoefficientTriple,
         "model_hash": model_hash(coeffs, boundary),
         "region": [region.re_min, region.re_max, region.im_min, region.im_max],
         "nx": nx, "ny": ny, "h": scan.h, "r": r,
-        "degeneracy_tol": scan.degeneracy_tol, "tie_tol": scan.tie_tol,
+        "degeneracy_tol": nk.DEGENERACY_TOL, "tie_tol": TIE_TOL,
         "masked_nodes": int(np.sum(scan.masked)),
         "degenerate_nodes": int(np.sum(scan.degenerate)),
         # nodes against Sigma's single-crossing hypothesis: two ordered
-        # moduli within tie_tol of 1
+        # moduli within TIE_TOL of 1
         "sigma_tie_nodes": int(np.sum(np.sum(
-            np.abs(scan.moduli - 1.0) < scan.tie_tol, axis=2) > 1)),
+            np.abs(scan.moduli - 1.0) < TIE_TOL, axis=2) > 1)),
         **scan.detector_counts,
         **scan.newton_counts,
     }

@@ -47,14 +47,15 @@ class EigenDecomposition:
     condition_flags: np.ndarray  # (n,) bool, near-degenerate eigenvalues
 
 
-def close_pairs(values: np.ndarray, tol: float) -> np.ndarray:
-    """(..., n, n) flags of eigenvalue pairs closer than tol at the pair's own
-    modulus scale, for one spectrum or a stack of them; the diagonal is False.
+def close_pairs(values: np.ndarray) -> np.ndarray:
+    """(..., n, n) flags of eigenvalue pairs closer than DEGENERACY_TOL at the
+    pair's own modulus scale, for one spectrum or a stack of them; the
+    diagonal is False. This is the package's one degeneracy rule.
     """
     moduli = np.abs(values)
     gap = np.abs(values[..., :, None] - values[..., None, :])
     scale = 1.0 + np.maximum(moduli[..., :, None], moduli[..., None, :])
-    close = gap < tol * scale
+    close = gap < DEGENERACY_TOL * scale
     diag = np.arange(values.shape[-1])
     close[..., diag, diag] = False
     return close
@@ -79,11 +80,11 @@ def biorthogonal_rows(right: np.ndarray) -> np.ndarray:
         raise ConvergenceFailure(f"defective eigenbasis: {exc}") from exc
 
 
-def eigenpairs(m, degeneracy_tol: float = DEGENERACY_TOL) -> EigenDecomposition:
+def eigenpairs(m) -> EigenDecomposition:
     """Full eigendecomposition with biorthogonal left vectors."""
     values, right = eig_stack(_require_square(m))
     w = biorthogonal_rows(right)
-    flags = np.any(close_pairs(values, degeneracy_tol), axis=1)
+    flags = np.any(close_pairs(values), axis=1)
     return EigenDecomposition(values, right, w, flags)
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DegenerateSplit, SingularMatrix
-from .numkernel import DEGENERACY_TOL
 from .operators import BoundaryTriple, CoefficientTriple
 
 TIE_TOL = 1e-6
@@ -53,19 +52,20 @@ def boundary_transfer_matrix(boundary: BoundaryTriple, E: complex) -> np.ndarray
     return boundary_transfer_matrices(boundary, [E])[0]
 
 
-def modulus_order(values: np.ndarray, tie_tol: float):
+def modulus_order(values: np.ndarray):
     """Row-wise ordering of an (n, m) eigenvalue stack by modulus; within
     modulus ties, by argument in [0, 2pi) then by real part.
 
     Returns the orderings and (n, m - 1) flags, ``tied[k, i]`` when ordered
-    entries i and i + 1 of row k share a modulus. Tie detection scales with
-    the pair's own modulus, not the global maximum, so widely separated
-    decaying/growing branches never collapse into one group at large energy.
+    entries i and i + 1 of row k share a modulus within TIE_TOL. Tie
+    detection scales with the pair's own modulus, not the global maximum, so
+    widely separated decaying/growing branches never collapse into one group
+    at large energy.
     """
     moduli = np.abs(values)
     order = np.argsort(moduli, axis=1, kind="stable")
     m = np.take_along_axis(moduli, order, axis=1)
-    tied = ~(np.diff(m, axis=1) > tie_tol * (1.0 + m[:, 1:]))
+    tied = ~(np.diff(m, axis=1) > TIE_TOL * (1.0 + m[:, 1:]))
     rows = np.flatnonzero(tied.any(axis=1))
     if rows.size:
         sub = order[rows]
@@ -77,20 +77,21 @@ def modulus_order(values: np.ndarray, tie_tol: float):
     return order, tied
 
 
-def ordered_eig(coeffs: CoefficientTriple, energies, tie_tol: float):
+def ordered_eig(coeffs: CoefficientTriple, energies):
     """Modulus-ordered eigen-triples of the transfer matrices at a flat array
     of energies: values (n, 2L), right vector columns and biorthogonal left
-    rows (n, 2L, 2L), and the tie flags of ``modulus_order``."""
+    rows (n, 2L, 2L), and the (n,) flags of ``nk.close_pairs``, True where
+    the spectrum is degenerate."""
     # the stack is built in the call, so it is freed before the inverse below
     values, right = nk.eig_stack(transfer_matrices(coeffs, energies))
     # inverting before the reorder gives exactly the left rows of
     # nk.eigenpairs, permuted, rather than a re-rounded inverse
     left_rows = nk.biorthogonal_rows(right)
-    order, tied = modulus_order(values, tie_tol)
+    order = modulus_order(values)[0]
     values = np.take_along_axis(values, order, axis=1)
     right = np.take_along_axis(right, order[:, None, :], axis=2)
     left_rows = np.take_along_axis(left_rows, order[:, :, None], axis=1)
-    return values, right, left_rows, tied
+    return values, right, left_rows, np.any(nk.close_pairs(values), axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -101,23 +102,20 @@ class TransferSpectrum:
     right_vectors: np.ndarray   # (2L, 2L) columns, aligned to the ordering
     left_rows: np.ndarray       # (2L, 2L) rows, biorthogonal to the columns
     moduli: np.ndarray
-    degenerate: bool            # two eigenvalues within the degeneracy tol
+    degenerate: bool            # two eigenvalues within DEGENERACY_TOL
 
     @property
     def L(self) -> int:
         return self.values.size // 2
 
 
-def ordered_spectrum(coeffs: CoefficientTriple, E: complex,
-                     degeneracy_tol: float = DEGENERACY_TOL,
-                     tie_tol: float = TIE_TOL) -> TransferSpectrum:
+def ordered_spectrum(coeffs: CoefficientTriple, E: complex) -> TransferSpectrum:
     """Eigendecomposition of the transfer matrix, modulus-ordered: the
     one-energy row of ``ordered_eig``."""
-    values, right, left_rows, _ = (
-        a[0] for a in ordered_eig(coeffs, [E], tie_tol))
-    degenerate = bool(np.any(nk.close_pairs(values, degeneracy_tol)))
+    values, right, left_rows, degenerate = (
+        a[0] for a in ordered_eig(coeffs, [E]))
     return TransferSpectrum(E, values, right, left_rows, np.abs(values),
-                            degenerate)
+                            bool(degenerate))
 
 
 def size_groups(sets: Sequence[Sequence[int]], n: int):

@@ -239,11 +239,9 @@ def _assemble_sum(spec: TransferSpectrum, N: int, sets: List[Tuple[int, ...]],
 
 
 def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
-                   window=None,
-                   spec: Optional[TransferSpectrum] = None) -> WidomSum:
+                   window=None) -> WidomSum:
     """det(H_N(0,0,C) - E) as the sum over |I| = L of Z_I^N q_hat_I."""
-    if spec is None:
-        spec = ordered_spectrum(coeffs, E)
+    spec = ordered_spectrum(coeffs, E)
     if spec.degenerate:
         raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
     L = coeffs.L
@@ -254,12 +252,10 @@ def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
 
 
 def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
-                        N: int, E: complex,
-                        spec: Optional[TransferSpectrum] = None) -> WidomSum:
+                        N: int, E: complex) -> WidomSum:
     """det(H_N(A,B,C) - E) as det(B) * sum over |I| <= L + rank(A) of
     Z_I^{N-1} q_I."""
-    if spec is None:
-        spec = ordered_spectrum(coeffs, E)
+    spec = ordered_spectrum(coeffs, E)
     if spec.degenerate:
         raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
     L = coeffs.L

@@ -66,3 +66,10 @@ def demo_corner():
 @pytest.fixture(scope="session")
 def scalar_model():
     return CoefficientTriple([[1.0]], [[1.0]], [[0.0]])
+
+
+@pytest.fixture(scope="session")
+def twin_channels():
+    """Two identical decoupled channels, R = T = I and V = 0: every transfer
+    eigenvalue is double, exactly, so every spectrum is degenerate."""
+    return CoefficientTriple(np.eye(2), np.eye(2), np.zeros((2, 2)))

@@ -129,18 +129,41 @@ def test_limit_spectrum_manifest_records_stage_seconds(tmp_path):
         assert [e["path"] for e in m["artifacts"]] == ["limit_sets.json"]
 
 
-def test_limit_spectrum_scans_with_config_tolerances(tmp_path):
-    data = json.loads(open(SCALAR).read())
-    data["tolerances"] = {"tie": 0.5, "degeneracy": 1e-3}
-    config = tmp_path / "tol.json"
-    config.write_text(json.dumps(data))
-    out = tmp_path / "t"
-    code = run(["limit-spectrum", "--config", str(config), "--grid", "32,32",
-                "--out", str(out)])
-    assert code == 0
-    meta = json.loads((out / "limit_sets.json").read_text())["metadata"]
-    assert meta["tie_tol"] == 0.5
-    assert meta["degeneracy_tol"] == 1e-3
+def test_config_tolerances_are_refused(tmp_path, capsys):
+    # the degeneracy and tie tolerances are fixed constants: a config value
+    # the run would ignore must not look as if it was used
+    config = retagged(tmp_path, DEMO_H, tolerances={"degeneracy": 1e-8})
+    for command in ("limit-spectrum", "verify-widom"):
+        out = tmp_path / command
+        assert run([command, "--config", config, "--out", str(out)]) == 1
+        assert "config error: tolerances" in capsys.readouterr().err
+        assert not out.exists()
+
+
+MALFORMED = {
+    "L-text": {"L": "x"},
+    "L-bool": {"L": True},
+    "N-list": {"N": [5]},
+    "seed-bool": {"seed": True},
+    "seed-text": {"seed": "s"},
+    "region-text": {"region": [0, 1, "a", 2]},
+    "region-bool": {"region": [0, True, -1, 1]},
+    "region-scalar": {"region": 5},
+    "R-bool": {"R": [[True]]},
+    "R-pair-bool": {"R": [[[1, False]]]},
+    "R-flat": {"R": [1]},
+    "V-huge": {"V": [[10 ** 400]]},
+}
+
+
+@pytest.mark.parametrize("changes", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, changes):
+    config = retagged(tmp_path, SCALAR, **changes)
+    out = tmp_path / "o"
+    assert run(["limit-spectrum", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_limit_spectrum_csv_format(tmp_path):
@@ -241,16 +264,6 @@ def test_plot_data_rejects_grid(tmp_path, capsys):
     assert code == 1
     assert "unrecognized arguments: --grid 32,32" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_verify_widom_reads_config_tolerances(tmp_path, capsys):
-    # a degeneracy tolerance of 10 makes every energy degenerate, as it does
-    # for the limit-spectrum scan
-    config = retagged(tmp_path, DEMO_H, tolerances={"degeneracy": 10})
-    code = run(["verify-widom", "--config", config, "--E", "0.4,0.3",
-                "--N", "6", "--out", str(tmp_path / "w")])
-    assert code == 2
-    assert "DegenerateSplit" in capsys.readouterr().err
 
 
 def test_negative_values_take_the_equals_form(tmp_path):

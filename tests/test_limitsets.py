@@ -19,8 +19,7 @@ from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
                                  refine_zeros, scan_grid, sigma_r)
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  circulant_spectrum_fft)
-from toeplimit.transfer import (DEGENERACY_TOL, TIE_TOL, match_branches,
-                                ordered_eig, ordered_spectrum,
+from toeplimit.transfer import (match_branches, ordered_eig, ordered_spectrum,
                                 riesz_projection, transfer_matrix)
 from toeplimit.widom import (q_hat, q_perturbed, q_tilde, widom_sum_open,
                              widom_sum_perturbed)
@@ -32,9 +31,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 def config_run(name, grid=None):
     cfg = cli.load_config(os.path.join(CONFIG_DIR, name + ".json"))
     nx, ny = (grid, grid) if grid else (cfg.nx, cfg.ny)
-    circulant = cfg.boundary.classify(cfg.coeffs) == "circulant"
-    boundary = None if circulant else cfg.boundary
-    return compute_limit_sets(cfg.coeffs, boundary, Region(*cfg.region),
+    return compute_limit_sets(cfg.coeffs, cfg.boundary, Region(*cfg.region),
                               nx, ny)
 
 
@@ -245,10 +242,21 @@ def test_compute_limit_sets_circulant_only_sigma(scalar_model):
     assert [result.timings[k] for k in ("lambda", "newton")] == [0.0, 0.0]
 
 
+def test_circulant_corner_runs_as_no_corner(demo_model):
+    # q = +-prod z_j never vanishes, so a circulant corner has no outlier
+    # stage
+    corner = BoundaryTriple.circulant(demo_model)
+    result = compute_limit_sets(demo_model, corner, REGION, 32, 32)
+    plain = compute_limit_sets(demo_model, None, REGION, 32, 32)
+    assert result.to_json_dict() == plain.to_json_dict()
+    assert result.timings["newton"] == 0
+
+
 def test_compute_limit_sets_refuses_an_unread_r(demo_model):
     # r sets Sigma_r and Lambda_r only for a perturbed corner, within 0..L
     _, perturbed = random_model(np.random.default_rng(5), 2, rank_a=1)
-    refused = [(None, 0), (BoundaryTriple.open(demo_model), 1),
+    refused = [(None, 0), (BoundaryTriple.circulant(demo_model), 1),
+               (BoundaryTriple.open(demo_model), 1),
                (BoundaryTriple.boundary(np.eye(2)), 2),
                (perturbed, -1), (perturbed, 3)]
     for boundary, r in refused:
@@ -304,7 +312,7 @@ def test_newton_counts_in_metadata(name, counts):
 def test_masked_node_does_not_abort_the_outlier_stage(monkeypatch):
     cfg = cli.load_config(os.path.join(CONFIG_DIR, "demo_boundary.json"))
     region = Region(*cfg.region)
-    q = q_open(cfg.coeffs, cfg.boundary.C, DEGENERACY_TOL, TIE_TOL)
+    q = q_open(cfg.coeffs, cfg.boundary.C)
     clean = compute_limit_sets(cfg.coeffs, cfg.boundary, region, 48, 48)
     clean_field = scan_grid(cfg.coeffs, region, 48, 48, q=q).q_field
     # node (0, 0) lies on the border, so it never seeds Newton
@@ -338,15 +346,14 @@ def test_scan_q_field_is_the_q_rows(L):
     coeffs, boundary = random_model(np.random.default_rng(L), L)
     plain = scan_grid(coeffs, REGION, 20, 20)
     assert plain.q_field is None
-    tols = (DEGENERACY_TOL, TIE_TOL)
-    for q in (q_open(coeffs, boundary.C, *tols),
-              q_perturbed_dominant(coeffs, boundary, *tols)):
+    for q in (q_open(coeffs, boundary.C),
+              q_perturbed_dominant(coeffs, boundary)):
         for workers in (1, 2):
             scan = scan_grid(coeffs, REGION, 20, 20, workers=workers, q=q)
             energies = scan.energies.ravel()
             assert (scan.q_field.tobytes()
                     == np.abs(q(energies)).reshape(20, 20).tobytes())
-            values = ordered_eig(coeffs, energies, TIE_TOL)[0]
+            values = ordered_eig(coeffs, energies)[0]
             assert same_bits(scan.values.reshape(values.shape), values)
             # LAPACK's eig and eigvals return the same eigenvalues, bit for bit
             assert same_bits(scan.values, plain.values)
@@ -680,8 +687,8 @@ def reference_q_hat(spec, C, members):
 def test_outlier_q_rows_are_the_scalar_q_functions(case):
     coeffs, boundary, energies = case
     L = coeffs.L
-    q_o = q_open(coeffs, boundary.C, DEGENERACY_TOL, TIE_TOL)
-    q_p = q_perturbed_dominant(coeffs, boundary, DEGENERACY_TOL, TIE_TOL)
+    q_o = q_open(coeffs, boundary.C)
+    q_p = q_perturbed_dominant(coeffs, boundary)
     open_rows, perturbed_rows = q_o(energies), q_p(energies)
     for k, E in enumerate(energies):
         assert same_bits(q_o(np.array([E]))[0], open_rows[k])
@@ -711,9 +718,8 @@ def test_outlier_q_refuses_identical_channels(L, data):
     co = CoefficientTriple(r * np.eye(L), t * np.eye(L), v * np.eye(L))
     _, bd = random_model(rng, L, rank_a)
     energies = rng.uniform(-3, 3, 8) + 1j * rng.uniform(-3, 3, 8)
-    assert np.isnan(q_open(co, bd.C, DEGENERACY_TOL, TIE_TOL)(energies)).all()
-    assert np.isnan(q_perturbed_dominant(co, bd, DEGENERACY_TOL, TIE_TOL)(
-        energies)).all()
+    assert np.isnan(q_open(co, bd.C)(energies)).all()
+    assert np.isnan(q_perturbed_dominant(co, bd)(energies)).all()
     members = range(L, 2 * L)
     for E in energies:
         spec = ordered_spectrum(co, E)

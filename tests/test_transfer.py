@@ -7,10 +7,10 @@ from scipy.optimize import linear_sum_assignment
 from conftest import gaussian_matrix, nondegenerate_energy, random_model
 from toeplimit import numkernel as nk
 from toeplimit.errors import DegenerateSplit, SingularMatrix
-from toeplimit.operators import BoundaryTriple, CoefficientTriple, eval_symbol
-from toeplimit.transfer import (TIE_TOL, boundary_transfer_matrices,
-                                _optimal_assignment, boundary_transfer_matrix,
-                                match_branches, ordered_eig, ordered_spectrum,
+from toeplimit.operators import BoundaryTriple, eval_symbol
+from toeplimit.transfer import (_optimal_assignment, boundary_transfer_matrices,
+                                boundary_transfer_matrix, match_branches,
+                                modulus_order, ordered_eig, ordered_spectrum,
                                 riesz_projection, riesz_projection_contour,
                                 transfer_matrices, transfer_matrix)
 from toeplimit.widom import index_sets
@@ -52,7 +52,7 @@ def test_modulus_ordering_and_scalar_tie_break(scalar_model):
     # both eigenvalues unimodular; argument in [0, 2pi) breaks the tie
     assert spec.values[0] == pytest.approx(1j)
     assert spec.values[1] == pytest.approx(-1j)
-    assert ordered_eig(scalar_model, [0.0], TIE_TOL)[3].tolist() == [[True]]
+    assert modulus_order(spec.values[None])[1].tolist() == [[True]]
     assert np.all(np.diff(spec.moduli) >= -1e-12)
 
 
@@ -110,11 +110,8 @@ def test_projection_onto_one_tie_member_is_a_projection(scalar_model):
     assert np.linalg.norm(P @ P - P) < 1e-8
 
 
-def test_riesz_projection_refuses_degenerate_spectrum():
-    co = CoefficientTriple([[1.0]], [[1.0]], [[0.0]])
-    # double eigenvalue z = 1 at the band edge; the backend resolves it to
-    # ~1e-8 accuracy, so pass a tolerance that reflects that uncertainty
-    spec = ordered_spectrum(co, 2.0, degeneracy_tol=1e-6)
+def test_riesz_projection_refuses_degenerate_spectrum(twin_channels):
+    spec = ordered_spectrum(twin_channels, 0.3)
     assert spec.degenerate
     # refused whether or not the index set splits the pair
     for members in ((0,), (0, 1), ()):
@@ -127,8 +124,9 @@ def test_no_spurious_ties_at_large_energy():
     # group just because the global modulus scale is large
     rng = np.random.default_rng(14)
     co, _ = random_model(rng, 2)
-    assert not ordered_eig(co, [1e4], TIE_TOL)[3].any()
-    assert not ordered_spectrum(co, 1e4).degenerate
+    spec = ordered_spectrum(co, 1e4)
+    assert not modulus_order(spec.values[None])[1].any()
+    assert not spec.degenerate
 
 
 def test_match_branches_identity_and_continuity():
@@ -214,7 +212,7 @@ def model_and_energies(draw):
 @given(model_and_energies())
 def test_scalar_calls_are_rows_of_the_batched_kernels(case):
     coeffs, boundary, singular, energies = case
-    values, right, left_rows, tied = ordered_eig(coeffs, energies, TIE_TOL)
+    values, right, left_rows, degenerate = ordered_eig(coeffs, energies)
     stack = transfer_matrices(coeffs, energies)
     bstack = boundary_transfer_matrices(boundary, energies)
     zs = np.where(energies == 0, 1.0, energies)
@@ -223,6 +221,7 @@ def test_scalar_calls_are_rows_of_the_batched_kernels(case):
         spec = ordered_spectrum(coeffs, E)
         assert np.array_equal(spec.values, values[k])
         assert np.array_equal(spec.right_vectors, right[k])
+        assert spec.degenerate == degenerate[k]
         assert np.max(np.abs(spec.left_rows - left_rows[k])) <= 1e-12 * max(
             1.0, np.max(np.abs(left_rows[k])))
         assert np.array_equal(transfer_matrix(coeffs, E), stack[k])
@@ -236,4 +235,4 @@ def test_scalar_calls_are_rows_of_the_batched_kernels(case):
         boundary_transfer_matrix(singular, energies[0])
     assert singular.classify(coeffs) == "custom"
     with pytest.raises(ValueError):
-        ordered_eig(coeffs, np.append(energies, np.nan), TIE_TOL)
+        ordered_eig(coeffs, np.append(energies, np.nan))

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from conftest import gaussian_matrix, nondegenerate_energy, random_model
 from toeplimit import numkernel as nk
 from toeplimit.errors import DegenerateSplit, OnCurve
-from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
-                                 assemble_operator, charpoly_direct,
-                                 winding_number)
-from toeplimit.transfer import (DEGENERACY_TOL, boundary_transfer_matrix,
-                                ordered_spectrum, transfer_matrix)
+from toeplimit.operators import (BoundaryTriple, assemble_operator,
+                                 charpoly_direct, winding_number)
+from toeplimit.transfer import (boundary_transfer_matrix, ordered_spectrum,
+                                transfer_matrix)
 from toeplimit.widom import (charpoly_circulant, charpoly_semipermeable,
                              index_sets, q_hat, q_perturbed, q_tilde,
                              widom_sum_open, widom_sum_perturbed, z_factor)
@@ -66,12 +65,12 @@ def test_q_perturbed_rank_short_circuit():
     assert q_empty == pytest.approx(1.0)  # det(-R_{I^c}) = det(-1)
 
 
-def test_q_invalid_on_degenerate_spectrum():
-    co = CoefficientTriple([[1.0]], [[1.0]], [[0.0]])
-    spec = ordered_spectrum(co, 2.0, degeneracy_tol=1e-6)
-    bd = BoundaryTriple([[0.0]], [[1.0]], [[0.0]])
-    for q in (q_tilde(spec, (0,)), q_hat(spec, np.zeros((1, 1)), (0,)),
-              q_perturbed(spec, bd, (0,))):
+def test_q_invalid_on_degenerate_spectrum(twin_channels):
+    spec = ordered_spectrum(twin_channels, 0.3)
+    zero = np.zeros((2, 2))
+    bd = BoundaryTriple(zero, np.eye(2), zero)
+    for q in (q_tilde(spec, (0, 1)), q_hat(spec, zero, (0, 1)),
+              q_perturbed(spec, bd, (0, 1))):
         assert isinstance(q, complex) and np.isnan(q)
 
 
@@ -113,10 +112,13 @@ def test_widom_sum_terms_sorted_and_dominant(scalar_model):
     assert ws.dominant == (1,)  # the growing branch
 
 
-def test_widom_sum_refuses_degenerate(scalar_model):
+def test_widom_sum_refuses_degenerate(twin_channels):
+    zero = np.zeros((2, 2))
     with pytest.raises(DegenerateSplit):
-        spec = ordered_spectrum(scalar_model, 2.0, degeneracy_tol=1e-6)
-        widom_sum_open(scalar_model, np.zeros((1, 1)), 5, 2.0, spec=spec)
+        widom_sum_open(twin_channels, zero, 5, 0.3)
+    with pytest.raises(DegenerateSplit):
+        widom_sum_perturbed(twin_channels, BoundaryTriple(zero, np.eye(2), zero),
+                            5, 0.3)
 
 
 def test_windowed_q_hat_consistency():
@@ -129,7 +131,7 @@ def test_windowed_q_hat_consistency():
         N = int(rng.integers(3, 7))
         E, spec = nondegenerate_energy(rng, co)
         TE = transfer_matrix(co, E)
-        ws = widom_sum_open(co, co.V, N, E, window=([TE], [TE]), spec=spec)
+        ws = widom_sum_open(co, co.V, N, E, window=([TE], [TE]))
         detT = nk.determinant(co.T)
         direct = charpoly_direct(co, BoundaryTriple.open(co), N + 2, E)
         value = ws.total * detT ** 2
@@ -147,7 +149,7 @@ def model_rank_energy(draw):
     coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
     E = complex(draw(coord), draw(coord))
     spec = ordered_spectrum(coeffs, E)
-    assume(not nk.close_pairs(spec.values, DEGENERACY_TOL).any())
+    assume(not spec.degenerate)
     return coeffs, boundary, E, spec
 
 
@@ -155,11 +157,11 @@ def model_rank_energy(draw):
 @given(model_rank_energy(), st.integers(3, 6))
 def test_widom_sums_match_dense_determinant(case, N):
     coeffs, boundary, E, spec = case
-    perturbed = widom_sum_perturbed(coeffs, boundary, N, E, spec=spec).total
+    perturbed = widom_sum_perturbed(coeffs, boundary, N, E).total
     direct = charpoly_direct(coeffs, boundary, N, E)
     assert abs(perturbed - direct) <= 1e-8 * (1 + abs(direct))
     open_bd = BoundaryTriple.boundary(boundary.C)
-    total = widom_sum_open(coeffs, boundary.C, N, E, spec=spec).total
+    total = widom_sum_open(coeffs, boundary.C, N, E).total
     direct = charpoly_direct(coeffs, open_bd, N, E)
     assert abs(total - direct) <= 1e-8 * (1 + abs(direct))
 
@@ -231,7 +233,7 @@ def test_widom_sums_are_their_one_set_rows(case, N, windowed):
         if windowed:
             G = TE @ G @ TE
         assert repr(q) == repr(complex(np.linalg.det((G @ col)[L:, :])))
-    ws = widom_sum_open(coeffs, boundary.C, N, E, window=window, spec=spec)
+    ws = widom_sum_open(coeffs, boundary.C, N, E, window=window)
     assert_same_sum(ws, reference_sum(spec, sets, N, qvals, detT, 1.0 + 0j))
 
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
@@ -241,6 +243,6 @@ def test_widom_sums_are_their_one_set_rows(case, N, windowed):
         P = written_out_projection(spec, I)
         direct = np.linalg.det(P @ Tbd - (np.eye(2 * L) - P))
         assert repr(q) == repr(complex(direct))
-    ws = widom_sum_perturbed(coeffs, boundary, N, E, spec=spec)
+    ws = widom_sum_perturbed(coeffs, boundary, N, E)
     detB = nk.determinant(boundary.B)
     assert_same_sum(ws, reference_sum(spec, sets, N - 1, qvals, detT, detB))
