@@ -9,6 +9,8 @@ import pytest
 from toeplimit import cli
 from toeplimit.errors import BadConfig
 from toeplimit.limitsets import STAGES
+from toeplimit.numkernel import DEGENERACY_TOL
+from toeplimit.transfer import TIE_TOL
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 SCALAR = os.path.join(CONFIG_DIR, "scalar.json")
@@ -129,15 +131,44 @@ def test_limit_spectrum_manifest_records_stage_seconds(tmp_path):
         assert [e["path"] for e in m["artifacts"]] == ["limit_sets.json"]
 
 
-def test_config_tolerances_are_refused(tmp_path, capsys):
-    # the degeneracy and tie tolerances are fixed constants: a config value
-    # the run would ignore must not look as if it was used
-    config = retagged(tmp_path, DEMO_H, tolerances={"degeneracy": 1e-8})
-    for command in ("limit-spectrum", "verify-widom"):
-        out = tmp_path / command
-        assert run([command, "--config", config, "--out", str(out)]) == 1
-        assert "config error: tolerances" in capsys.readouterr().err
-        assert not out.exists()
+def test_limit_spectrum_scans_with_config_tolerances(tmp_path, capsys):
+    # the degeneracy and tie tolerances are fixed constants: the scan records
+    # them, and a config value the run would ignore must not look used
+    out = tmp_path / "t"
+    code = run(["limit-spectrum", "--config", SCALAR, "--grid", "32,32",
+                "--out", str(out)])
+    assert code == 0
+    meta = json.loads((out / "limit_sets.json").read_text())["metadata"]
+    assert meta["tie_tol"] == TIE_TOL
+    assert meta["degeneracy_tol"] == DEGENERACY_TOL
+    config = retagged(tmp_path, SCALAR,
+                      tolerances={"tie": 0.5, "degeneracy": 1e-3})
+    out = tmp_path / "refused"
+    code = run(["limit-spectrum", "--config", config, "--grid", "32,32",
+                "--out", str(out)])
+    assert code == 1
+    assert "config error: tolerances" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_widom_reads_config_tolerances(tmp_path, capsys):
+    # verify-widom refuses a config naming tolerances; the fixed degeneracy
+    # tolerance still flags a spectrum that is degenerate: two identical
+    # decoupled channels make every transfer eigenvalue double
+    config = retagged(tmp_path, DEMO_H, tolerances={"degeneracy": 10})
+    out = tmp_path / "refused"
+    code = run(["verify-widom", "--config", config, "--E", "0.4,0.3",
+                "--N", "6", "--out", str(out)])
+    assert code == 1
+    assert "config error: tolerances" in capsys.readouterr().err
+    assert not out.exists()
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    twin = retagged(tmp_path, DEMO_H, R=eye, T=eye, V=zero)
+    code = run(["verify-widom", "--config", twin, "--E", "0.3,0",
+                "--N", "6", "--out", str(tmp_path / "w")])
+    assert code == 2
+    assert "DegenerateSplit" in capsys.readouterr().err
 
 
 MALFORMED = {
