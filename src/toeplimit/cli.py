@@ -30,6 +30,8 @@ from .widom import (charpoly_circulant, index_sets, q_hat_sets,
                     q_perturbed_sets, widom_sum_open, widom_sum_perturbed)
 
 CASES = ("circulant", "open", "boundary", "perturbed", "custom")
+CONFIG_KEYS = ("L", "N", "R", "T", "V", "A", "B", "C", "case", "region", "nx",
+               "ny", "seed")
 SKIN_EFFECT_N = 100
 SKIN_EFFECT_NOTE = (
     "note: N > {n} with a non-normal model; dense finite-N eigenvalues can "
@@ -72,15 +74,25 @@ def _decode_matrix(obj, name: str) -> np.ndarray:
         raise BadConfig(f"{name}: {exc}") from exc
 
 
-def _decode_scalar(kind, value, name: str):
-    """``kind(value)`` for kind int or float; a JSON boolean, or a value the
-    conversion refuses, is a config error."""
+def _decode_int(value, name: str) -> int:
+    """A JSON integer, or a float with an integral value; text, a JSON
+    boolean or a fractional number is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise BadConfig(f"{name}: expected an integer, got {value!r}")
+
+
+def _decode_float(value, name: str) -> float:
+    """A JSON number as a float; text, a JSON boolean or an int too large
+    for a float is a config error."""
     try:
-        if not isinstance(value, bool):
-            return kind(value)
-    except (TypeError, ValueError, OverflowError):
+        if _is_number(value):
+            return float(value)
+    except OverflowError:
         pass
-    raise BadConfig(f"{name}: expected {kind.__name__}, got {value!r}")
+    raise BadConfig(f"{name}: expected a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +143,12 @@ def config_from_dict(data: Dict) -> ModelConfig:
         # the run would ignore the values, so they must not look used
         raise BadConfig("tolerances: the degeneracy and tie tolerances are "
                         "fixed constants; remove the key")
-    L = _decode_scalar(int, data["L"], "L")
-    N = _decode_scalar(int, data["N"], "N")
+    unknown = [key for key in data if key not in CONFIG_KEYS]
+    if unknown:
+        # a misspelled key would otherwise run with its default unnoticed
+        raise BadConfig(f"unknown config key: {', '.join(map(repr, unknown))}")
+    L = _decode_int(data["L"], "L")
+    N = _decode_int(data["N"], "N")
     if L < 1:
         raise BadConfig("L >= 1 required")
     if N < 3:
@@ -152,12 +168,12 @@ def config_from_dict(data: Dict) -> ModelConfig:
         raise BadConfig(f"case must be one of {CASES}, got {case!r}")
     region = data.get("region", (-3, 3, -3, 3))
     if isinstance(region, (list, tuple)):
-        region = tuple(_decode_scalar(float, x, "region") for x in region)
+        region = tuple(_decode_float(x, "region") for x in region)
     if not (isinstance(region, tuple) and len(region) == 4
             and region[0] < region[1] and region[2] < region[3]
             and np.all(np.isfinite(region))):
         raise BadConfig("region must be (re_min, re_max, im_min, im_max)")
-    nx, ny, seed = (_decode_scalar(int, data.get(key, default), key)
+    nx, ny, seed = (_decode_int(data.get(key, default), key)
                     for key, default in (("nx", 128), ("ny", 128), ("seed", 0)))
     if nx < 16 or ny < 16:
         raise BadConfig("nx, ny >= 16 required")

@@ -62,13 +62,19 @@ class ScanGrid:
     # (ny, nx) |q| of the q function the scan was given, NaN at masked nodes
     q_field: Optional[np.ndarray] = None
     # work of the equal-modulus detector, summed over its calls on this grid;
-    # with a point filter the counts are taken after its endpoint pre-test,
-    # so they cover only the edges that can hold a kept crossing.
-    # tie_flagged_crossings counts the bisected crossings whose pair ties the
-    # branch below it, before the point filter
+    # with a point filter the candidate counts are taken after its endpoint
+    # pre-test, so they cover only the edges that can hold a kept crossing.
+    # bisection_evals and tie_flagged_crossings count each (pair, edge) once,
+    # when it is first bisected; tie_flagged_crossings counts the bisected
+    # crossings whose pair ties the branch below it, before the point filter
     detector_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "candidate_edges": 0, "swapped_edges": 0, "bisection_evals": 0,
         "crossings_kept": 0, "tie_flagged_crossings": 0})
+    # per branch pair (a, b): the edges the detector has bisected on this
+    # grid, as sorted flat edge ids (horizontal edges row-major, then
+    # vertical), with each crossing point and its sorted-moduli row
+    crossings: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
+                    ] = field(init=False, default_factory=dict)
     # seeds, rounds, q rows and rejections of the outlier stage's Newton runs
     newton_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "newton_seeds": 0, "newton_rounds": 0, "newton_q_rows": 0,
@@ -96,18 +102,17 @@ class ScanGrid:
         return ~(self.degenerate | self.masked)
 
     @cached_property
-    def edge_moves(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Bound on branch movement along each horizontal, then each
-        vertical edge: max_i min_j |v_i(E) - v_j(E')|, the same for every
-        branch pair, so computed once per grid. Twice this is the slack of
-        the pair detector's gap test and of its endpoint pre-test with a
+    def branch_moves(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Movement of each branch along each horizontal, then each vertical
+        edge, (..., 2L): min_j |v_i(E) - v_j(E')| for branch i. The larger
+        of a pair's two is the pair's movement bound; twice it is the slack
+        of the pair detector's gap test and of its endpoint pre-test with a
         point filter."""
         moves = []
         for va, vb in _edges(self.values):
-            move = np.zeros(va.shape[:2])
+            move = np.empty(va.shape)
             for i in range(va.shape[2]):
-                np.maximum(move, np.min(np.abs(va[:, :, i, None] - vb), axis=2),
-                           out=move)
+                move[:, :, i] = np.min(np.abs(va[:, :, i, None] - vb), axis=2)
             moves.append(move)
         return moves[0], moves[1]
 
@@ -457,22 +462,28 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     to the mask of rows kept, each condition loosened by ``slack`` (a scalar
     or one value per row). The crossing points are kept by it at slack 0.
     Before bisecting, an edge is dropped unless one of its endpoint rows
-    passes it at slack ``2 * move``, the bound on how far a branch moves
+    passes it at slack ``2 * move``, with ``move`` the larger of the two
+    branches' ``ScanGrid.branch_moves``: the bound on how far the pair moves
     along the edge that the gap test below also relies on.
+
+    Each (pair, edge) is bisected at most once per grid: the crossing
+    points and sorted-moduli rows are kept in ``scan.crossings``, and a
+    later call on the pair bisects only the swapped edges new to it.
     """
     counts = scan.detector_counts
     gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
     candidates = []
-    for (ok0, ok1), (g0, g1), (m0, m1), move in zip(
+    for (ok0, ok1), (g0, g1), (m0, m1), moves in zip(
             _edges(scan.valid), _edges(gap), _edges(scan.moduli),
-            scan.edge_moves):
+            scan.branch_moves):
+        move = np.maximum(moves[:, :, a], moves[:, :, b])
         # an order swap needs the pair gap to close somewhere on the edge,
         # and the pair to start in order (g0 < 0 only inside a tie group)
         candidate = (ok0 & ok1 & ~(np.minimum(g0, g1) > 2 * move + 1e-12)
                      & ~(g0 < 0))
         if point_filter is not None:
             # a crossing on the edge can pass the filter only if an endpoint
-            # passes it with the edge's movement bound as slack
+            # passes it with the pair's movement bound as slack
             rows, slack = m0.reshape(-1, m0.shape[-1]), 2 * move.ravel()
             reach = (point_filter(rows, a, slack)
                      | point_filter(m1.reshape(rows.shape), a, slack))
@@ -492,14 +503,27 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     rows = np.arange(len(va))
     swapped = np.flatnonzero(rank_b[rows, perm[:, a]] > rank_b[rows, perm[:, b]])
     counts["swapped_edges"] += swapped.size
+    # bisect only the swapped edges this pair has not met on the grid yet
+    edge_ids = np.flatnonzero(np.concatenate([m.ravel() for m in candidates]))
+    swapped_ids = edge_ids[swapped]
+    known_ids, known_points, known_mods = scan.crossings.get(
+        (a, b), (np.empty(0, np.intp), np.empty(0, complex),
+                 np.empty((0, 2 * scan.L))))
+    new = swapped[~np.isin(swapped_ids, known_ids)]
     energies = scan.energies
-    points = _bisect_crossings(scan, a, b, va[swapped],
-                               gather(energies, 0)[swapped],
-                               gather(energies, 1)[swapped])
+    points = _bisect_crossings(scan, a, b, va[new], gather(energies, 0)[new],
+                               gather(energies, 1)[new])
     mods = _sorted_moduli(transfer_matrices(scan.coeffs, points))
     if a >= 1:
         counts["tie_flagged_crossings"] += int(np.sum(
             mods[:, a] - mods[:, a - 1] < TIE_TOL * (1 + mods[:, a])))
+    ids = np.concatenate([known_ids, edge_ids[new]])
+    order = np.argsort(ids)
+    ids, points, mods = scan.crossings[(a, b)] = (
+        ids[order], np.concatenate([known_points, points])[order],
+        np.concatenate([known_mods, mods])[order])
+    at_edge = np.searchsorted(ids, swapped_ids)
+    points, mods = points[at_edge], mods[at_edge]
     if point_filter is not None:
         keep = point_filter(mods, a, 0.0)
         swapped, points = swapped[keep], points[keep]

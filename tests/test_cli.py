@@ -184,6 +184,14 @@ MALFORMED = {
     "R-pair-bool": {"R": [[[1, False]]]},
     "R-flat": {"R": [1]},
     "V-huge": {"V": [[10 ** 400]]},
+    "N-fraction": {"N": 5.9},
+    "nx-fraction": {"nx": 64.7},
+    "ny-fraction": {"ny": 32.5},
+    "L-fraction": {"L": 1.5},
+    "seed-fraction": {"seed": 0.25},
+    "N-numeric-text": {"N": "7"},
+    "nx-numeric-text": {"nx": "32"},
+    "region-numeric-text": {"region": [0, 1, "-1", 2]},
 }
 
 
@@ -195,6 +203,32 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, changes):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_integral_float_config_value_is_an_integer(tmp_path):
+    config = retagged(tmp_path, SCALAR, N=6.0, nx=32.0, ny=32, seed=3.0)
+    cfg = cli.load_config(config)
+    assert (cfg.N, cfg.nx, cfg.ny, cfg.seed) == (6, 32, 32, 3)
+    assert all(type(v) is int for v in (cfg.L, cfg.N, cfg.nx, cfg.ny, cfg.seed))
+    out = tmp_path / "o"
+    assert run(["limit-spectrum", "--config", config, "--out", str(out)]) == 0
+    recorded = manifest(out)["config"]
+    assert [recorded[k] for k in ("N", "nx", "ny", "seed")] == [6, 32, 32, 3]
+
+
+@pytest.mark.parametrize("command", [["limit-spectrum"],
+                                     ["verify-widom", "--E", "0.4,0.3"]])
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, command):
+    config = retagged(tmp_path, SCALAR, regoin=[0, 1, 0, 1])
+    out = tmp_path / "o"
+    assert run(command + ["--config", config, "--out", str(out)]) == 1
+    assert "config error: unknown config key: 'regoin'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    # every shipped config uses only the known keys
+    for name in os.listdir(CONFIG_DIR):
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            assert set(json.load(fh)) <= set(cli.CONFIG_KEYS), name
 
 
 def test_limit_spectrum_csv_format(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from functools import partial
@@ -271,11 +272,12 @@ def test_detector_counts_in_metadata():
     keys = ("candidate_edges", "swapped_edges", "bisection_evals",
             "crossings_kept", "sigma_tie_nodes", "tie_flagged_crossings")
     pins = [("scalar", None, (432, 84, 588, 84, 0, 0)),
-            # without the endpoint pre-test the fold pairs of these three
-            # bisect every swapped edge: 1,855 / 2,170 / 2,520 evaluations
+            # without the endpoint pre-test these three bisect every swapped
+            # edge: 1,855 evaluations each, as the fold pairs bisect every
+            # edge of the Lambda pair first
             ("demo_circulant", 64, (219, 42, 294, 3, 0, 0)),
             ("demo_H", 64, (219, 42, 294, 3, 0, 0)),
-            ("demo_boundary", 64, (737, 137, 959, 98, 0, 0))]
+            ("demo_boundary", 64, (672, 137, 938, 98, 0, 0))]
     for name, grid, counts in pins:
         first, again = config_run(name, grid), config_run(name, grid)
         assert {k: first.metadata[k] for k in keys} == dict(zip(keys, counts))
@@ -526,20 +528,23 @@ def test_boundary_outliers_stable_under_grid_refinement():
 
 def loop_crossings(scan, a, b):
     """Per-edge reference of the equal-modulus detector: edges where branch
-    matching swaps the ordered pair (a, b), bisected to h/100."""
+    matching swaps the ordered pair (a, b), bisected to h/100. An edge is
+    tried only if the pair gap can close within twice the pair's movement,
+    the larger of min_j |v_i(E) - v_j(E')| over i in (a, b)."""
     gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
     edges = [((iy, ix), (iy, ix + 1)) for iy in range(scan.ny)
              for ix in range(scan.nx - 1)]
     edges += [((iy, ix), (iy + 1, ix)) for iy in range(scan.ny - 1)
               for ix in range(scan.nx)]
-    points = []
+    candidates, points = 0, []
     for n0, n1 in edges:
         if not (scan.valid[n0] and scan.valid[n1]):
             continue
         va, vb = scan.values[n0], scan.values[n1]
-        move = np.max(np.min(np.abs(va[:, None] - vb[None, :]), axis=1))
+        move = np.max(np.min(np.abs(va[[a, b], None] - vb[None, :]), axis=1))
         if min(gap[n0], gap[n1]) > 2 * move + 1e-12 or gap[n0] < 0:
             continue
+        candidates += 1
         perm = match_branches(va, vb)
         rank_b = np.argsort(np.argsort(np.abs(vb), kind="stable"), kind="stable")
         if rank_b[perm[a]] <= rank_b[perm[b]]:
@@ -556,17 +561,19 @@ def loop_crossings(scan, a, b):
             else:
                 hi = mid
         points.append(Ea + 0.5 * (lo + hi) * (Eb - Ea))
-    return points
+    return candidates, points
 
 
 def test_pair_detector_matches_per_edge_reference(demo_model):
     scan = scan_grid(demo_model, REGION, 40, 40)
     for a in range(3):
-        before = scan.detector_counts["swapped_edges"]
+        before = dict(scan.detector_counts)
         arcs = _lambda_pair_arcs(scan, a, a + 1, "Lambda", None)
-        reference = loop_crossings(scan, a, a + 1)
+        candidates, reference = loop_crossings(scan, a, a + 1)
         assert reference
-        assert scan.detector_counts["swapped_edges"] - before == len(reference)
+        work = {k: v - before[k] for k, v in scan.detector_counts.items()}
+        assert work["candidate_edges"] == candidates
+        assert work["swapped_edges"] == len(reference)
         assert set(arc_points(arcs).tolist()) <= set(reference)
 
 
@@ -592,6 +599,28 @@ def pruning_scans():
         yield f"L{L}", scan_grid(coeffs, Region(-4, 4, -4, 4), 48, 48)
 
 
+def fresh(scan):
+    """The scan's solved grid with no crossings bisected on it yet and zero
+    detector counts: a scan_grid of its own."""
+    return dataclasses.replace(scan)
+
+
+def detector_run(scan, a, label, point_filter):
+    """The pair detector's arcs on (a, a + 1) and the counts it added."""
+    before = dict(scan.detector_counts)
+    arcs = _lambda_pair_arcs(scan, a, a + 1, label, 1,
+                             point_filter=point_filter)
+    return arcs, {k: v - before[k] for k, v in scan.detector_counts.items()}
+
+
+def assert_same_arcs(arcs, reference, where):
+    assert len(arcs) == len(reference), where
+    for p, q in zip(arcs, reference):
+        assert same_bits(p.points, q.points), where
+        assert (p.label, p.r, p.crossing_index) == (
+            q.label, q.r, q.crossing_index), where
+
+
 def test_endpoint_pretest_keeps_every_crossing():
     total = {"pruned": 0, "unpruned": 0, "kept": 0}
     for name, scan in pruning_scans():
@@ -601,27 +630,81 @@ def test_endpoint_pretest_keeps_every_crossing():
         pairs = ([(a, "Sigma_r", fold) for a in range(2 * L - 1)]
                  + [(a, "Lambda_r", _unit_side) for a in range(L)])
         for a, label, point_filter in pairs:
-            runs = []
-            for f in (point_filter, unpruned(point_filter)):
-                before = dict(scan.detector_counts)
-                arcs = _lambda_pair_arcs(scan, a, a + 1, label, 1,
-                                         point_filter=f)
-                runs.append((arcs, {k: v - before[k] for k, v
-                                    in scan.detector_counts.items()}))
-            (pruned, work), (full, full_work) = runs
+            # each run on its own grid, so neither reuses the other's
+            # bisections and their work compares
+            pruned, work = detector_run(fresh(scan), a, label, point_filter)
+            full, full_work = detector_run(fresh(scan), a, label,
+                                           unpruned(point_filter))
             where = (name, a, label)
-            assert len(pruned) == len(full), where
-            for p, q in zip(pruned, full):
-                assert same_bits(p.points, q.points), where
-                assert (p.label, p.r, p.crossing_index) == (
-                    q.label, q.r, q.crossing_index), where
+            assert_same_arcs(pruned, full, where)
             assert work["crossings_kept"] == full_work["crossings_kept"], where
             assert work["swapped_edges"] <= full_work["swapped_edges"], where
+            assert work["bisection_evals"] <= full_work["bisection_evals"], where
             total["pruned"] += work["bisection_evals"]
             total["unpruned"] += full_work["bisection_evals"]
             total["kept"] += work["crossings_kept"]
     # the models have kept crossings, and the pre-test saves work
     assert total["kept"] > 0 and total["pruned"] < total["unpruned"]
+
+
+def test_lambda_after_sigma_bisects_no_edge_twice(monkeypatch):
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, "demo_boundary.json"))
+    scan = scan_grid(cfg.coeffs, Region(*cfg.region), 64, 64)
+    bisected = []
+    bisect = limitsets._bisect_crossings
+
+    def recording(scan, a, b, base, Ea, Eb):
+        bisected.append({(a, b, complex(e0), complex(e1))
+                         for e0, e1 in zip(Ea, Eb)})
+        return bisect(scan, a, b, base, Ea, Eb)
+
+    monkeypatch.setattr(limitsets, "_bisect_crossings", recording)
+    sigma_r(scan, scan.L)
+    by_sigma = set().union(*bisected)
+    del bisected[:]
+    before = dict(scan.detector_counts)
+    lam = lambda_open(scan)
+    assert not by_sigma & set().union(*bisected)
+    # a lambda_open on a grid of its own bisects edges the fold pair had
+    # bisected, and finds the same arcs and the same kept crossings
+    alone = fresh(scan)
+    del bisected[:]
+    assert_same_arcs(lam, lambda_open(alone), "lambda_open")
+    assert by_sigma & set().union(*bisected)
+    assert (scan.detector_counts["crossings_kept"] - before["crossings_kept"]
+            == alone.detector_counts["crossings_kept"] > 0)
+
+
+def all_branch_bound(scan):
+    """A fresh scan of the same grid whose every branch moves by the
+    all-branch bound max_i min_j |v_i(E) - v_j(E')| along each edge: the
+    pair detector's slack before the pair bound."""
+    reference = fresh(scan)
+    reference.branch_moves = tuple(
+        np.broadcast_to(m.max(axis=2, keepdims=True), m.shape)
+        for m in scan.branch_moves)
+    return reference
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_pair_bound_and_reuse_keep_the_arcs(L):
+    """Every detector call of the pipeline, in pipeline order on one scan,
+    gives the arcs of an all-branch-bound run on a fresh scan of its own."""
+    coeffs, _ = random_model(np.random.default_rng(500 + L), L)
+    scan = scan_grid(coeffs, Region(-4, 4, -4, 4), 40, 40)
+    calls = [partial(sigma_r, r=L), lambda_open]
+    for r in range(L + 1):
+        calls += [partial(sigma_r, r=r), partial(lambda_r, r=r)]
+    kept = evals = 0
+    for call in calls:
+        arcs = call(scan)
+        reference = all_branch_bound(scan)
+        assert_same_arcs(arcs, call(reference), (L, call))
+        kept += reference.detector_counts["crossings_kept"]
+        evals += reference.detector_counts["bisection_evals"]
+    counts = scan.detector_counts
+    assert counts["crossings_kept"] == kept > 0
+    assert counts["bisection_evals"] < evals
 
 
 @pytest.mark.parametrize("kind", ["modulus", "saddles"])
