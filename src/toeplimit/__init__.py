@@ -7,7 +7,8 @@ from .errors import (BadConfig, ConvergenceFailure, DegenerateSplit,
                      RankMismatch, SingularMatrix, ToeplimitError, ZeroArgument)
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
                         charpoly_direct, circulant_spectrum_fft, eval_symbol,
-                        finite_spectrum, numerical_rank, winding_number)
+                        finite_spectrum, winding_number)
+from .numkernel import numerical_rank
 from .transfer import (TransferSpectrum, boundary_transfer_matrix,
                        match_branches, ordered_spectrum, riesz_projection,
                        riesz_projection_contour, transfer_matrix)

@@ -12,7 +12,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
                      SingularMatrix)
-from .operators import BoundaryTriple, CoefficientTriple, numerical_rank
+from .operators import BoundaryTriple, CoefficientTriple
 from .transfer import ordered_spectrum
 from .widom import index_sets, q_perturbed_sets
 
@@ -141,7 +141,7 @@ def frames_from_projection(P, rank: Optional[int] = None,
     norm = float(np.linalg.norm(P))
     if np.linalg.norm(P @ P - P) > tol * (1.0 + norm ** 2):
         raise NotAProjection(f"||P^2 - P|| too large ({norm:.3e})")
-    numeric = numerical_rank(P, tol=1e-8)
+    numeric = nk.numerical_rank(P, tol=1e-8)
     if rank is None:
         rank = numeric
     elif rank != numeric:
@@ -255,7 +255,7 @@ def genericity_check(trials: int, L: int = 2,
         R, T, V, A, B, C = (draw() for _ in range(6))
         entry = {"seed": trial_seed.entropy if isinstance(trial_seed.entropy, int)
                  else list(trial_seed.entropy)}
-        if numerical_rank(A) != L:
+        if nk.numerical_rank(A) != L:
             rank_mismatch += 1
             entry["status"] = "rank_mismatch"
             per_trial.append(entry)

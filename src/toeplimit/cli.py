@@ -177,6 +177,8 @@ def config_from_dict(data: Dict) -> ModelConfig:
                     for key, default in (("nx", 128), ("ny", 128), ("seed", 0)))
     if nx < 16 or ny < 16:
         raise BadConfig("nx, ny >= 16 required")
+    if seed < 0:
+        raise BadConfig("seed >= 0 required")
     cfg = ModelConfig(L, N, R, T, V, A, B, C, case, region, nx, ny, seed)
     try:
         actual = cfg.boundary.classify(cfg.coeffs)
@@ -449,12 +451,12 @@ def _cmd_plot_data(args) -> int:
 
 
 def _parse_pair(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError("expected re or re,im")
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError("expected re or re,im")
+    if not np.all(np.isfinite(parts)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text}")
+    return complex(*parts)
 
 
 def _parse_tuple(kind, names: str):
@@ -467,10 +469,12 @@ def _parse_tuple(kind, names: str):
     return parse
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, zero: bool = False) -> int:
+    """argparse type: an integer >= 1, or >= 0 with ``zero``."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    if value < (0 if zero else 1):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {0 if zero else 1}, got {value}")
     return value
 
 
@@ -538,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
                 _cmd_genericity, config=False)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--L", type=_positive_int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=partial(_positive_int, zero=True),
+                   default=0)
 
     command("plot-data", "emit plot-ready series files", _cmd_plot_data,
             "--workers", "--N", "--r")

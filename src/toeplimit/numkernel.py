@@ -1,19 +1,17 @@
 """Dense complex linear-algebra foundation.
 
 All matrices are plain complex128 ndarrays with value semantics; the helpers
-here add the validation, the biorthogonal left eigenvectors and the pivot-level
-singularity checks that the rest of the package relies on.
+here add the validation, the biorthogonal left eigenvectors and the rank rule
+that decides both numerical rank and invertibility for the rest of the package.
 """
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceFailure, NonSquare, SingularMatrix
 
 DEGENERACY_TOL = 1e-8
-SINGULARITY_TOL = 1e-12
+RANK_TOL = 1e-10
 
 
 def as_cmatrix(data) -> np.ndarray:
@@ -96,26 +94,19 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(m))
 
 
-def solve(m, rhs) -> np.ndarray:
-    """Solve m @ x = rhs, rejecting numerically singular m at pivot level."""
-    m = _require_square(m)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    if rhs.shape[0] != m.shape[0]:
-        raise ValueError("row count of RHS does not match matrix")
-    if m.shape[0] == 0:
-        return rhs.copy()
-    with warnings.catch_warnings():
-        # the pivot check below owns singularity reporting
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = SINGULARITY_TOL * max(np.max(np.abs(m).sum(axis=1)), 1e-300)
-    if np.min(pivots) < threshold:
-        raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below threshold {threshold:.3e}")
-    return sla.lu_solve((lu, piv), rhs, check_finite=False)
+def numerical_rank(m, tol: float = RANK_TOL) -> int:
+    """Count of singular values above ``tol`` times the largest. This is the
+    package's one rank rule; ``inverse`` refuses what it calls deficient."""
+    s = np.linalg.svd(as_cmatrix(m), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def inverse(m) -> np.ndarray:
+    """Inverse of a square matrix of full numerical rank."""
     m = _require_square(m)
-    return solve(m, np.eye(m.shape[0], dtype=np.complex128))
+    rank = numerical_rank(m)
+    if rank < m.shape[0]:
+        raise SingularMatrix(f"numerical rank {rank} of {m.shape[0]}")
+    return np.linalg.inv(m)

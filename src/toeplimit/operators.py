@@ -12,7 +12,6 @@ import numpy as np
 from . import numkernel as nk
 from .errors import OnCurve, SingularMatrix, ZeroArgument
 
-RANK_TOL = 1e-10
 WINDING_START_SAMPLES = 512
 WINDING_MAX_SAMPLES = 1 << 16
 
@@ -54,13 +53,6 @@ class CoefficientTriple:
         return CoefficientTriple(self.T, self.R, self.V)
 
 
-def numerical_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
-    s = np.linalg.svd(nk.as_cmatrix(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
-
-
 @dataclass(frozen=True)
 class BoundaryTriple:
     """Corner blocks: A (top-right), B (bottom-left), C (top-left diagonal)."""
@@ -81,7 +73,7 @@ class BoundaryTriple:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "rank_A", numerical_rank(A))
+        object.__setattr__(self, "rank_A", nk.numerical_rank(A))
         try:
             Binv = nk.inverse(B)
         except SingularMatrix:

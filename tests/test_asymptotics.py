@@ -9,7 +9,7 @@ from toeplimit.asymptotics import (FrameSet, frames_from_projection,
                                    q_leading, q_tilde_leading,
                                    riesz_leading_full, rt_spectral_data)
 from toeplimit.errors import (NotAProjection, NotSimpleSpectrum, RankMismatch)
-from toeplimit.operators import BoundaryTriple, numerical_rank
+from toeplimit.operators import BoundaryTriple
 from toeplimit.transfer import ordered_spectrum, riesz_projection
 from toeplimit.widom import index_sets, q_hat, q_perturbed, q_tilde
 
@@ -65,8 +65,8 @@ def test_perturbed_rt_helper_is_explicit():
 def test_rank_bookkeeping():
     co, bd, rt, _ = simple_instance(31, 2)
     for I in index_sets(4, range(5)):
-        assert (numerical_rank(rt.PR_of(I)) + numerical_rank(rt.PT_of(I))
-                == len(I))
+        assert (nk.numerical_rank(rt.PR_of(I))
+                + nk.numerical_rank(rt.PT_of(I)) == len(I))
 
 
 def test_frames_basic_and_invariants():

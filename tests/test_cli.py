@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +191,7 @@ MALFORMED = {
     "ny-fraction": {"ny": 32.5},
     "L-fraction": {"L": 1.5},
     "seed-fraction": {"seed": 0.25},
+    "seed-negative": {"seed": -3},
     "N-numeric-text": {"N": "7"},
     "nx-numeric-text": {"nx": "32"},
     "region-numeric-text": {"region": [0, 1, "-1", 2]},
@@ -402,6 +405,11 @@ OUT_OF_RANGE = {
                   "--tolerance=-0.1"],
     "tolerance-nan": ["asymptotics-check", "--config", SCALAR,
                       "--tolerance", "nan"],
+    # a non-finite energy reached as_cmatrix and ended in a traceback
+    "E-nan": ["verify-widom", "--config", SCALAR, "--E", "nan"],
+    "E-inf": ["verify-widom", "--config", SCALAR, "--E=inf,0"],
+    # numpy's SeedSequence refused it with a traceback
+    "seed": ["genericity", "--seed", "-1"],
 }
 
 
@@ -491,3 +499,13 @@ def test_manifest_checksums_match_the_written_files(tmp_path, command):
     for e in artifacts:
         data = (out / e["path"]).read_bytes()
         assert e["checksum"] == hashlib.sha256(data).hexdigest()
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, toeplimit.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import pytest
 
 from toeplimit import numkernel as nk
 from toeplimit.errors import ConvergenceFailure, NonSquare, SingularMatrix
+from toeplimit.operators import BoundaryTriple, CoefficientTriple
 
 
 def test_as_cmatrix_accepts_lists():
@@ -69,7 +70,7 @@ def test_solve_and_inverse():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     rhs = rng.standard_normal((5, 2))
-    x = nk.solve(m, rhs)
+    x = nk.inverse(m) @ rhs
     assert np.linalg.norm(m @ x - rhs) < 1e-10
     assert np.linalg.norm(m @ nk.inverse(m) - np.eye(5)) < 1e-10
 
@@ -77,4 +78,21 @@ def test_solve_and_inverse():
 def test_solve_singular_raises():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrix):
-        nk.solve(singular, np.eye(2))
+        nk.inverse(singular)
+
+
+def test_singularity_rule_is_the_rank_rule():
+    # condition 1e11: an LU pivot test at 1e-12 accepted it, the rank rule
+    # (RANK_TOL = 1e-10) does not
+    near = np.diag([1.0, 1e-11])
+    assert nk.numerical_rank(near) == 1
+    with pytest.raises(SingularMatrix):
+        nk.inverse(near)
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    with pytest.raises(SingularMatrix):
+        CoefficientTriple(eye, near, zero)
+    assert np.allclose(nk.inverse(np.diag([1.0, 1e-9])), np.diag([1.0, 1e9]),
+                       rtol=1e-15, atol=0)
+    coeffs = CoefficientTriple(eye, eye, zero)
+    assert BoundaryTriple(eye, near, eye).classify(coeffs) == "custom"
+    assert BoundaryTriple(eye, eye, eye).classify(coeffs) == "perturbed"

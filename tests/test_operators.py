@@ -6,11 +6,11 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import random_model
 from toeplimit.errors import OnCurve, SingularMatrix, ZeroArgument
+from toeplimit.numkernel import numerical_rank
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  assemble_operator, charpoly_direct,
                                  circulant_spectrum_fft, eval_symbol,
-                                 finite_spectrum, numerical_rank,
-                                 winding_number)
+                                 finite_spectrum, winding_number)
 from toeplimit.transfer import ordered_spectrum
 from toeplimit.widom import transfer_recursion_residual
 
