@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import numkernel as nk
-from .asymptotics import (genericity_check, q_hat_leading, q_leading,
-                          rt_spectral_data)
+from .asymptotics import (COEFF_TOL, genericity_check, q_hat_leading,
+                          q_leading, rt_spectral_data)
 from .errors import BadConfig, ToeplimitError
 from .limitsets import Region, check_rank, compute_limit_sets
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
@@ -397,7 +397,7 @@ def _cmd_asymptotics_check(args) -> int:
     rows = [{"kind": kind, "I": list(I),
              "deviation": float(abs(q / (coeff * E ** expo) - 1))}
             for kind, I, (coeff, expo), q in checks
-            if not np.isnan(q) and abs(coeff) >= 1e-12]
+            if not np.isnan(q) and abs(coeff) > COEFF_TOL]
     worst = max([0.0, *(row["deviation"] for row in rows)])
     ok = bool(worst <= args.tolerance)
     report = {"E": _encode_complex(E), "magnitude": magnitude,

@@ -14,19 +14,33 @@ DEGENERACY_TOL = 1e-8
 RANK_TOL = 1e-10
 
 
-def as_cmatrix(data) -> np.ndarray:
-    """Coerce to a 2-D complex128 array and reject non-finite entries."""
-    m = np.array(data, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+def as_cstack(data) -> np.ndarray:
+    """A complex128 matrix or (..., r, c) stack of matrices to read: the
+    array itself when it already is one, else a converted copy. Non-finite
+    entries are rejected."""
+    m = np.asarray(data, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ValueError(f"expected a 2-D matrix or a stack of them, "
+                         f"got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
+def as_cmatrix(data) -> np.ndarray:
+    """Coerce to a new 2-D complex128 array and reject non-finite entries."""
+    m = np.array(data, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    return as_cstack(m)
+
+
+def _require_square(m, stack: bool = False) -> np.ndarray:
+    """``m`` as a square matrix, or stack of them, to read."""
+    m = as_cstack(m)
+    if not stack and m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.shape[-2] != m.shape[-1]:
         raise NonSquare(f"matrix of shape {m.shape} is not square")
     return m
 
@@ -94,19 +108,25 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(m))
 
 
-def numerical_rank(m, tol: float = RANK_TOL) -> int:
-    """Count of singular values above ``tol`` times the largest. This is the
+def numerical_rank(m, tol: float = RANK_TOL):
+    """Count of singular values above ``tol`` times the largest: an int for
+    one matrix, an int array over the leading axes of a stack. This is the
     package's one rank rule; ``inverse`` refuses what it calls deficient."""
-    s = np.linalg.svd(as_cmatrix(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    m = as_cstack(m)
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.shape[-1] == 0:
+        rank = np.zeros(s.shape[:-1], dtype=int)
+    else:
+        # a zero matrix counts no singular value above 0
+        rank = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return int(rank) if m.ndim == 2 else rank
 
 
 def inverse(m) -> np.ndarray:
-    """Inverse of a square matrix of full numerical rank."""
-    m = _require_square(m)
+    """Inverse of a square matrix of full numerical rank, or of each matrix
+    of a stack; one deficient matrix refuses the stack."""
+    m = _require_square(m, stack=True)
     rank = numerical_rank(m)
-    if rank < m.shape[0]:
-        raise SingularMatrix(f"numerical rank {rank} of {m.shape[0]}")
+    if np.any(rank < m.shape[-1]):
+        raise SingularMatrix(f"numerical rank {np.min(rank)} of {m.shape[-1]}")
     return np.linalg.inv(m)

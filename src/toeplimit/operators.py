@@ -5,6 +5,7 @@ corner perturbation (A, B, C): C replaces the top-left diagonal block, A sits
 in the top-right corner and B in the bottom-left corner.
 """
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ class CoefficientTriple:
     T: np.ndarray
     V: np.ndarray
     Tinv: np.ndarray = field(init=False, repr=False, compare=False)
+    detT: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = nk.as_cmatrix(self.R)
@@ -43,6 +45,7 @@ class CoefficientTriple:
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "Tinv", inv)   # the loop ends on T
+        object.__setattr__(self, "detT", nk.determinant(T))
 
     @property
     def L(self) -> int:
@@ -61,6 +64,7 @@ class BoundaryTriple:
     C: np.ndarray
     rank_A: int = field(init=False)
     Binv: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    detB: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = nk.as_cmatrix(self.A)
@@ -79,6 +83,7 @@ class BoundaryTriple:
         except SingularMatrix:
             Binv = None   # no boundary transfer matrix
         object.__setattr__(self, "Binv", Binv)
+        object.__setattr__(self, "detB", nk.determinant(B))
 
     @property
     def L(self) -> int:
@@ -124,11 +129,12 @@ def assemble_operator(coeffs: CoefficientTriple, boundary: BoundaryTriple,
         raise ValueError("N >= 3 required so corner blocks stay off the band")
     L = coeffs.L
     H = np.zeros((N * L, N * L), dtype=np.complex128)
-    for n in range(N):
-        H[n * L:(n + 1) * L, n * L:(n + 1) * L] = coeffs.V
-    for n in range(N - 1):
-        H[n * L:(n + 1) * L, (n + 1) * L:(n + 2) * L] = coeffs.T
-        H[(n + 1) * L:(n + 2) * L, n * L:(n + 1) * L] = coeffs.R
+    # block (m, n) of H is blocks[m, :, n, :]
+    blocks = H.reshape(N, L, N, L)
+    site = np.arange(N)
+    blocks[site, :, site, :] = coeffs.V
+    blocks[site[:-1], :, site[1:], :] = coeffs.T
+    blocks[site[1:], :, site[:-1], :] = coeffs.R
     H[:L, :L] = boundary.C
     H[:L, (N - 1) * L:] = boundary.A
     H[(N - 1) * L:, :L] = boundary.B
@@ -147,18 +153,42 @@ def circulant_spectrum_fft(coeffs: CoefficientTriple, N: int) -> np.ndarray:
     return np.linalg.eigvals(eval_symbol(coeffs, z)).ravel()
 
 
+# one per level of winding refinement, 512 to WINDING_MAX_SAMPLES
+@lru_cache(maxsize=8)
+def _unit_circle(n: int) -> np.ndarray:
+    """exp(2 pi i k / n) for k < n, read-only."""
+    points = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    points.flags.writeable = False
+    return points
+
+
+def _symbol_det_samples(coeffs: CoefficientTriple, E: complex, n: int,
+                       coarse: Optional[np.ndarray] = None) -> np.ndarray:
+    """det(H(z) - E) at the n points z of ``_unit_circle(n)``. Given the
+    n / 2 samples of the previous level as ``coarse``, only the odd points
+    are evaluated: the even ones are those samples, bit for bit, since
+    2 pi (2k) / n and 2 pi k / (n / 2) round alike."""
+    eye = np.eye(coeffs.L, dtype=np.complex128)
+    z = _unit_circle(n)
+    if coarse is None:
+        return np.linalg.det(eval_symbol(coeffs, z) - E * eye)
+    d = np.empty(n, dtype=np.complex128)
+    d[0::2] = coarse
+    d[1::2] = np.linalg.det(eval_symbol(coeffs, z[1::2]) - E * eye)
+    return d
+
+
 def winding_number(coeffs: CoefficientTriple, E: complex) -> int:
     """Winding of theta -> det(H(e^{i theta}) - E) around 0.
 
     Uses summed phase increments with adaptive doubling of the sample count
-    until the rounded integer is stable.
+    until the rounded integer is stable; each doubling evaluates only the
+    new samples.
     """
-    eye = np.eye(coeffs.L, dtype=np.complex128)
     previous = None
     n = WINDING_START_SAMPLES
+    d = _symbol_det_samples(coeffs, E, n)
     while True:
-        theta = 2 * np.pi * np.arange(n) / n
-        d = np.linalg.det(eval_symbol(coeffs, np.exp(1j * theta)) - E * eye)
         mag = np.abs(d)
         if np.min(mag) < 1e-12 * max(np.max(mag), 1e-300):
             raise OnCurve(f"symbol determinant vanishes near E = {E}")
@@ -175,10 +205,12 @@ def winding_number(coeffs: CoefficientTriple, E: complex) -> int:
             raise OnCurve(f"winding did not stabilize at E = {E}")
         previous = wind if (residual < 0.1 and jump < 0.9 * np.pi) else None
         n *= 2
+        d = _symbol_det_samples(coeffs, E, n, d)
 
 
 def charpoly_direct(coeffs: CoefficientTriple, boundary: BoundaryTriple,
                     N: int, E: complex) -> complex:
     """Brute-force det(H_N - E) via the dense assembled operator."""
     H = assemble_operator(coeffs, boundary, N)
-    return nk.determinant(H - E * np.eye(H.shape[0], dtype=np.complex128))
+    H[np.diag_indices_from(H)] -= E
+    return nk.determinant(H)

@@ -5,7 +5,8 @@ eigenvalue recursion by one site; its eigenvalues z_1(E), ..., z_2L(E), kept
 in non-decreasing modulus order, drive every limit-spectrum formula.
 """
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -14,14 +15,16 @@ from .errors import DegenerateSplit, SingularMatrix
 from .operators import BoundaryTriple, CoefficientTriple
 
 TIE_TOL = 1e-6
+# entries of each index-set memo (size_groups here, widom.index_sets)
+MEMO_SIZE = 256
 
 
 def _transfer_stack(energies, diag: np.ndarray, corner: np.ndarray,
                     inv: np.ndarray) -> np.ndarray:
     """[[ (E - diag) inv, -corner ], [ inv, 0 ]] for each entry of a flat
-    energy array."""
+    energy array; the blocks are (L, L) or (n, L, L), one row per energy."""
     energies = np.asarray(energies, dtype=np.complex128)
-    L = inv.shape[0]
+    L = inv.shape[-1]
     out = np.zeros((energies.size, 2 * L, 2 * L), dtype=np.complex128)
     out[:, :L, :L] = (energies[:, None, None] * np.eye(L) - diag) @ inv
     out[:, :L, L:] = -corner
@@ -81,7 +84,8 @@ def ordered_eig(coeffs: CoefficientTriple, energies):
     """Modulus-ordered eigen-triples of the transfer matrices at a flat array
     of energies: values (n, 2L), right vector columns and biorthogonal left
     rows (n, 2L, 2L), and the (n,) flags of ``nk.close_pairs``, True where
-    the spectrum is degenerate."""
+    the spectrum is degenerate. ``coeffs`` may also hold (n, L, L) stacks
+    of R, V and T^{-1}, one row per energy."""
     # the stack is built in the call, so it is freed before the inverse below
     values, right = nk.eig_stack(transfer_matrices(coeffs, energies))
     # inverting before the reorder gives exactly the left rows of
@@ -119,15 +123,29 @@ def ordered_spectrum(coeffs: CoefficientTriple, E: complex) -> TransferSpectrum:
 
 
 def size_groups(sets: Sequence[Sequence[int]], n: int):
-    """Per set size k: the positions of the k-member sets in ``sets``, and
-    their sorted distinct members, checked to lie in [0, n), as a
-    (positions, k) array."""
+    """Per set size k, in increasing k: the positions of the k-member sets
+    in ``sets``, and their sorted distinct members, checked to lie in
+    [0, n), as a (positions, k) array; both arrays are read-only intp.
+
+    Computed once per (sets, n): a list or a tuple of sets, and a list or a
+    tuple of members, give the same key, and each call returns a fresh
+    list."""
+    return list(_size_groups(tuple(map(tuple, sets)), n))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _size_groups(sets: Tuple[Tuple[int, ...], ...], n: int):
     idxs = [sorted(set(int(i) for i in I)) for I in sets]
     if any(I and not 0 <= I[0] <= I[-1] < n for I in idxs):
         raise ValueError(f"branch indices out of range: {list(sets)}")
+    groups = []
     for k in sorted({len(I) for I in idxs}):
-        rows = [r for r, I in enumerate(idxs) if len(I) == k]
-        yield rows, np.array([idxs[r] for r in rows], dtype=int)
+        rows = np.array([r for r, I in enumerate(idxs) if len(I) == k],
+                        dtype=np.intp)
+        idx = np.array([idxs[r] for r in rows], dtype=np.intp)
+        rows.flags.writeable = idx.flags.writeable = False
+        groups.append((rows, idx))
+    return tuple(groups)
 
 
 def riesz_projections(right: np.ndarray, left_rows: np.ndarray,
@@ -141,11 +159,14 @@ def riesz_projections(right: np.ndarray, left_rows: np.ndarray,
 
 def set_projections(right: np.ndarray, left_rows: np.ndarray,
                     sets: Sequence[Sequence[int]]) -> np.ndarray:
-    """(n_sets, 2L, 2L) projectors of one (2L, 2L) right-column and left-row
-    pair, one product per set size, each row as ``riesz_projections``."""
-    out = np.empty((len(sets),) + right.shape, np.complex128)
+    """(..., n_sets, 2L, 2L) projectors of a (..., 2L, 2L) right-column and
+    left-row pair or stack, one product per set size, each row as
+    ``riesz_projections``."""
+    out = np.empty(right.shape[:-2] + (len(sets),) + right.shape[-2:],
+                   np.complex128)
     for rows, idx in size_groups(sets, right.shape[-1]):
-        out[rows] = right[:, idx].transpose(1, 0, 2) @ left_rows[idx]
+        out[..., rows, :, :] = (right[..., :, idx].swapaxes(-3, -2)
+                                @ left_rows[..., idx, :])
     return out
 
 

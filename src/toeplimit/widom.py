@@ -11,6 +11,7 @@ on a degenerate spectrum, where the Widom sums raise DegenerateSplit.
 """
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import DegenerateSplit
 from .operators import BoundaryTriple, CoefficientTriple
-from .transfer import (TransferSpectrum, boundary_transfer_matrices,
+from .transfer import (MEMO_SIZE, TransferSpectrum, boundary_transfer_matrices,
                        boundary_transfer_matrix, ordered_spectrum,
                        set_projections, size_groups, transfer_matrix)
 
@@ -37,10 +38,15 @@ class WidomSum:
 
 
 def index_sets(n: int, sizes: Iterable[int]) -> List[Tuple[int, ...]]:
-    out = []
-    for k in sizes:
-        out.extend(combinations(range(n), k))
-    return out
+    """The k-subsets of range(n) for each k of ``sizes`` in turn, each in
+    lexicographic order; computed once per (n, sizes), returned as a fresh
+    list."""
+    return list(_index_sets(n, tuple(sizes)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _index_sets(n: int, sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(I for k in sizes for I in combinations(range(n), k))
 
 
 def z_factors(spec: TransferSpectrum, sets: Sequence[Sequence[int]],
@@ -48,9 +54,11 @@ def z_factors(spec: TransferSpectrum, sets: Sequence[Sequence[int]],
     """Z_I = (-1)^L det(T) * prod of the selected eigenvalues, one product per
     set size; the empty product is 1, as the oracle suite pins."""
     zs = [0j] * len(sets)
+    factor = (-1) ** spec.L * detT
     for rows, idx in size_groups(sets, spec.values.size):
-        for r, prod in zip(rows, np.prod(spec.values[idx], axis=1).tolist()):
-            zs[r] = (-1) ** spec.L * detT * prod
+        for r, prod in zip(rows.tolist(),
+                           np.prod(spec.values[idx], axis=1).tolist()):
+            zs[r] = factor * prod
     return zs
 
 
@@ -194,9 +202,9 @@ def charpoly_circulant(coeffs: CoefficientTriple, N: int, E: complex) -> complex
     """
     L = coeffs.L
     TE = transfer_matrix(coeffs, E)
-    detT = nk.determinant(coeffs.T)
     z = np.linalg.eigvals(TE)
-    return ((-1) ** (L * (N - 1)) * detT ** N * complex(np.prod(z ** N - 1)))
+    return ((-1) ** (L * (N - 1)) * coeffs.detT ** N
+            * complex(np.prod(z ** N - 1)))
 
 
 def charpoly_semipermeable(coeffs: CoefficientTriple, boundary: BoundaryTriple,
@@ -209,10 +217,8 @@ def charpoly_semipermeable(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     L = coeffs.L
     TE = transfer_matrix(coeffs, E)
     Tbd = boundary_transfer_matrix(boundary, E)
-    detT = nk.determinant(coeffs.T)
-    detB = nk.determinant(boundary.B)
     power = _matrix_power(TE, N - 1)
-    return ((-1) ** (L * (N - 1)) * detB * detT ** (N - 1)
+    return ((-1) ** (L * (N - 1)) * boundary.detB * coeffs.detT ** (N - 1)
             * nk.determinant(power @ Tbd - np.eye(2 * L, dtype=np.complex128)))
 
 
@@ -245,10 +251,9 @@ def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
     if spec.degenerate:
         raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
     L = coeffs.L
-    detT = nk.determinant(coeffs.T)
     sets = index_sets(2 * L, [L])
     qvals = q_hat_sets(spec, C, sets, window).tolist()
-    return _assemble_sum(spec, N, sets, N, qvals, detT, 1.0 + 0j)
+    return _assemble_sum(spec, N, sets, N, qvals, coeffs.detT, 1.0 + 0j)
 
 
 def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
@@ -259,9 +264,8 @@ def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
     if spec.degenerate:
         raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
     L = coeffs.L
-    detT = nk.determinant(coeffs.T)
-    detB = nk.determinant(boundary.B)
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
     qvals = q_perturbed_sets(spec, boundary, sets).tolist()
-    return _assemble_sum(spec, N, sets, N - 1, qvals, detT, detB)
+    return _assemble_sum(spec, N, sets, N - 1, qvals, coeffs.detT,
+                         boundary.detB)
 

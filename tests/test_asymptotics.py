@@ -3,15 +3,21 @@ import pytest
 
 from conftest import DEMO_R, DEMO_T, gaussian_matrix, rank_limited, random_model
 from toeplimit import numkernel as nk
-from toeplimit.asymptotics import (FrameSet, frames_from_projection,
+from toeplimit.asymptotics import (COEFF_TOL, ENERGY_CHECKS, FrameSet,
+                                   _statuses, frames_from_projection,
                                    genericity_check,
-                                   perturbed_rt_spectral_data, q_hat_leading,
-                                   q_leading, q_tilde_leading,
-                                   riesz_leading_full, rt_spectral_data)
-from toeplimit.errors import (NotAProjection, NotSimpleSpectrum, RankMismatch)
-from toeplimit.operators import BoundaryTriple
+                                   perturbed_rt_spectral_data,
+                                   projection_frames, q_hat_leading,
+                                   q_hat_leading_stack, q_leading,
+                                   q_leading_stack, q_tilde_leading,
+                                   riesz_leading_full, rt_spectral_data,
+                                   rt_spectral_stack)
+from toeplimit.errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
+                              SingularMatrix)
+from toeplimit.operators import BoundaryTriple, CoefficientTriple
 from toeplimit.transfer import ordered_spectrum, riesz_projection
-from toeplimit.widom import index_sets, q_hat, q_perturbed, q_tilde
+from toeplimit.widom import (index_sets, q_hat, q_perturbed, q_perturbed_sets,
+                             q_tilde, widom_sum_perturbed)
 
 
 def simple_instance(seed, L):
@@ -195,3 +201,144 @@ def test_genericity_small_run():
 def test_genericity_rejects_bad_trials():
     with pytest.raises(ValueError):
         genericity_check(0)
+
+
+def test_q_leading_refuses_a_b_without_inverse():
+    # rank 1 by the rank rule, though det B = 1e-14 is not 0
+    B = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    co, _, rt, rng = simple_instance(47, 2)
+    bd = BoundaryTriple(gaussian_matrix(rng, 2), B, gaussian_matrix(rng, 2))
+    assert bd.Binv is None and bd.detB != 0
+    with pytest.raises(SingularMatrix):
+        widom_sum_perturbed(co, bd, 8, 0.3 + 0.2j)
+    for I in [(), (0,), (1, 2), (0, 1, 2, 3)]:
+        with pytest.raises(SingularMatrix):
+            q_leading(rt, bd, I)
+    PT = np.stack([rt.PT_of((2,))] * 3)
+    PR = np.stack([rt.PR_of((2,))] * 3)
+    Bs = np.stack([np.eye(2), B, np.eye(2)])
+    with pytest.raises(SingularMatrix):
+        q_leading_stack(PT, PR, 1, 0, bd.A, Bs)
+    assert np.all(q_leading_stack(PT[:2], PR[:2], 1, 0, bd.A, Bs[[0, 2]]) != 0)
+
+
+@pytest.mark.parametrize("trials, L, seed", [(100, 1, 0), (100, 2, 0),
+                                             (40, 3, 1)])
+def test_genericity_report_is_pinned(trials, L, seed):
+    # the outputs of the one-trial-at-a-time check these stacks replaced;
+    # every spawned trial seed carries the root's entropy
+    assert genericity_check(trials, L, seed).to_dict() == {
+        "trials": trials, "L": L, "seed": seed,
+        "counts": {"nonzero": trials, "zero": 0, "not_simple": 0,
+                   "rank_mismatch": 0},
+        "nonzero_fraction": 1.0,
+        "per_trial": [{"seed": seed, "status": "nonzero"}] * trials}
+
+
+def simple_stack(seed, L, n):
+    """n Gaussian models whose R and T have simple spectra, as (n, L, L)
+    stacks R, T, V, A, B, C, and their stacked RTData."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    while len(blocks) < n:
+        m = np.stack([gaussian_matrix(rng, L) for _ in range(6)])
+        if rt_spectral_stack(m[None, 0], m[None, 1])[1][0]:
+            blocks.append(m)
+    blocks = np.stack(blocks)
+    rt, simple = rt_spectral_stack(blocks[:, 0], blocks[:, 1])
+    assert simple.all()
+    return blocks, rt
+
+
+def relative_gap(a, b):
+    if np.size(b) == 0:
+        return 0.0
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def test_stacked_q_hat_leading_flags_the_row_with_c_equal_v():
+    blocks, rt = simple_stack(48, 2, 5)
+    C = blocks[:, 5].copy()
+    C[3] = blocks[3, 2]   # C = V in row 3
+    for I in [(0, 1), (0, 2), (1, 3)]:   # p < L: the coefficient has C - V
+        p = sum(i >= 2 for i in I)
+        coeff = q_hat_leading_stack(rt.PT_of(I), rt.PR_of(I), p,
+                                    C - blocks[:, 2])
+        assert coeff[3] == 0
+        assert np.all(np.abs(np.delete(coeff, 3)) > COEFF_TOL)
+    energies = np.full((5, ENERGY_CHECKS), 2.0 + 1.0j)
+    assert _statuses(np.concatenate([blocks[:, :5], C[:, None]], axis=1),
+                     energies) == ["nonzero"] * 3 + ["zero", "nonzero"]
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_stacked_frames_and_coefficients_match_single_rows(L):
+    n = 6
+    blocks, rt = simple_stack(49 + L, L, n)
+    for k in range(n):
+        R, T, V, A, B, C = blocks[k]
+        rt_k = rt_spectral_data(R, T)
+        for name in ("r_values", "t_values", "PR", "PT"):
+            assert np.array_equal(getattr(rt, name)[k], getattr(rt_k, name))
+    for I in index_sets(2 * L, range(2 * L + 1)):
+        p = sum(i >= L for i in I)
+        PT, PR = rt.PT_of(I), rt.PR_of(I)
+        frames = projection_frames(PT, p)
+        q_hat_rows = q_hat_leading_stack(PT, PR, p,
+                                         blocks[:, 5] - blocks[:, 2])
+        q_rows = q_leading_stack(PT, PR, p, len(I) - p, blocks[:, 3],
+                                 blocks[:, 4])
+        for k in range(n):
+            R, T, V, A, B, C = blocks[k]
+            rt_k = rt_spectral_data(R, T)
+            single = frames_from_projection(rt_k.PT_of(I), p)
+            for name in ("Phi", "Phi_c", "Psi", "Psi_c"):
+                assert relative_gap(getattr(frames, name)[k],
+                                    getattr(single, name)) <= 1e-13
+            c, _ = q_leading(rt_k, BoundaryTriple(A, B, C), I)
+            assert relative_gap(q_rows[k], c) <= 1e-13
+            if len(I) == L:
+                c, _ = q_hat_leading(rt_k, I, C, V)
+                assert relative_gap(q_hat_rows[k], c) <= 1e-13
+
+
+def scalar_status(blocks, energies):
+    """One trial's status by the one-model functions."""
+    R, T, V, A, B, C = blocks
+    L = R.shape[0]
+    if nk.numerical_rank(A) != L:
+        return "rank_mismatch"
+    try:
+        rt = rt_spectral_data(R, T)
+    except NotSimpleSpectrum:
+        return "not_simple"
+    bd = BoundaryTriple(A, B, C)
+    coeffs = [q_hat_leading(rt, I, C, V)[0] for I in index_sets(2 * L, [L])]
+    coeffs += [q_leading(rt, bd, I)[0]
+               for I in index_sets(2 * L, range(2 * L + 1))]
+    co = CoefficientTriple(R, T, V)
+    qs = [q_perturbed_sets(ordered_spectrum(co, E), bd,
+                           index_sets(2 * L, [L])) for E in energies]
+    small = np.abs(np.concatenate([coeffs] + qs)) <= COEFF_TOL
+    return "zero" if small.any() else "nonzero"
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_stacked_statuses_match_the_one_trial_functions(L):
+    rng = np.random.default_rng(50 + L)
+    n = 12
+    blocks = np.stack([[gaussian_matrix(rng, L) for _ in range(6)]
+                       for _ in range(n)])
+    energies = (rng.standard_normal((n, ENERGY_CHECKS))
+                + 1j * rng.standard_normal((n, ENERGY_CHECKS))) * 3.0
+    blocks[1, 3] = rank_limited(rng, L, L - 1)   # rank_mismatch
+    blocks[4, 5] = blocks[4, 2]                   # C = V
+    if L > 1:
+        blocks[2, 0] = 2.0 * np.eye(L)            # a modulus tie in R
+    expected = [scalar_status(blocks[k], energies[k]) for k in range(n)]
+    assert expected[1] == "rank_mismatch"
+    if L > 1:
+        assert expected[2] == "not_simple"
+        assert expected[4] == "zero"
+    assert expected.count("nonzero") >= n - 3
+    assert _statuses(blocks, energies) == expected

@@ -292,6 +292,22 @@ def test_asymptotics_check_scalar(tmp_path):
     assert report["worst_deviation"] < 0.02
 
 
+def test_asymptotics_check_skips_coefficients_at_coeff_tol(tmp_path,
+                                                          monkeypatch):
+    # the scalar model's leading coefficients are 0 and +-1; like
+    # genericity, the check counts one at or below COEFF_TOL as zero
+    def rows(name):
+        out = tmp_path / name
+        assert run(["asymptotics-check", "--config", SCALAR,
+                    "--out", str(out)]) == 0
+        return json.loads((out / "asymptotics_check.json").read_text())[
+            "per_set"]
+
+    assert len(rows("default")) == 5
+    monkeypatch.setattr(cli, "COEFF_TOL", 1.0)
+    assert rows("at_one") == []
+
+
 def test_asymptotics_check_refuses_degenerate_r(tmp_path):
     # the double eigenvalue of R makes the spectral data non-simple
     code = run(["asymptotics-check", "--config", DEMO_H,

@@ -8,9 +8,9 @@ from conftest import random_model
 from toeplimit.errors import OnCurve, SingularMatrix, ZeroArgument
 from toeplimit.numkernel import numerical_rank
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
-                                 assemble_operator, charpoly_direct,
-                                 circulant_spectrum_fft, eval_symbol,
-                                 finite_spectrum, winding_number)
+                                 _symbol_det_samples, assemble_operator,
+                                 charpoly_direct, circulant_spectrum_fft,
+                                 eval_symbol, finite_spectrum, winding_number)
 from toeplimit.transfer import ordered_spectrum
 from toeplimit.widom import transfer_recursion_residual
 
@@ -103,6 +103,74 @@ def test_winding_far_energy_counts():
     assert winding_number(co, E) == 0
     spec = ordered_spectrum(co, E)
     assert int(np.sum(spec.moduli > 1)) == co.L
+
+
+def test_winding_doubled_samples_are_fresh_samples():
+    # the reused even samples and the new odd ones equal a fresh evaluation
+    # of the whole doubled grid, bit for bit, and the winding integer is
+    # L minus the number of transfer eigenvalues outside the unit circle
+    rng = np.random.default_rng(12)
+    checked = 0
+    for L in (1, 2, 3):
+        for _ in range(4):
+            co, _ = random_model(rng, L)
+            E = complex(rng.standard_normal(), rng.standard_normal()) * 2.0
+            eye = np.eye(L)
+            coarse = _symbol_det_samples(co, E, 512)
+            for n in (1024, 2048):
+                theta = 2 * np.pi * np.arange(n) / n
+                fresh = np.linalg.det(eval_symbol(co, np.exp(1j * theta))
+                                      - E * eye)
+                doubled = _symbol_det_samples(co, E, n, coarse)
+                assert np.array_equal(doubled, fresh)
+                assert np.array_equal(_symbol_det_samples(co, E, n), fresh)
+                coarse = doubled
+            moduli = ordered_spectrum(co, E).moduli
+            if np.min(np.abs(moduli - 1)) < 1e-6:
+                continue
+            assert winding_number(co, E) == L - int(np.sum(moduli > 1))
+            checked += 1
+    assert checked >= 10
+
+
+def block_loop_operator(co, bd, N):
+    """The block tridiagonal operator filled one block at a time."""
+    L = co.L
+    H = np.zeros((N * L, N * L), dtype=np.complex128)
+    for n in range(N):
+        H[n * L:(n + 1) * L, n * L:(n + 1) * L] = co.V
+    for n in range(N - 1):
+        H[n * L:(n + 1) * L, (n + 1) * L:(n + 2) * L] = co.T
+        H[(n + 1) * L:(n + 2) * L, n * L:(n + 1) * L] = co.R
+    H[:L, :L] = bd.C
+    H[:L, (N - 1) * L:] = bd.A
+    H[(N - 1) * L:, :L] = bd.B
+    return H
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("N", [3, 4, 17])
+def test_assemble_operator_matches_block_loop(L, N):
+    co, perturbed = random_model(np.random.default_rng(10 * L + N), L)
+    corners = {"open": BoundaryTriple.open(co),
+               "boundary": BoundaryTriple.boundary(perturbed.C),
+               "circulant": BoundaryTriple.circulant(co),
+               "perturbed": perturbed}
+    for case, bd in corners.items():
+        assert bd.classify(co) == case
+        assert np.array_equal(assemble_operator(co, bd, N),
+                              block_loop_operator(co, bd, N))
+
+
+def test_charpoly_direct_equals_dense_det():
+    rng = np.random.default_rng(13)
+    for L, N in ((1, 5), (2, 7), (3, 4)):
+        co, bd = random_model(rng, L)
+        H = assemble_operator(co, bd, N)
+        for _ in range(3):
+            E = complex(rng.standard_normal(), rng.standard_normal())
+            assert charpoly_direct(co, bd, N, E) == complex(
+                np.linalg.det(H - E * np.eye(N * L)))
 
 
 def test_charpoly_direct_scalar_anchor(scalar_model):

@@ -12,7 +12,7 @@ from toeplimit.transfer import (_optimal_assignment, boundary_transfer_matrices,
                                 boundary_transfer_matrix, match_branches,
                                 modulus_order, ordered_eig, ordered_spectrum,
                                 riesz_projection, riesz_projection_contour,
-                                transfer_matrices, transfer_matrix)
+                                size_groups, transfer_matrices, transfer_matrix)
 from toeplimit.widom import index_sets
 
 
@@ -35,6 +35,33 @@ def test_boundary_transfer_matrix_blocks(demo_corner):
     assert np.allclose(M[:L, :L], (E * np.eye(L) - demo_corner.C) @ Binv)
     assert np.allclose(M[:L, L:], -demo_corner.A)
     assert np.allclose(M[L:, :L], Binv)
+
+
+def test_size_groups_memo_returns_fresh_read_only_groups():
+    expected = [([1], [[2]]), ([0, 2], [[0, 1], [1, 3]])]
+
+    def plain(groups):
+        return [(rows.tolist(), idx.tolist()) for rows, idx in groups]
+
+    first = size_groups([(0, 1), (2,), (3, 1)], 4)
+    assert plain(first) == expected
+    for rows, idx in first:
+        # an intp array indexes rows; a tuple would index one row per axis
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.intp
+        assert idx.dtype == np.intp
+        with pytest.raises(ValueError):
+            rows[0] = 5
+        with pytest.raises(ValueError):
+            idx[0, 0] = 5
+    first.clear()
+    # lists for tuples, a tuple for the list: the same key, the same groups
+    assert plain(size_groups(([0, 1], [2], [3, 1]), 4)) == expected
+    assert plain(size_groups([(0, 1), (2,), (3, 1)], 4)) == expected
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            size_groups([(0, 4)], 4)
+        with pytest.raises(ValueError):
+            size_groups([(-1,)], 4)
 
 
 def test_eigenvalue_product_identity():

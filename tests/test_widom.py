@@ -23,6 +23,18 @@ def test_index_sets_counts():
     assert index_sets(4, [0]) == [()]
 
 
+def test_index_sets_memo_returns_a_fresh_list():
+    expected = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    first = index_sets(3, [1, 2])
+    assert first == expected
+    first.append((9,))
+    first[0] = None
+    assert index_sets(3, [1, 2]) == expected
+    assert index_sets(3, (1, 2)) == expected
+    assert index_sets(3, range(1, 3)) == expected
+    assert index_sets(3, [2, 1]) == expected[3:] + expected[:3]
+
+
 def test_z_factor_convention(scalar_model):
     # empty set: the empty eigenvalue product is 1, so Z = (-1)^L det T
     E, spec = 3.0, ordered_spectrum(scalar_model, 3.0)
