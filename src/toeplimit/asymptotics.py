@@ -415,12 +415,14 @@ def genericity_check(trials: int, L: int = 2,
                  root.spawn(min(block, trials - first))]
         status += _statuses(np.stack([b for b, _ in draws]),
                             np.array([e for _, e in draws]))
-    # every spawned trial seed carries the root's entropy
+    # every spawned trial seed carries the root's entropy, and trial k's
+    # spawn key is (k,): SeedSequence(seed, spawn_key=(k,)) redraws it
     entropy = (root.entropy if isinstance(root.entropy, int)
                else list(root.entropy))
     count = {k: status.count(k) for k in
              ("nonzero", "zero", "not_simple", "rank_mismatch")}
     return GenericityReport(trials, L, seed, count["nonzero"], count["zero"],
                             count["not_simple"], count["rank_mismatch"],
-                            tuple({"seed": entropy, "status": st}
-                                  for st in status))
+                            tuple({"seed": entropy, "spawn_key": [k],
+                                   "status": st}
+                                  for k, st in enumerate(status)))

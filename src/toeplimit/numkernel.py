@@ -14,11 +14,13 @@ DEGENERACY_TOL = 1e-8
 RANK_TOL = 1e-10
 
 
-def as_cstack(data) -> np.ndarray:
+def as_cstack(data, stack: bool = True) -> np.ndarray:
     """A complex128 matrix or (..., r, c) stack of matrices to read: the
     array itself when it already is one, else a converted copy. Non-finite
-    entries are rejected."""
+    entries are rejected, and with ``stack=False`` so is a stack."""
     m = np.asarray(data, dtype=np.complex128)
+    if not stack and m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if m.ndim < 2:
         raise ValueError(f"expected a 2-D matrix or a stack of them, "
                          f"got shape {m.shape}")
@@ -29,17 +31,12 @@ def as_cstack(data) -> np.ndarray:
 
 def as_cmatrix(data) -> np.ndarray:
     """Coerce to a new 2-D complex128 array and reject non-finite entries."""
-    m = np.array(data, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    return as_cstack(m)
+    return as_cstack(np.array(data, dtype=np.complex128), stack=False)
 
 
 def _require_square(m, stack: bool = False) -> np.ndarray:
     """``m`` as a square matrix, or stack of them, to read."""
-    m = as_cstack(m)
-    if not stack and m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    m = as_cstack(m, stack)
     if m.shape[-2] != m.shape[-1]:
         raise NonSquare(f"matrix of shape {m.shape} is not square")
     return m

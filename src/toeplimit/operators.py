@@ -5,7 +5,6 @@ corner perturbation (A, B, C): C replaces the top-left diagonal block, A sits
 in the top-right corner and B in the bottom-left corner.
 """
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -142,8 +141,9 @@ def assemble_operator(coeffs: CoefficientTriple, boundary: BoundaryTriple,
 
 
 def finite_spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalue multiset of a dense matrix."""
-    return np.linalg.eigvals(nk.as_cmatrix(m))
+    """Eigenvalue multiset of a dense matrix. A complex128 matrix is read in
+    place, so LAPACK's working copy is the only other one held."""
+    return np.linalg.eigvals(nk.as_cstack(m, stack=False))
 
 
 def circulant_spectrum_fft(coeffs: CoefficientTriple, N: int) -> np.ndarray:
@@ -153,42 +153,41 @@ def circulant_spectrum_fft(coeffs: CoefficientTriple, N: int) -> np.ndarray:
     return np.linalg.eigvals(eval_symbol(coeffs, z)).ravel()
 
 
-# one per level of winding refinement, 512 to WINDING_MAX_SAMPLES
-@lru_cache(maxsize=8)
-def _unit_circle(n: int) -> np.ndarray:
-    """exp(2 pi i k / n) for k < n, read-only."""
-    points = np.exp(1j * (2 * np.pi * np.arange(n) / n))
-    points.flags.writeable = False
-    return points
+def symbol_det_coefficients(coeffs: CoefficientTriple, E: complex) -> np.ndarray:
+    """The Laurent coefficients c_{-L}, ..., c_L of det(H(z) - E) in z.
+
+    The determinant has degree L in z and in 1/z, so its values at the
+    m >= 2L + 1 roots of unity fix it: one FFT of m determinants returns
+    c_j at index j mod m, with m the least power of two that suffices."""
+    L = coeffs.L
+    m = 1 << (2 * L).bit_length()
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    c = np.fft.fft(np.linalg.det(eval_symbol(coeffs, z) - E * np.eye(L))) / m
+    return np.concatenate([c[m - L:], c[:L + 1]])
 
 
-def _symbol_det_samples(coeffs: CoefficientTriple, E: complex, n: int,
-                       coarse: Optional[np.ndarray] = None) -> np.ndarray:
-    """det(H(z) - E) at the n points z of ``_unit_circle(n)``. Given the
-    n / 2 samples of the previous level as ``coarse``, only the odd points
-    are evaluated: the even ones are those samples, bit for bit, since
-    2 pi (2k) / n and 2 pi k / (n / 2) round alike."""
-    eye = np.eye(coeffs.L, dtype=np.complex128)
-    z = _unit_circle(n)
-    if coarse is None:
-        return np.linalg.det(eval_symbol(coeffs, z) - E * eye)
-    d = np.empty(n, dtype=np.complex128)
-    d[0::2] = coarse
-    d[1::2] = np.linalg.det(eval_symbol(coeffs, z[1::2]) - E * eye)
-    return d
+def _symbol_det_samples(laurent: np.ndarray, n: int) -> np.ndarray:
+    """det(H(z) - E) at z = exp(2 pi i k / n), k < n, from its Laurent
+    coefficients ``laurent`` = c_{-L}, ..., c_L: one inverse FFT."""
+    L = laurent.size // 2
+    wrapped = np.zeros(n, dtype=np.complex128)
+    wrapped[:L + 1] = laurent[L:]
+    wrapped[n - L:] = laurent[:L]
+    return np.fft.ifft(wrapped, norm="forward")
 
 
 def winding_number(coeffs: CoefficientTriple, E: complex) -> int:
     """Winding of theta -> det(H(e^{i theta}) - E) around 0.
 
     Uses summed phase increments with adaptive doubling of the sample count
-    until the rounded integer is stable; each doubling evaluates only the
-    new samples.
+    until the rounded integer is stable; every level's samples come from the
+    same 2L + 1 Laurent coefficients.
     """
+    laurent = symbol_det_coefficients(coeffs, E)
     previous = None
     n = WINDING_START_SAMPLES
-    d = _symbol_det_samples(coeffs, E, n)
     while True:
+        d = _symbol_det_samples(laurent, n)
         mag = np.abs(d)
         if np.min(mag) < 1e-12 * max(np.max(mag), 1e-300):
             raise OnCurve(f"symbol determinant vanishes near E = {E}")
@@ -205,7 +204,6 @@ def winding_number(coeffs: CoefficientTriple, E: complex) -> int:
             raise OnCurve(f"winding did not stabilize at E = {E}")
         previous = wind if (residual < 0.1 and jump < 0.9 * np.pi) else None
         n *= 2
-        d = _symbol_det_samples(coeffs, E, n, d)
 
 
 def charpoly_direct(coeffs: CoefficientTriple, boundary: BoundaryTriple,

@@ -4,7 +4,8 @@ import pytest
 from conftest import DEMO_R, DEMO_T, gaussian_matrix, rank_limited, random_model
 from toeplimit import numkernel as nk
 from toeplimit.asymptotics import (COEFF_TOL, ENERGY_CHECKS, FrameSet,
-                                   _statuses, frames_from_projection,
+                                   _draw_trial, _statuses,
+                                   frames_from_projection,
                                    genericity_check,
                                    perturbed_rt_spectral_data,
                                    projection_frames, q_hat_leading,
@@ -226,13 +227,27 @@ def test_q_leading_refuses_a_b_without_inverse():
                                              (40, 3, 1)])
 def test_genericity_report_is_pinned(trials, L, seed):
     # the outputs of the one-trial-at-a-time check these stacks replaced;
-    # every spawned trial seed carries the root's entropy
-    assert genericity_check(trials, L, seed).to_dict() == {
+    # every spawned trial seed carries the root's entropy and its own key
+    report = genericity_check(trials, L, seed).to_dict()
+    assert report == {
         "trials": trials, "L": L, "seed": seed,
         "counts": {"nonzero": trials, "zero": 0, "not_simple": 0,
                    "rank_mismatch": 0},
         "nonzero_fraction": 1.0,
-        "per_trial": [{"seed": seed, "status": "nonzero"}] * trials}
+        "per_trial": [{"seed": seed, "spawn_key": [k], "status": "nonzero"}
+                      for k in range(trials)]}
+    # an entry's seed and spawn key redraw that trial
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for k in (0, 1, trials - 1):
+        entry = report["per_trial"][k]
+        again = np.random.SeedSequence(entry["seed"],
+                                       spawn_key=entry["spawn_key"])
+        blocks, energies = _draw_trial(again, L)
+        first_blocks, first_energies = _draw_trial(children[k], L)
+        assert np.array_equal(blocks, first_blocks)
+        assert energies == first_energies
+        assert _statuses(blocks[None], np.array([energies])) \
+            == [entry["status"]]
 
 
 def simple_stack(seed, L, n):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from toeplimit.numkernel import numerical_rank
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  _symbol_det_samples, assemble_operator,
                                  charpoly_direct, circulant_spectrum_fft,
-                                 eval_symbol, finite_spectrum, winding_number)
+                                 eval_symbol, finite_spectrum,
+                                 symbol_det_coefficients, winding_number)
 from toeplimit.transfer import ordered_spectrum
 from toeplimit.widom import transfer_recursion_residual
 
@@ -106,31 +109,68 @@ def test_winding_far_energy_counts():
 
 
 def test_winding_doubled_samples_are_fresh_samples():
-    # the reused even samples and the new odd ones equal a fresh evaluation
-    # of the whole doubled grid, bit for bit, and the winding integer is
-    # L minus the number of transfer eigenvalues outside the unit circle
+    # the samples of every doubling level, one inverse FFT of the Laurent
+    # coefficients, equal a fresh evaluation of the determinants up to
+    # roundoff (the FFT and the LU round differently, so not bit for bit),
+    # and the winding integer is L minus the number of transfer eigenvalues
+    # outside the unit circle
     rng = np.random.default_rng(12)
     checked = 0
-    for L in (1, 2, 3):
-        for _ in range(4):
-            co, _ = random_model(rng, L)
-            E = complex(rng.standard_normal(), rng.standard_normal()) * 2.0
-            eye = np.eye(L)
-            coarse = _symbol_det_samples(co, E, 512)
-            for n in (1024, 2048):
-                theta = 2 * np.pi * np.arange(n) / n
-                fresh = np.linalg.det(eval_symbol(co, np.exp(1j * theta))
-                                      - E * eye)
-                doubled = _symbol_det_samples(co, E, n, coarse)
-                assert np.array_equal(doubled, fresh)
-                assert np.array_equal(_symbol_det_samples(co, E, n), fresh)
-                coarse = doubled
-            moduli = ordered_spectrum(co, E).moduli
-            if np.min(np.abs(moduli - 1)) < 1e-6:
-                continue
-            assert winding_number(co, E) == L - int(np.sum(moduli > 1))
-            checked += 1
-    assert checked >= 10
+    for L in (1, 2, 3, 4):
+        for size in (0.1, 1.0, 10.0, 100.0):
+            for _ in range(2):
+                co, _ = random_model(rng, L)
+                E = size * np.exp(2j * np.pi * rng.uniform())
+                laurent = symbol_det_coefficients(co, E)
+                assert laurent.shape == (2 * L + 1,)
+                for n in (512, 1024, 2048):
+                    z = np.exp(2j * np.pi * np.arange(n) / n)
+                    fresh = np.linalg.det(eval_symbol(co, z) - E * np.eye(L))
+                    gap = np.abs(_symbol_det_samples(laurent, n) - fresh)
+                    assert np.max(gap) <= 1e-13 * np.max(np.abs(fresh))
+                moduli = ordered_spectrum(co, E).moduli
+                if np.min(np.abs(moduli - 1)) < 1e-6:
+                    continue
+                assert winding_number(co, E) == L - int(np.sum(moduli > 1))
+                checked += 1
+    assert checked >= 24
+
+
+def test_symbol_det_coefficients_closed_form():
+    # det of diag(r/z + v - E + t z) is the product of its scalar factors
+    r, t, v = np.array([1.0, 0.5j]), np.array([2.0, -1.0]), np.array([7.0, 1j])
+    E = 0.3 - 0.2j
+    co = CoefficientTriple(np.diag(r), np.diag(t), np.diag(v))
+    expected = np.convolve([r[0], v[0] - E, t[0]], [r[1], v[1] - E, t[1]])
+    assert np.allclose(symbol_det_coefficients(co, E), expected,
+                       rtol=0, atol=1e-14)
+    scalar = CoefficientTriple([[1.0]], [[2.0]], [[7.0]])
+    assert np.allclose(symbol_det_coefficients(scalar, 3.0), [1.0, 4.0, 2.0],
+                       rtol=0, atol=1e-14)
+
+
+def test_finite_spectrum_reads_its_argument_in_place():
+    co, bd = random_model(np.random.default_rng(14), 2)
+    H = assemble_operator(co, bd, 100)
+    kept = H.copy()
+    tracemalloc.start()
+    try:
+        values = finite_spectrum(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of H would show as a peak of at least H.nbytes
+    assert peak < H.nbytes / 2
+    assert np.array_equal(H, kept)
+    assert np.array_equal(values, np.linalg.eigvals(kept))
+    for bad in (np.nan, np.inf):
+        H[3, 5] = bad
+        with pytest.raises(ValueError):
+            finite_spectrum(H)
+    with pytest.raises(ValueError):
+        finite_spectrum(kept[0])
+    with pytest.raises(ValueError):
+        finite_spectrum(np.stack([kept, kept]))
 
 
 def block_loop_operator(co, bd, N):
