@@ -22,8 +22,7 @@ from .limitsets import (Arc, LimitSpectrumResult, Outlier, Region, ScanGrid,
                         refine_zero, scan_grid, sigma_r)
 from .asymptotics import (FrameSet, GenericityReport, RTData,
                           frames_from_projection, genericity_check,
-                          perturbed_rt_spectral_data, q_hat_leading,
-                          q_leading, q_tilde_leading, riesz_leading_full,
-                          rt_spectral_data)
+                          q_hat_leading, q_leading, q_tilde_leading,
+                          riesz_leading_full, rt_spectral_data)
 
 __version__ = "0.1.0"

@@ -131,27 +131,6 @@ def rt_spectral_data(R, T) -> RTData:
     return _rows(rt, 0)
 
 
-def perturbed_rt_spectral_data(R, T, eps: float, seed: int = 0) -> RTData:
-    """Exploratory fallback for non-simple R or T: add an eps-scaled Gaussian
-    perturbation (explicit, seeded) and retry.
-
-    The unperturbed labeling is genuinely ambiguous in that case, so this is
-    never applied silently; the caller owns the perturbation size.
-    """
-    if eps <= 0:
-        raise ValueError("eps > 0 required")
-    rng = np.random.default_rng(seed)
-    R = nk.as_cmatrix(R)
-    T = nk.as_cmatrix(T)
-
-    def bump(m):
-        noise = (rng.standard_normal(m.shape)
-                 + 1j * rng.standard_normal(m.shape)) / np.sqrt(2)
-        return m + eps * noise
-
-    return rt_spectral_data(bump(R), bump(T))
-
-
 @dataclass(frozen=True)
 class FrameSet:
     """Oblique frames of a projection P: columns of Phi span Ran(P), Phi_c

@@ -281,13 +281,13 @@ def _cell_corners(nodal: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 def _marching_squares(field: np.ndarray, valid: np.ndarray,
                       re: np.ndarray, im: np.ndarray,
-                      midpoint_eval: Optional[Callable[[complex], float]] = None
+                      midpoint_eval: Callable[[complex], float]
                       ) -> List[Tuple[complex, complex]]:
     """Zero-level segments of a nodal scalar field, cell by cell in row-major
     order; only cells whose four valid corners change sign are visited.
 
-    Saddle cells (4 sign changes) are resolved by one midpoint evaluation
-    when a callback is given, else by the corner average.
+    Saddle cells (4 sign changes) are resolved by the sign of one
+    ``midpoint_eval`` at the cell centre.
     """
     positive = sum(c.astype(int) for c in _cell_corners(field > 0))
     crossed = np.logical_and.reduce(_cell_corners(valid)) & (positive % 4 != 0)
@@ -308,11 +308,7 @@ def _marching_squares(field: np.ndarray, valid: np.ndarray,
         if ks.size == 2:
             segments.append((pts[ks[0]], pts[ks[1]]))
             continue
-        center = 0.25 * sum(complex(z) for z in p[c])
-        if midpoint_eval is not None:
-            fc = midpoint_eval(center)
-        else:
-            fc = 0.25 * sum(f[c])
+        fc = midpoint_eval(0.25 * sum(complex(z) for z in p[c]))
         # connect each crossing to the neighbor consistent with the
         # center sign
         if (fc > 0) == signs[c, 0]:

@@ -12,8 +12,8 @@ import numpy as np
 from . import numkernel as nk
 from .errors import OnCurve, SingularMatrix, ZeroArgument
 
-WINDING_START_SAMPLES = 512
-WINDING_MAX_SAMPLES = 1 << 16
+# a root of the symbol polynomial this close to |z| = 1 puts E on the curve
+ON_CURVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -166,44 +166,18 @@ def symbol_det_coefficients(coeffs: CoefficientTriple, E: complex) -> np.ndarray
     return np.concatenate([c[m - L:], c[:L + 1]])
 
 
-def _symbol_det_samples(laurent: np.ndarray, n: int) -> np.ndarray:
-    """det(H(z) - E) at z = exp(2 pi i k / n), k < n, from its Laurent
-    coefficients ``laurent`` = c_{-L}, ..., c_L: one inverse FFT."""
-    L = laurent.size // 2
-    wrapped = np.zeros(n, dtype=np.complex128)
-    wrapped[:L + 1] = laurent[L:]
-    wrapped[n - L:] = laurent[:L]
-    return np.fft.ifft(wrapped, norm="forward")
-
-
 def winding_number(coeffs: CoefficientTriple, E: complex) -> int:
     """Winding of theta -> det(H(e^{i theta}) - E) around 0.
 
-    Uses summed phase increments with adaptive doubling of the sample count
-    until the rounded integer is stable; every level's samples come from the
-    same 2L + 1 Laurent coefficients.
+    z^L det(H(z) - E) is a polynomial of degree 2L with no root at 0, since
+    det T and det R are nonzero, so by the argument principle the winding is
+    its number of roots inside the unit circle minus L. A root within
+    ON_CURVE_TOL of the circle raises OnCurve.
     """
-    laurent = symbol_det_coefficients(coeffs, E)
-    previous = None
-    n = WINDING_START_SAMPLES
-    while True:
-        d = _symbol_det_samples(laurent, n)
-        mag = np.abs(d)
-        if np.min(mag) < 1e-12 * max(np.max(mag), 1e-300):
-            raise OnCurve(f"symbol determinant vanishes near E = {E}")
-        phases = np.angle(d)
-        inc = np.diff(np.concatenate([phases, phases[:1]]))
-        inc = (inc + np.pi) % (2 * np.pi) - np.pi
-        total = float(np.sum(inc)) / (2 * np.pi)
-        wind = round(total)
-        residual = abs(total - wind)
-        jump = float(np.max(np.abs(inc)))
-        if residual < 0.1 and jump < 0.9 * np.pi and (previous == wind or n >= WINDING_MAX_SAMPLES):
-            return int(wind)
-        if n >= WINDING_MAX_SAMPLES:
-            raise OnCurve(f"winding did not stabilize at E = {E}")
-        previous = wind if (residual < 0.1 and jump < 0.9 * np.pi) else None
-        n *= 2
+    moduli = np.abs(np.roots(symbol_det_coefficients(coeffs, E)[::-1]))
+    if np.min(np.abs(moduli - 1.0)) < ON_CURVE_TOL:
+        raise OnCurve(f"symbol determinant vanishes near E = {E}")
+    return int(np.sum(moduli < 1.0)) - coeffs.L
 
 
 def charpoly_direct(coeffs: CoefficientTriple, boundary: BoundaryTriple,

@@ -184,18 +184,16 @@ def riesz_projection(spec: TransferSpectrum,
 def riesz_projection_contour(coeffs: CoefficientTriple, E: complex,
                              center: complex, radius: float,
                              nodes: int = 512) -> np.ndarray:
-    """Trapezoid-rule contour integral of the resolvent on a circle.
+    """Trapezoid-rule contour integral of the resolvent on a circle: one
+    stacked inverse over the nodes, then their weighted mean.
 
     Retained as a cross-check of the eigenvector construction.
     """
     M = transfer_matrix(coeffs, E)
-    n = M.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for k in range(nodes):
-        zk = center + radius * np.exp(2j * np.pi * k / nodes)
-        acc += (zk - center) * np.linalg.inv(zk * eye - M)
-    return acc / nodes
+    w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    resolvents = np.linalg.inv((center + w)[:, None, None] * np.eye(M.shape[0])
+                               - M)
+    return np.tensordot(w, resolvents, axes=1) / nodes
 
 
 def _optimal_assignment(cost: np.ndarray) -> np.ndarray:

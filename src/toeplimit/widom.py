@@ -168,7 +168,9 @@ def transfer_recursion_residual(coeffs: CoefficientTriple,
     then [T phi_{n+1}; phi_n] = T^E [T phi_n; phi_{n-1}] through the bulk,
     then [B phi_1; phi_N] = T^E [T phi_N; phi_{N-1}]. Each link is a single
     matrix application, so the residual is free of the power-amplified
-    roundoff that the collapsed (T^E)^{N-1} form would pick up.
+    roundoff that the collapsed (T^E)^{N-1} form would pick up. The N links,
+    the closing one last, form one (N, 2L) stack, checked row by row against
+    the corner link and T^E applied to the link before.
     """
     L = coeffs.L
     phi = np.asarray(phi, dtype=np.complex128).reshape(N, L)
@@ -176,21 +178,12 @@ def transfer_recursion_residual(coeffs: CoefficientTriple,
     if norm == 0.0:
         raise ValueError("zero vector")
     TE = transfer_matrix(coeffs, E)
-
-    def pair(top, bottom):
-        return np.concatenate([top, bottom])
-
-    corner = pair((E * np.eye(L) - boundary.C) @ phi[0]
-                  - boundary.A @ phi[N - 1], phi[0])
-    worst = float(np.linalg.norm(pair(coeffs.T @ phi[1], phi[0]) - corner))
-    for n in range(1, N - 1):
-        step = TE @ pair(coeffs.T @ phi[n], phi[n - 1])
-        worst = max(worst, float(np.linalg.norm(
-            pair(coeffs.T @ phi[n + 1], phi[n]) - step)))
-    closing = TE @ pair(coeffs.T @ phi[N - 1], phi[N - 2])
-    worst = max(worst, float(np.linalg.norm(
-        pair(boundary.B @ phi[0], phi[N - 1]) - closing)))
-    return worst / norm
+    links = np.concatenate([phi[1:] @ coeffs.T.T, phi[:-1]], axis=1)
+    corner = np.concatenate([(E * np.eye(L) - boundary.C) @ phi[0]
+                             - boundary.A @ phi[N - 1], phi[0]])
+    closing = np.concatenate([boundary.B @ phi[0], phi[N - 1]])
+    gaps = np.vstack([links, closing]) - np.vstack([corner, links @ TE.T])
+    return float(np.max(np.linalg.norm(gaps, axis=1))) / norm
 
 
 def charpoly_circulant(coeffs: CoefficientTriple, N: int, E: complex) -> complex:

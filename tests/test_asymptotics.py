@@ -6,11 +6,9 @@ from toeplimit import numkernel as nk
 from toeplimit.asymptotics import (COEFF_TOL, ENERGY_CHECKS, FrameSet,
                                    _draw_trial, _statuses,
                                    frames_from_projection,
-                                   genericity_check,
-                                   perturbed_rt_spectral_data,
-                                   projection_frames, q_hat_leading,
-                                   q_hat_leading_stack, q_leading,
-                                   q_leading_stack, q_tilde_leading,
+                                   genericity_check, projection_frames,
+                                   q_hat_leading, q_hat_leading_stack,
+                                   q_leading, q_leading_stack, q_tilde_leading,
                                    riesz_leading_full, rt_spectral_data,
                                    rt_spectral_stack)
 from toeplimit.errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
@@ -58,15 +56,6 @@ def test_rt_data_demo_refuses():
     # the upper-triangular R has a double eigenvalue 0.3i
     with pytest.raises(NotSimpleSpectrum):
         rt_spectral_data(DEMO_R, DEMO_T)
-
-
-def test_perturbed_rt_helper_is_explicit():
-    # the bumped R and T have strictly ordered moduli, or it would raise
-    rt = perturbed_rt_spectral_data(DEMO_R, DEMO_T, 1e-6, seed=1)
-    assert np.all(np.diff(np.abs(rt.r_values)) > 0)
-    assert np.all(np.diff(np.abs(rt.t_values)) < 0)
-    with pytest.raises(ValueError):
-        perturbed_rt_spectral_data(DEMO_R, DEMO_T, 0.0)
 
 
 def test_rank_bookkeeping():

@@ -712,9 +712,15 @@ def test_marching_squares_matches_per_cell_reference(demo_scan, kind):
     re, im = demo_scan.re, demo_scan.im
     if kind == "modulus":
         field = demo_scan.moduli[:, :, 2] - 1.0
+
+        def analytic(E):
+            return float(ordered_spectrum(demo_scan.coeffs, E).moduli[2] - 1.0)
     else:
         # saddle cells near every zero of cos(4x) cos(4y)
         field = np.cos(4 * re)[None, :] * np.cos(4 * im)[:, None] - 1e-3
+
+        def analytic(E):
+            return float(np.cos(4 * E.real) * np.cos(4 * E.imag) - 1e-3)
     valid = demo_scan.valid
     reference, saddles = [], 0
     for iy in range(demo_scan.ny - 1):
@@ -730,10 +736,11 @@ def test_marching_squares_matches_per_cell_reference(demo_scan, kind):
                 reference.append(tuple(cross.values()))
             elif cross:
                 saddles += 1
-                pairs = (((0, 1), (2, 3)) if (sum(f) > 0) == (f[0] > 0)
+                center = analytic(0.25 * sum(p))
+                pairs = (((0, 1), (2, 3)) if (center > 0) == (f[0] > 0)
                          else ((3, 0), (1, 2)))
                 reference.extend((cross[i], cross[j]) for i, j in pairs)
-    segments = _marching_squares(field, valid, re, im)
+    segments = _marching_squares(field, valid, re, im, analytic)
     assert len(reference) > 20 and (saddles > 0) == (kind == "saddles")
     assert [tuple(map(complex, s)) for s in segments] == reference
 

@@ -10,10 +10,10 @@ from conftest import random_model
 from toeplimit.errors import OnCurve, SingularMatrix, ZeroArgument
 from toeplimit.numkernel import numerical_rank
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
-                                 _symbol_det_samples, assemble_operator,
-                                 charpoly_direct, circulant_spectrum_fft,
-                                 eval_symbol, finite_spectrum,
-                                 symbol_det_coefficients, winding_number)
+                                 assemble_operator, charpoly_direct,
+                                 circulant_spectrum_fft, eval_symbol,
+                                 finite_spectrum, symbol_det_coefficients,
+                                 winding_number)
 from toeplimit.transfer import ordered_spectrum
 from toeplimit.widom import transfer_recursion_residual
 
@@ -109,11 +109,11 @@ def test_winding_far_energy_counts():
 
 
 def test_winding_doubled_samples_are_fresh_samples():
-    # the samples of every doubling level, one inverse FFT of the Laurent
-    # coefficients, equal a fresh evaluation of the determinants up to
-    # roundoff (the FFT and the LU round differently, so not bit for bit),
-    # and the winding integer is L minus the number of transfer eigenvalues
-    # outside the unit circle
+    # the Laurent polynomial of the coefficients, evaluated on the unit
+    # circle, equals a fresh evaluation of the determinants up to roundoff
+    # (the FFT and the LU round differently, so not bit for bit), and the
+    # winding integer is L minus the number of transfer eigenvalues outside
+    # the unit circle
     rng = np.random.default_rng(12)
     checked = 0
     for L in (1, 2, 3, 4):
@@ -126,7 +126,8 @@ def test_winding_doubled_samples_are_fresh_samples():
                 for n in (512, 1024, 2048):
                     z = np.exp(2j * np.pi * np.arange(n) / n)
                     fresh = np.linalg.det(eval_symbol(co, z) - E * np.eye(L))
-                    gap = np.abs(_symbol_det_samples(laurent, n) - fresh)
+                    powers = z[:, None] ** np.arange(-L, L + 1)
+                    gap = np.abs(powers @ laurent - fresh)
                     assert np.max(gap) <= 1e-13 * np.max(np.abs(fresh))
                 moduli = ordered_spectrum(co, E).moduli
                 if np.min(np.abs(moduli - 1)) < 1e-6:
@@ -134,6 +135,29 @@ def test_winding_doubled_samples_are_fresh_samples():
                 assert winding_number(co, E) == L - int(np.sum(moduli > 1))
                 checked += 1
     assert checked >= 24
+
+
+def test_winding_near_the_symbol_curve():
+    # energies 1e-4 to 1e-6 off the curve det(a(z) - E) = 0, |z| = 1, whose
+    # transfer moduli stay at least 1e-7 from 1: the winding counts the
+    # growing roots; an energy on the curve raises OnCurve
+    rng = np.random.default_rng(31)
+    checked = 0
+    for L in (1, 2, 3, 4):
+        for offset in (1e-4, 1e-5, 1e-6):
+            for _ in range(10):
+                co, _ = random_model(rng, L)
+                z = np.exp(2j * np.pi * rng.uniform())
+                on_curve = complex(np.linalg.eigvals(eval_symbol(co, z))[0])
+                with pytest.raises(OnCurve):
+                    winding_number(co, on_curve)
+                E = on_curve + offset * np.exp(2j * np.pi * rng.uniform())
+                moduli = ordered_spectrum(co, E).moduli
+                if np.min(np.abs(moduli - 1)) < 1e-7:
+                    continue
+                assert winding_number(co, E) == L - int(np.sum(moduli > 1))
+                checked += 1
+    assert checked >= 100
 
 
 def test_symbol_det_coefficients_closed_form():
