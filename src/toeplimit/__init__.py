@@ -6,16 +6,15 @@ from .errors import (BadConfig, ConvergenceFailure, DegenerateSplit,
                      NonSquare, NotAProjection, NotSimpleSpectrum, OnCurve,
                      RankMismatch, SingularMatrix, ToeplimitError, ZeroArgument)
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
-                        charpoly_direct, circulant_spectrum_fft, eval_symbol,
-                        finite_spectrum, winding_number)
+                        charpoly_direct, charpoly_logdet, circulant_spectrum_fft,
+                        eval_symbol, finite_spectrum, winding_number)
 from .numkernel import numerical_rank
 from .transfer import (TransferSpectrum, boundary_transfer_matrix,
                        match_branches, ordered_spectrum, riesz_projection,
                        riesz_projection_contour, transfer_matrix)
-from .widom import (WidomSum, charpoly_circulant, charpoly_semipermeable,
-                    index_sets, q_hat, q_perturbed, q_tilde,
-                    transfer_recursion_residual, widom_sum_open,
-                    widom_sum_perturbed, z_factor)
+from .widom import (WidomSum, charpoly_circulant, index_sets, q_hat,
+                    q_perturbed, q_tilde, transfer_recursion_residual,
+                    widom_logdet, widom_sum_open, widom_sum_perturbed)
 from .limitsets import (Arc, LimitSpectrumResult, Outlier, Region, ScanGrid,
                         compute_limit_sets, lambda_open, lambda_r,
                         omega_r_membership, outliers_open, outliers_perturbed,

@@ -180,9 +180,22 @@ def winding_number(coeffs: CoefficientTriple, E: complex) -> int:
     return int(np.sum(moduli < 1.0)) - coeffs.L
 
 
+def _shifted_operator(coeffs: CoefficientTriple, boundary: BoundaryTriple,
+                      N: int, E: complex) -> np.ndarray:
+    H = assemble_operator(coeffs, boundary, N)
+    H[np.diag_indices_from(H)] -= E
+    return H
+
+
 def charpoly_direct(coeffs: CoefficientTriple, boundary: BoundaryTriple,
                     N: int, E: complex) -> complex:
     """Brute-force det(H_N - E) via the dense assembled operator."""
-    H = assemble_operator(coeffs, boundary, N)
-    H[np.diag_indices_from(H)] -= E
-    return nk.determinant(H)
+    return nk.determinant(_shifted_operator(coeffs, boundary, N, E))
+
+
+def charpoly_logdet(coeffs: CoefficientTriple, boundary: BoundaryTriple,
+                    N: int, E: complex) -> complex:
+    """The complex log of ``charpoly_direct``, by ``slogdet`` of the same
+    dense H_N - E, so it does not overflow at large N; -inf if singular."""
+    sign, logabs = np.linalg.slogdet(_shifted_operator(coeffs, boundary, N, E))
+    return complex(logabs, np.angle(sign))

@@ -1,15 +1,14 @@
-"""Z-factors, q-functions and the determinant identities they assemble.
-
-Three routes to det(H_N - E) are provided: the circulant closed form via a
-transfer-matrix power, the open/boundary sum over index sets of cardinality L,
-and the generalized sum for an invertible-B corner perturbation. All three are
-pinned against the dense brute-force determinant in the tests.
-
-Index sets are 0-based subsets of {0, ..., 2L-1} into the modulus ordering.
-The q functions take all index sets of one spectrum in one stacked call, NaN
-on a degenerate spectrum, where the Widom sums raise DegenerateSplit.
+"""The generalized Widom determinant det(H_N - E) = c sum_I Z_I^p q_I, with
+Z_I = (-1)^L det(T) prod_{i in I} z_i over the modulus-ordered transfer
+eigenvalues; its q functions; and closed-form routes that cross-check it.
+``widom_logdet`` returns the complex log of the sum at a flat array of
+energies, so no power Z_I^p is formed; ``widom_sum_open`` and
+``widom_sum_perturbed`` are its one-energy rows. Index sets are 0-based
+subsets of {0, ..., 2L-1} into the modulus ordering. The q functions take all
+index sets of one spectrum in one stacked call, NaN on a degenerate spectrum,
+where the Widom sums raise DegenerateSplit.
 """
-import math
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -17,24 +16,23 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import numkernel as nk
 from .errors import DegenerateSplit
 from .operators import BoundaryTriple, CoefficientTriple
 from .transfer import (MEMO_SIZE, TransferSpectrum, boundary_transfer_matrices,
-                       boundary_transfer_matrix, ordered_spectrum,
-                       set_projections, size_groups, transfer_matrix)
-
-POWER_NORM_LIMIT = 1e120
+                       ordered_eig, set_projections, size_groups,
+                       transfer_matrix)
 
 
 @dataclass(frozen=True)
 class WidomSum:
     energy: complex
     N: int
-    total: complex
-    # (index set, Z_I^power, q value, contribution incl. global prefactor)
-    terms: Tuple[Tuple[Tuple[int, ...], complex, complex, complex], ...]
-    dominant: Tuple[int, ...]
+    logdet: complex   # log det(H_N - E); its imaginary part is mod 2 pi
+
+    @property
+    def total(self) -> complex:
+        """det(H_N - E); OverflowError past the double range."""
+        return cmath.exp(self.logdet)
 
 
 def index_sets(n: int, sizes: Iterable[int]) -> List[Tuple[int, ...]]:
@@ -47,24 +45,6 @@ def index_sets(n: int, sizes: Iterable[int]) -> List[Tuple[int, ...]]:
 @lru_cache(maxsize=MEMO_SIZE)
 def _index_sets(n: int, sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(I for k in sizes for I in combinations(range(n), k))
-
-
-def z_factors(spec: TransferSpectrum, sets: Sequence[Sequence[int]],
-              detT: complex) -> List[complex]:
-    """Z_I = (-1)^L det(T) * prod of the selected eigenvalues, one product per
-    set size; the empty product is 1, as the oracle suite pins."""
-    zs = [0j] * len(sets)
-    factor = (-1) ** spec.L * detT
-    for rows, idx in size_groups(sets, spec.values.size):
-        for r, prod in zip(rows.tolist(),
-                           np.prod(spec.values[idx], axis=1).tolist()):
-            zs[r] = factor * prod
-    return zs
-
-
-def z_factor(spec: TransferSpectrum, members: Sequence[int], detT: complex) -> complex:
-    """The one-set row of ``z_factors``."""
-    return z_factors(spec, [members], detT)[0]
 
 
 def _q_rows(spec: TransferSpectrum, sets: Sequence[Sequence[int]],
@@ -103,6 +83,20 @@ def q_perturbed_stack(proj: np.ndarray, Tbd: np.ndarray) -> np.ndarray:
 Window = Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
 
 
+def _windowed_q_hat(proj: np.ndarray, energies, C,
+                    window: Optional[Window]) -> np.ndarray:
+    """``q_hat_stack`` of (n, s, 2L, 2L) projections at n energies, each
+    taken as W_ri R_I W_le; an (n, s) array."""
+    ri, le = window if window is not None else ((), ())
+    for t in ri:
+        proj = t @ proj
+    for t in reversed(le):
+        proj = proj @ t
+    n, s = proj.shape[:2]
+    return q_hat_stack(proj.reshape(n * s, *proj.shape[2:]),
+                       np.repeat(energies, s), C).reshape(n, s)
+
+
 def q_hat_sets(spec: TransferSpectrum, C: np.ndarray,
                sets: Sequence[Sequence[int]],
                window: Optional[Window] = None) -> np.ndarray:
@@ -110,14 +104,8 @@ def q_hat_sets(spec: TransferSpectrum, C: np.ndarray,
     index set I, in one ``q_hat_stack`` call. ``window`` optionally supplies
     ([T_ri_1..T_ri_K], [T_le_1..T_le_K]) for perturbations a finite distance
     from the boundary; products are applied as T_K ... T_1."""
-    def q(G):
-        ri, le = window if window is not None else ((), ())
-        for t in ri:
-            G = t @ G
-        for t in reversed(le):
-            G = G @ t
-        return q_hat_stack(G, np.full(len(sets), spec.energy), C)
-    return _q_rows(spec, sets, q)
+    return _q_rows(spec, sets, lambda G: _windowed_q_hat(
+        G[None], [spec.energy], C, window)[0])
 
 
 def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
@@ -141,21 +129,6 @@ def q_perturbed(spec: TransferSpectrum, boundary: BoundaryTriple,
                 members: Sequence[int]) -> complex:
     """The one-set row of ``q_perturbed_sets``."""
     return complex(q_perturbed_sets(spec, boundary, [members])[0])
-
-
-def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
-    """Binary exponentiation with an overflow guard on the entry norm."""
-    result = np.eye(m.shape[0], dtype=np.complex128)
-    base = m.copy()
-    k = n
-    while k > 0:
-        if k & 1:
-            result = result @ base
-        base = base @ base
-        k >>= 1
-        if np.max(np.abs(result)) > POWER_NORM_LIMIT:
-            raise OverflowError("transfer-matrix power overflows double range")
-    return result
 
 
 def transfer_recursion_residual(coeffs: CoefficientTriple,
@@ -187,78 +160,84 @@ def transfer_recursion_residual(coeffs: CoefficientTriple,
 
 
 def charpoly_circulant(coeffs: CoefficientTriple, N: int, E: complex) -> complex:
-    """(-1)^{L(N-1)} det(T)^N det((T^E)^N - 1).
+    """The complex log of (-1)^{L(N-1)} det(T)^N det((T^E)^N - 1).
 
     The determinant factor is evaluated as prod_j (z_j^N - 1) over the
     transfer eigenvalues; this equals det of the matrix power exactly but
     avoids the roundoff the explicit power accumulates at large energies.
+    A factor with |z_j| > 1 is taken as z_j^N (1 - z_j^{-N}) and one with
+    |z_j| <= 1 as -(1 - z_j^N), so no power of modulus above 1 is formed.
     """
     L = coeffs.L
-    TE = transfer_matrix(coeffs, E)
-    z = np.linalg.eigvals(TE)
-    return ((-1) ** (L * (N - 1)) * coeffs.detT ** N
-            * complex(np.prod(z ** N - 1)))
+    z = np.linalg.eigvals(transfer_matrix(coeffs, E))
+    outer = np.abs(z) > 1
+    w = np.where(outer, 1 / z, z)
+    # (-1)^{L(N-1)}, and -1 per factor with |z_j| <= 1
+    sign = (L * (N - 1) + np.count_nonzero(~outer)) % 2
+    with np.errstate(divide="ignore"):
+        return complex(N * np.log(coeffs.detT) + N * np.sum(np.log(z[outer]))
+                       + np.sum(np.log1p(-w ** N)) + 1j * np.pi * sign)
 
 
-def charpoly_semipermeable(coeffs: CoefficientTriple, boundary: BoundaryTriple,
-                           N: int, E: complex) -> complex:
-    """(-1)^{L(N-1)} det(B) det(T)^{N-1} det((T^E)^{N-1} T^E_bd - 1).
-
-    Independent route to the perturbed determinant (B invertible), used as an
-    additional cross-check of the index-set sum.
-    """
+def widom_logdet(coeffs: CoefficientTriple, corner, N: int, energies,
+                 window: Optional[Window] = None) -> np.ndarray:
+    """Complex log det(H_N - E) at a flat array of energies, a max-shifted
+    log-sum-exp of p log Z_I + log q_I. A top-left block ``corner`` = C
+    selects the open rule, |I| = L, p = N, q_hat windowed as in
+    ``q_hat_sets``, c = 1; a BoundaryTriple the perturbed rule,
+    |I| <= L + rank(A), p = N - 1, q_perturbed, c = det(B). NaN at a
+    degenerate energy, -inf where every term is 0."""
+    energies = np.asarray(energies, dtype=np.complex128).ravel()
     L = coeffs.L
-    TE = transfer_matrix(coeffs, E)
-    Tbd = boundary_transfer_matrix(boundary, E)
-    power = _matrix_power(TE, N - 1)
-    return ((-1) ** (L * (N - 1)) * boundary.detB * coeffs.detT ** (N - 1)
-            * nk.determinant(power @ Tbd - np.eye(2 * L, dtype=np.complex128)))
+    values, right, left_rows, degenerate = ordered_eig(coeffs, energies)
+    if isinstance(corner, BoundaryTriple):
+        sets = index_sets(2 * L, range(L + corner.rank_A + 1))
+        Tbd = boundary_transfer_matrices(corner, energies)
+        q = q_perturbed_stack(set_projections(right, left_rows, sets),
+                              Tbd[:, None])
+        power, log_prefactor = N - 1, np.log(corner.detB)
+    else:
+        sets = index_sets(2 * L, [L])
+        q = _windowed_q_hat(set_projections(right, left_rows, sets),
+                            energies, corner, window)
+        power, log_prefactor = N, 0j
+    q[degenerate] = np.nan
+    # each set's members, padded to the largest set (the last) with index
+    # 2L, whose value 1 has log 0. Every sum is a cumsum, whose order is
+    # fixed: np.sum's order, and so a row's bits, depends on the stack shape
+    members = np.full((len(sets), len(sets[-1])), 2 * L)
+    for rows, idx in size_groups(sets, 2 * L):
+        members[rows, :idx.shape[1]] = idx
+    log_values = np.log(np.concatenate([values, np.ones((len(values), 1))],
+                                       axis=1))
+    log_z = (np.log((-1) ** L * coeffs.detT)
+             + np.cumsum(log_values[:, members], axis=2)[..., -1])
+    with np.errstate(divide="ignore"):
+        terms = power * log_z + np.log(q)
+        shift = np.max(terms.real, axis=1, keepdims=True)
+        # all terms -inf: no shift, so the sum is 0 and its log -inf
+        shift[~np.isfinite(shift)] = 0.0
+        total = np.cumsum(np.exp(terms - shift), axis=1)[:, -1]
+        return log_prefactor + shift[:, 0] + np.log(total)
 
 
-def _compensated_total(contribs: List[complex]) -> complex:
-    return complex(math.fsum(c.real for c in contribs),
-                   math.fsum(c.imag for c in contribs))
-
-
-def _assemble_sum(spec: TransferSpectrum, N: int, sets: List[Tuple[int, ...]],
-                  z_power: int, qvals: List[complex], detT: complex,
-                  prefactor: complex) -> WidomSum:
-    zs = z_factors(spec, sets, detT)
-    order = sorted(range(len(sets)), key=lambda i: -abs(zs[i]))
-    terms = []
-    contribs = []
-    for i in order:
-        zp = zs[i] ** z_power
-        contrib = prefactor * zp * qvals[i]
-        terms.append((sets[i], zp, qvals[i], contrib))
-        contribs.append(contrib)
-    total = _compensated_total(contribs)
-    dominant = sets[order[0]] if order else ()
-    return WidomSum(spec.energy, N, total, tuple(terms), dominant)
+def _widom_row(coeffs: CoefficientTriple, corner, N: int, E: complex,
+               window: Optional[Window] = None) -> WidomSum:
+    logdet = complex(widom_logdet(coeffs, corner, N, [E], window)[0])
+    if cmath.isnan(logdet):
+        raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
+    return WidomSum(E, N, logdet)
 
 
 def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
-                   window=None) -> WidomSum:
-    """det(H_N(0,0,C) - E) as the sum over |I| = L of Z_I^N q_hat_I."""
-    spec = ordered_spectrum(coeffs, E)
-    if spec.degenerate:
-        raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
-    L = coeffs.L
-    sets = index_sets(2 * L, [L])
-    qvals = q_hat_sets(spec, C, sets, window).tolist()
-    return _assemble_sum(spec, N, sets, N, qvals, coeffs.detT, 1.0 + 0j)
+                   window: Optional[Window] = None) -> WidomSum:
+    """det(H_N(0,0,C) - E) as the sum over |I| = L of Z_I^N q_hat_I: the
+    one-energy row of ``widom_logdet``'s open rule."""
+    return _widom_row(coeffs, C, N, E, window)
 
 
 def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
                         N: int, E: complex) -> WidomSum:
     """det(H_N(A,B,C) - E) as det(B) * sum over |I| <= L + rank(A) of
-    Z_I^{N-1} q_I."""
-    spec = ordered_spectrum(coeffs, E)
-    if spec.degenerate:
-        raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
-    L = coeffs.L
-    sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
-    qvals = q_perturbed_sets(spec, boundary, sets).tolist()
-    return _assemble_sum(spec, N, sets, N - 1, qvals, coeffs.detT,
-                         boundary.detB)
-
+    Z_I^{N-1} q_I: the one-energy row of ``widom_logdet``'s perturbed rule."""
+    return _widom_row(coeffs, boundary, N, E)

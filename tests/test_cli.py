@@ -104,6 +104,23 @@ def test_verify_widom_perturbed_route(tmp_path):
     assert report["routes"]["perturbed_sum"]["pass"] is True
 
 
+@pytest.mark.parametrize("config", ["demo_H", "demo_open", "demo_circulant"])
+def test_verify_widom_passes_past_the_double_range(tmp_path, config):
+    # at N = 300, Z_I^N and det(H_N - E) are past 1e300: every route is
+    # compared in logs
+    out = tmp_path / "w"
+    code = run(["verify-widom", "--config",
+                os.path.join(CONFIG_DIR, f"{config}.json"), "--E=2.5,2.5",
+                "--N", "300", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "widom_verify.json").read_text())
+    assert report["log_direct"][0] > 700
+    assert report["routes"] and report["pass"] is True
+    for route in report["routes"].values():
+        assert set(route) == {"log_value", "rel_error", "pass"}
+        assert route["pass"] is True and route["rel_error"] <= 1e-8
+
+
 def test_limit_spectrum_deterministic_checksums(tmp_path):
     argv = ["limit-spectrum", "--config", SCALAR, "--grid", "48,48"]
     assert run(argv + ["--out", str(tmp_path / "a")]) == 0

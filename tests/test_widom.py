@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,12 +10,13 @@ from conftest import gaussian_matrix, nondegenerate_energy, random_model
 from toeplimit import numkernel as nk
 from toeplimit.errors import DegenerateSplit, OnCurve
 from toeplimit.operators import (BoundaryTriple, assemble_operator,
-                                 charpoly_direct, winding_number)
+                                 charpoly_direct, charpoly_logdet,
+                                 winding_number)
 from toeplimit.transfer import (boundary_transfer_matrix, ordered_spectrum,
                                 transfer_matrix)
-from toeplimit.widom import (charpoly_circulant, charpoly_semipermeable,
-                             index_sets, q_hat, q_perturbed, q_tilde,
-                             widom_sum_open, widom_sum_perturbed, z_factor)
+from toeplimit.widom import (WidomSum, charpoly_circulant, index_sets, q_hat,
+                             q_perturbed, q_tilde, widom_logdet,
+                             widom_sum_open, widom_sum_perturbed)
 
 
 def test_index_sets_counts():
@@ -33,14 +35,6 @@ def test_index_sets_memo_returns_a_fresh_list():
     assert index_sets(3, (1, 2)) == expected
     assert index_sets(3, range(1, 3)) == expected
     assert index_sets(3, [2, 1]) == expected[3:] + expected[:3]
-
-
-def test_z_factor_convention(scalar_model):
-    # empty set: the empty eigenvalue product is 1, so Z = (-1)^L det T
-    E, spec = 3.0, ordered_spectrum(scalar_model, 3.0)
-    detT = nk.determinant(scalar_model.T)
-    assert z_factor(spec, (), detT) == pytest.approx(-1.0)
-    assert z_factor(spec, (0,), detT) == pytest.approx(-spec.values[0])
 
 
 def test_q_hat_scalar_closed_form(scalar_model):
@@ -87,7 +81,7 @@ def test_q_invalid_on_degenerate_spectrum(twin_channels):
 
 
 def test_circulant_scalar_anchor(scalar_model):
-    assert charpoly_circulant(scalar_model, 3, 0.0) == pytest.approx(2.0)
+    assert cmath.exp(charpoly_circulant(scalar_model, 3, 0.0)) == pytest.approx(2.0)
 
 
 def test_open_identity_random():
@@ -101,6 +95,17 @@ def test_open_identity_random():
         direct = charpoly_direct(co, BoundaryTriple.boundary(C), N, E)
         ws = widom_sum_open(co, C, N, E)
         assert abs(ws.total - direct) <= 1e-8 * (1 + abs(direct))
+
+
+def charpoly_semipermeable(coeffs, boundary, N, E):
+    """(-1)^{L(N-1)} det(B) det(T)^{N-1} det((T^E)^{N-1} T^E_bd - 1), an
+    independent route to the perturbed determinant (B invertible) at small
+    N, where the matrix power stays in the double range."""
+    L = coeffs.L
+    power = np.linalg.matrix_power(transfer_matrix(coeffs, E), N - 1)
+    Tbd = boundary_transfer_matrix(boundary, E)
+    return ((-1) ** (L * (N - 1)) * boundary.detB * coeffs.detT ** (N - 1)
+            * np.linalg.det(power @ Tbd - np.eye(2 * L)))
 
 
 def test_perturbed_identity_random():
@@ -117,20 +122,17 @@ def test_perturbed_identity_random():
         assert abs(semi - direct) <= 1e-8 * (1 + abs(direct))
 
 
-def test_widom_sum_terms_sorted_and_dominant(scalar_model):
-    ws = widom_sum_open(scalar_model, np.zeros((1, 1)), 5, 3.0)
-    mags = [abs(zp) for _, zp, _, _ in ws.terms]
-    assert mags == sorted(mags, reverse=True)
-    assert ws.dominant == (1,)  # the growing branch
-
-
 def test_widom_sum_refuses_degenerate(twin_channels):
     zero = np.zeros((2, 2))
+    bd = BoundaryTriple(zero, np.eye(2), zero)
     with pytest.raises(DegenerateSplit):
         widom_sum_open(twin_channels, zero, 5, 0.3)
     with pytest.raises(DegenerateSplit):
-        widom_sum_perturbed(twin_channels, BoundaryTriple(zero, np.eye(2), zero),
-                            5, 0.3)
+        widom_sum_perturbed(twin_channels, bd, 5, 0.3)
+    # the stacked kernel marks each degenerate row NaN instead
+    for corner in (zero, bd):
+        assert np.isnan(widom_logdet(twin_channels, corner, 5,
+                                     [0.3, -1.2 + 0.5j])).all()
 
 
 def test_windowed_q_hat_consistency():
@@ -183,7 +185,7 @@ def test_widom_sums_match_dense_determinant(case, N):
 def test_circulant_identity_random(case, N):
     coeffs, _, E, _ = case
     direct = charpoly_direct(coeffs, BoundaryTriple.circulant(coeffs), N, E)
-    value = charpoly_circulant(coeffs, N, E)
+    value = cmath.exp(charpoly_circulant(coeffs, N, E))
     assert abs(value - direct) <= 1e-8 * (1 + abs(direct))
 
 
@@ -205,33 +207,31 @@ def written_out_projection(spec, members):
     return spec.right_vectors[:, idx] @ spec.left_rows[idx, :]
 
 
-def reference_sum(spec, sets, z_power, qvals, detT, prefactor):
-    """(terms, dominant, total) assembled from one-set Z and q values: terms
-    by decreasing |Z|, the total compensated."""
-    zs = [z_factor(spec, I, detT) for I in sets]
-    for I, z in zip(sets, zs):
+def reference_total(spec, sets, z_power, qvals, detT, prefactor):
+    """The Widom sum written out from one-set q values and Z_I = (-1)^L
+    det(T) prod z_i, compensated over the terms. The empty product is 1, so
+    Z of the empty set, a term of every perturbed sum, is (-1)^L det T."""
+    terms = []
+    for I, q in zip(sets, qvals):
         prod = complex(np.prod(spec.values[list(I)])) if I else 1.0 + 0j
-        assert repr(z) == repr((-1) ** spec.L * detT * prod)
-    order = sorted(range(len(sets)), key=lambda i: -abs(zs[i]))
-    terms = tuple((sets[i], zs[i] ** z_power, qvals[i],
-                   prefactor * zs[i] ** z_power * qvals[i]) for i in order)
-    total = complex(math.fsum(t[3].real for t in terms),
-                    math.fsum(t[3].imag for t in terms))
-    return terms, sets[order[0]], total
+        z = (-1) ** spec.L * detT * prod
+        terms.append(prefactor * z ** z_power * q)
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
 
 
-def assert_same_sum(ws, reference):
-    terms, dominant, total = reference
-    assert repr(ws.terms) == repr(terms)
-    assert ws.dominant == dominant
-    assert repr(ws.total) == repr(total)
+def assert_same_total(ws, total):
+    assert isinstance(ws, WidomSum) and isinstance(ws.total, complex)
+    assert ws.total == cmath.exp(ws.logdet)
+    assert abs(ws.total - total) <= 1e-12 * abs(total)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(model_rank_energy(), st.integers(3, 6), st.booleans())
 def test_widom_sums_are_their_one_set_rows(case, N, windowed):
-    # every term of a stacked sum has the bits of its one-set q and Z
-    # calls, and those have the bits of the written-out formulas
+    # every q row of a stacked call has the bits of its one-set call, and
+    # those have the bits of the written-out formulas; the sums match the
+    # written-out compensated sum of those rows
     coeffs, boundary, E, spec = case
     L = coeffs.L
     detT = nk.determinant(coeffs.T)
@@ -246,7 +246,7 @@ def test_widom_sums_are_their_one_set_rows(case, N, windowed):
             G = TE @ G @ TE
         assert repr(q) == repr(complex(np.linalg.det((G @ col)[L:, :])))
     ws = widom_sum_open(coeffs, boundary.C, N, E, window=window)
-    assert_same_sum(ws, reference_sum(spec, sets, N, qvals, detT, 1.0 + 0j))
+    assert_same_total(ws, reference_total(spec, sets, N, qvals, detT, 1.0))
 
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
     qvals = [q_perturbed(spec, boundary, I) for I in sets]
@@ -257,4 +257,29 @@ def test_widom_sums_are_their_one_set_rows(case, N, windowed):
         assert repr(q) == repr(complex(direct))
     ws = widom_sum_perturbed(coeffs, boundary, N, E)
     detB = nk.determinant(boundary.B)
-    assert_same_sum(ws, reference_sum(spec, sets, N - 1, qvals, detT, detB))
+    assert_same_total(ws, reference_total(spec, sets, N - 1, qvals, detT, detB))
+
+
+def log_gap(a, b):
+    """|a / b - 1| for complex logs a and b."""
+    return abs(np.expm1(a - b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_rank_energy(), st.integers(3, 200),
+       st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1,
+                max_size=4))
+def test_widom_logdet_matches_dense_logdet(case, N, more):
+    # both rules' rows against slogdet of the dense H_N - E at N up to 200;
+    # a stacked call is its one-energy rows, bit for bit
+    coeffs, boundary, E, _ = case
+    rows = ((widom_sum_open(coeffs, boundary.C, N, E), boundary.C,
+             BoundaryTriple.boundary(boundary.C)),
+            (widom_sum_perturbed(coeffs, boundary, N, E), boundary, boundary))
+    for ws, corner, bd in rows:
+        assert log_gap(ws.logdet, charpoly_logdet(coeffs, bd, N, E)) <= 1e-9
+        energies = [E] + more
+        stacked = widom_logdet(coeffs, corner, N, energies)
+        one = [widom_logdet(coeffs, corner, N, [x])[0] for x in energies]
+        assert stacked.tobytes() == np.array(one).tobytes()
+        assert stacked[0] == ws.logdet
