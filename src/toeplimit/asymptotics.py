@@ -15,8 +15,8 @@ from . import numkernel as nk
 from .errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
                      SingularMatrix)
 from .operators import BoundaryTriple
-from .transfer import boundary_transfer_matrices, ordered_eig, set_projections
-from .widom import index_sets, q_perturbed_stack
+from .transfer import ordered_eig
+from .widom import corner_q, index_sets
 
 SIMPLE_TOL = 1e-10
 # leading coefficients and q values at or below this count as zero in
@@ -177,36 +177,6 @@ def projection_frames(P, rank: Optional[int] = None,
     return FrameSet(Phi, Phi_c, dual[..., :rank], dual[..., rank:])
 
 
-def frames_from_projection(P, rank: Optional[int] = None,
-                           tol: float = 1e-8) -> FrameSet:
-    """The one-matrix row of ``projection_frames``."""
-    return _rows(projection_frames(nk.as_cmatrix(P)[None], rank, tol), 0)
-
-
-@dataclass(frozen=True)
-class RieszLeading:
-    """Order-0 diagonal blocks and order-1 off-diagonal blocks of the Riesz
-    projection at large energy (coefficients of 1 and 1/E respectively)."""
-    PT: np.ndarray
-    PR: np.ndarray
-    upper_right: np.ndarray   # coefficient of 1/E: T (PR - PT) R
-    lower_left: np.ndarray    # coefficient of 1/E: -(PR - PT)
-
-
-def riesz_leading_full(rt: RTData, R, T, members: Sequence[int]) -> RieszLeading:
-    PT = rt.PT_of(members)
-    PR = rt.PR_of(members)
-    return RieszLeading(PT, PR, nk.as_cmatrix(T) @ (PR - PT) @ nk.as_cmatrix(R),
-                        -(PR - PT))
-
-
-def q_tilde_leading(rt: RTData, members: Sequence[int]) -> Tuple[complex, int]:
-    """q_tilde ~ det(PT_I - PR_I) * E^{-L}; the coefficient vanishes unless
-    |I| = L."""
-    coeff = nk.determinant(rt.PT_of(members) - rt.PR_of(members))
-    return coeff, -rt.L
-
-
 def _ranks(rt_L: int, members: Sequence[int]) -> Tuple[int, int]:
     """(p, p_hat): the members on the T side and on the R side."""
     p = sum(1 for i in members if i >= rt_L)
@@ -342,17 +312,15 @@ def _nonzero_rows(blocks: np.ndarray, energies: np.ndarray,
         ok &= test(q_leading_stack(*projections(sets), p, p_hat, A[:, None],
                                    B[:, None]))
     # direct confirmation: q_I nonzero at each trial's random energies; the
-    # transfer stacks take one row of blocks per energy, and B passed the
-    # rank rule in q_leading_stack
+    # transfer stacks take one row of blocks per energy, B passed the rank
+    # rule in q_leading_stack, and A has full rank
     E = energies.ravel()
-    rows = SimpleNamespace(**{k: np.repeat(m, ENERGY_CHECKS, axis=0) for k, m in
-                              (("R", R), ("V", V), ("Tinv", nk.inverse(T)),
-                               ("A", A), ("C", C), ("Binv", nk.inverse(B)))})
+    rows = SimpleNamespace(L=L, rank_A=L, **{
+        k: np.repeat(m, ENERGY_CHECKS, axis=0) for k, m in
+        (("R", R), ("V", V), ("Tinv", nk.inverse(T)), ("A", A), ("C", C),
+         ("Binv", nk.inverse(B)))})
     _, right, left, degenerate = ordered_eig(rows, E)
-    proj = set_projections(right, left, index_sets(2 * L, [L]))
-    Tbd = boundary_transfer_matrices(rows, E)
-    q = q_perturbed_stack(proj, Tbd[:, None])
-    q[degenerate] = np.nan
+    q = corner_q(right, left, degenerate, E, rows, index_sets(2 * L, [L]))
     ok &= test(q.reshape(len(blocks), -1))
     return ok
 

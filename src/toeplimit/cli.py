@@ -26,8 +26,8 @@ from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
                         charpoly_logdet, circulant_spectrum_fft,
                         finite_spectrum)
 from .transfer import ordered_spectrum
-from .widom import (charpoly_circulant, index_sets, q_hat_sets,
-                    q_perturbed_sets, widom_sum_open, widom_sum_perturbed)
+from .widom import (charpoly_circulant, index_sets, q_sets, widom_sum_open,
+                    widom_sum_perturbed)
 
 CASES = ("circulant", "open", "boundary", "perturbed", "custom")
 CONFIG_KEYS = ("L", "N", "R", "T", "V", "A", "B", "C", "case", "region", "nx",
@@ -43,8 +43,14 @@ SKIN_EFFECT_NOTE = (
 # config serialization
 
 
-def _encode_complex(z: complex) -> List[float]:
-    return [float(z.real), float(z.imag)]
+def _json_float(x) -> Optional[float]:
+    """x as a float, or None (JSON null) where it is missing or not finite,
+    so every payload stays strict JSON."""
+    return float(x) if x is not None and np.isfinite(x) else None
+
+
+def _encode_complex(z: complex) -> List[Optional[float]]:
+    return [_json_float(z.real), _json_float(z.imag)]
 
 
 def _is_number(obj) -> bool:
@@ -280,8 +286,10 @@ def _load(args) -> ModelConfig:
 
 
 def _limit_sets(cfg: ModelConfig, args):
-    """Arcs and outliers at the config's grid. A ``--r`` the run would not
-    read is a config error."""
+    """Arcs and outliers at the config's grid. A custom corner (no B^{-1})
+    and a ``--r`` the run would not read are config errors."""
+    if cfg.boundary.classify(cfg.coeffs) == "custom":
+        raise BadConfig("no limit sets for case 'custom': B is singular")
     try:
         check_rank(cfg.coeffs, cfg.boundary, args.r)
     except ValueError as exc:
@@ -362,18 +370,25 @@ def _cmd_verify_widom(args) -> int:
     report = {"N": N, "E": _encode_complex(E), "case": case,
               "log_direct": _encode_complex(log_direct), "routes": {}}
     # |value - direct| <= 1e-8 (1 + |direct|) divided by |direct|, the phase
-    # of the log gap taken mod 2 pi; only a singular H_N - E overflows here
+    # of the log gap taken mod 2 pi. A singular H_N - E has direct = 0: the
+    # rule is then |value| <= 1e-8, and no relative error exists
+    singular = np.isneginf(log_direct.real)
     with np.errstate(over="ignore", invalid="ignore"):
-        tol = 1e-8 * (1 + np.exp(-log_direct.real))
         for name, value in routes.items():
-            gap = value - log_direct
-            gap -= 2j * np.pi * round(gap.imag / (2 * np.pi))
-            rel = float(abs(np.expm1(gap)))
+            if singular:
+                rel, ok = None, bool(value.real <= np.log(1e-8))
+                error = f"|value| = {np.exp(value.real):.3e}"
+            else:
+                gap = value - log_direct
+                gap -= 2j * np.pi * round(gap.imag / (2 * np.pi))
+                rel = float(abs(np.expm1(gap)))
+                ok = bool(rel <= 1e-8 * (1 + np.exp(-log_direct.real)))
+                error = f"rel_err = {rel:.3e}"
             report["routes"][name] = {"log_value": _encode_complex(value),
-                                      "rel_error": rel,
-                                      "pass": bool(rel <= tol)}
-            print(f"  {name}: log {value:.12g} rel_err = {rel:.3e} "
-                  f"{'PASS' if rel <= tol else 'FAIL'}")
+                                      "rel_error": _json_float(rel),
+                                      "pass": ok}
+            print(f"  {name}: log {value:.12g} {error} "
+                  f"{'PASS' if ok else 'FAIL'}")
     ok = all(route["pass"] for route in report["routes"].values())
     report["pass"] = ok
     writer = ArtifactWriter(args.out, cfg)
@@ -395,10 +410,10 @@ def _cmd_asymptotics_check(args) -> int:
     # (kind, I, leading (coeff, exponent), q) per index set
     sets = index_sets(2 * L, [L])
     checks = [("q_hat", I, q_hat_leading(rt, I, cfg.C, cfg.V), q) for I, q
-              in zip(sets, q_hat_sets(spec, cfg.C, sets).tolist())]
+              in zip(sets, q_sets(spec, cfg.C, sets).tolist())]
     if boundary.classify(cfg.coeffs) in ("circulant", "perturbed"):
         sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
-        qs = q_perturbed_sets(spec, boundary, sets).tolist()
+        qs = q_sets(spec, boundary, sets).tolist()
         checks += [("q", I, q_leading(rt, boundary, I), q)
                    for I, q in zip(sets, qs)]
     rows = [{"kind": kind, "I": list(I),

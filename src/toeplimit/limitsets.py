@@ -18,11 +18,10 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import ConvergenceFailure
-from .operators import BoundaryTriple, CoefficientTriple, winding_number
-from .transfer import (TIE_TOL, boundary_transfer_matrices, match_branches,
-                       modulus_order, ordered_eig, riesz_projections,
+from .operators import BoundaryTriple, CoefficientTriple
+from .transfer import (TIE_TOL, match_branches, modulus_order, ordered_eig,
                        transfer_matrices, transfer_matrix)
-from .widom import q_hat_stack, q_perturbed_stack
+from .widom import corner_q
 
 EXCLUSION_FACTOR = 3.0
 SEED_QUANTILE = 0.05
@@ -84,14 +83,6 @@ class ScanGrid:
     @property
     def L(self) -> int:
         return self.values.shape[2] // 2
-
-    @property
-    def nx(self) -> int:
-        return self.re.size
-
-    @property
-    def ny(self) -> int:
-        return self.im.size
 
     @property
     def energies(self) -> np.ndarray:
@@ -750,10 +741,8 @@ def q_open(coeffs: CoefficientTriple, C) -> Callable[..., np.ndarray]:
     def q(energies: np.ndarray, triple=None) -> np.ndarray:
         _, right, left_rows, degenerate = (
             ordered_eig(coeffs, energies) if triple is None else triple)
-        out = q_hat_stack(riesz_projections(right, left_rows, members),
-                          energies, C)
-        out[degenerate] = np.nan
-        return out
+        return corner_q(right, left_rows, degenerate, energies, C,
+                        [members])[:, 0]
 
     return q
 
@@ -767,7 +756,6 @@ def q_perturbed_dominant(coeffs: CoefficientTriple,
     def q(energies: np.ndarray, triple=None) -> np.ndarray:
         values, right, left_rows, degenerate = (
             ordered_eig(coeffs, energies) if triple is None else triple)
-        Tbd = boundary_transfer_matrices(boundary, energies)
         # group energies by dominant set and evaluate q per group
         dominant = dominant_set(np.abs(values), boundary.rank_A)
         codes = dominant.dot(1 << np.arange(2 * coeffs.L))
@@ -775,9 +763,8 @@ def q_perturbed_dominant(coeffs: CoefficientTriple,
         for code in np.unique(codes):
             sel = codes == code
             members = np.flatnonzero(dominant[np.argmax(sel)])
-            out[sel] = q_perturbed_stack(
-                riesz_projections(right[sel], left_rows[sel], members), Tbd[sel])
-        out[degenerate] = np.nan
+            out[sel] = corner_q(right[sel], left_rows[sel], degenerate[sel],
+                                energies[sel], boundary, [members])[:, 0]
         return out
 
     return q
@@ -805,12 +792,6 @@ def outliers_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,
         arcs = sigma_r(scan, boundary.rank_A) + lambda_r(scan, boundary.rank_A)
     q = q_perturbed_dominant(coeffs, boundary)
     return _refine_outliers(scan, q, "Gamma_r", arcs, q_field)
-
-
-def omega_r_membership(coeffs: CoefficientTriple, E: complex, r: int) -> bool:
-    """E lies in the open set whose topological boundary is the rank-r
-    continuous spectrum: winding number > -r."""
-    return winding_number(coeffs, E) > -r
 
 
 STAGES = ("scan", "sigma", "lambda", "newton")

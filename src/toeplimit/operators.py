@@ -50,10 +50,6 @@ class CoefficientTriple:
     def L(self) -> int:
         return self.R.shape[0]
 
-    def reversed(self) -> "CoefficientTriple":
-        """Swap R and T, i.e. pass to the reversed symbol."""
-        return CoefficientTriple(self.T, self.R, self.V)
-
 
 @dataclass(frozen=True)
 class BoundaryTriple:
@@ -91,11 +87,6 @@ class BoundaryTriple:
     @classmethod
     def circulant(cls, coeffs: CoefficientTriple) -> "BoundaryTriple":
         return cls(coeffs.R, coeffs.T, coeffs.V)
-
-    @classmethod
-    def open(cls, coeffs: CoefficientTriple) -> "BoundaryTriple":
-        z = np.zeros_like(coeffs.V)
-        return cls(z, z, coeffs.V)
 
     @classmethod
     def boundary(cls, C) -> "BoundaryTriple":

@@ -1,4 +1,5 @@
-"""Transfer matrices, modulus-ordered spectra and Riesz projections.
+"""Transfer matrices, modulus-ordered spectra, Riesz projections and branch
+matching.
 
 The 2L x 2L transfer matrix propagates solution pairs of the three-term
 eigenvalue recursion by one site; its eigenvalues z_1(E), ..., z_2L(E), kept
@@ -11,7 +12,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import numkernel as nk
-from .errors import DegenerateSplit, SingularMatrix
+from .errors import SingularMatrix
 from .operators import BoundaryTriple, CoefficientTriple
 
 TIE_TOL = 1e-6
@@ -48,11 +49,6 @@ def boundary_transfer_matrices(boundary: BoundaryTriple, energies) -> np.ndarray
 def transfer_matrix(coeffs: CoefficientTriple, E: complex) -> np.ndarray:
     """The one-energy row of ``transfer_matrices``."""
     return transfer_matrices(coeffs, [E])[0]
-
-
-def boundary_transfer_matrix(boundary: BoundaryTriple, E: complex) -> np.ndarray:
-    """The one-energy row of ``boundary_transfer_matrices``."""
-    return boundary_transfer_matrices(boundary, [E])[0]
 
 
 def modulus_order(values: np.ndarray):
@@ -148,52 +144,18 @@ def _size_groups(sets: Tuple[Tuple[int, ...], ...], n: int):
     return tuple(groups)
 
 
-def riesz_projections(right: np.ndarray, left_rows: np.ndarray,
-                      members: Sequence[int]) -> np.ndarray:
-    """Spectral projectors onto the selected branches (0-based indices into
-    the modulus ordering) of (n, 2L, 2L) right-column and left-row stacks.
-    Member columns are selected: a 0/1 mask would round differently."""
-    [(_, idx)] = size_groups([members], right.shape[-1])
-    return right[:, :, idx[0]] @ left_rows[:, idx[0], :]
-
-
 def set_projections(right: np.ndarray, left_rows: np.ndarray,
                     sets: Sequence[Sequence[int]]) -> np.ndarray:
-    """(..., n_sets, 2L, 2L) projectors of a (..., 2L, 2L) right-column and
-    left-row pair or stack, one product per set size, each row as
-    ``riesz_projections``."""
+    """(..., n_sets, 2L, 2L) spectral projectors onto the index sets
+    (0-based, into the modulus ordering) of a (..., 2L, 2L) right-column
+    and left-row pair or stack, one product per set size. Member columns
+    are selected: a 0/1 mask would round differently."""
     out = np.empty(right.shape[:-2] + (len(sets),) + right.shape[-2:],
                    np.complex128)
     for rows, idx in size_groups(sets, right.shape[-1]):
         out[..., rows, :, :] = (right[..., :, idx].swapaxes(-3, -2)
                                 @ left_rows[..., idx, :])
     return out
-
-
-def riesz_projection(spec: TransferSpectrum,
-                     members: Sequence[int]) -> np.ndarray:
-    """The one-row case of ``riesz_projections``; equals the contour-integral
-    Riesz projection. Like the Widom sums, it refuses a degenerate
-    spectrum."""
-    if spec.degenerate:
-        raise DegenerateSplit(f"E = {spec.energy} lies in a degeneracy band")
-    return riesz_projections(spec.right_vectors[None], spec.left_rows[None],
-                             members)[0]
-
-
-def riesz_projection_contour(coeffs: CoefficientTriple, E: complex,
-                             center: complex, radius: float,
-                             nodes: int = 512) -> np.ndarray:
-    """Trapezoid-rule contour integral of the resolvent on a circle: one
-    stacked inverse over the nodes, then their weighted mean.
-
-    Retained as a cross-check of the eigenvector construction.
-    """
-    M = transfer_matrix(coeffs, E)
-    w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    resolvents = np.linalg.inv((center + w)[:, None, None] * np.eye(M.shape[0])
-                               - M)
-    return np.tensordot(w, resolvents, axes=1) / nodes
 
 
 def _optimal_assignment(cost: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """The generalized Widom determinant det(H_N - E) = c sum_I Z_I^p q_I, with
 Z_I = (-1)^L det(T) prod_{i in I} z_i over the modulus-ordered transfer
-eigenvalues; its q functions; and closed-form routes that cross-check it.
-``widom_logdet`` returns the complex log of the sum at a flat array of
-energies, so no power Z_I^p is formed; ``widom_sum_open`` and
+eigenvalues; its q functions; and the circulant closed form that
+cross-checks it. ``widom_logdet`` returns the complex log of the sum at a
+flat array of energies, so no power Z_I^p is formed; ``widom_sum_open`` and
 ``widom_sum_perturbed`` are its one-energy rows. Index sets are 0-based
-subsets of {0, ..., 2L-1} into the modulus ordering. The q functions take all
-index sets of one spectrum in one stacked call, NaN on a degenerate spectrum,
-where the Widom sums raise DegenerateSplit.
+subsets of {0, ..., 2L-1} into the modulus ordering. ``corner_q`` is the one
+q kernel of both corner rules, over energies and index sets at once; the q
+functions are NaN on a degenerate spectrum, where the Widom sums raise
+DegenerateSplit.
 """
 import cmath
 from dataclasses import dataclass
@@ -47,116 +48,71 @@ def _index_sets(n: int, sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(I for k in sizes for I in combinations(range(n), k))
 
 
-def _q_rows(spec: TransferSpectrum, sets: Sequence[Sequence[int]],
-            q_stack) -> np.ndarray:
-    """``q_stack`` of the sets' projections, all NaN if ``spec.degenerate``."""
-    if spec.degenerate:
-        return np.full(len(sets), complex(np.nan))
-    return q_stack(set_projections(spec.right_vectors, spec.left_rows, sets))
-
-
 def q_tilde(spec: TransferSpectrum, members: Sequence[int]) -> complex:
-    """det of the lower-left L x L block of the Riesz projection."""
+    """det of the lower-left L x L block of the Riesz projection; NaN on a
+    degenerate spectrum."""
     L = spec.L
-    return complex(_q_rows(spec, [members],
-                           lambda G: np.linalg.det(G[:, L:, :L]))[0])
-
-
-def q_hat_stack(proj: np.ndarray, energies, C) -> np.ndarray:
-    """det_L of the bottom-left L x L block of proj @ M_bd, M_bd = [[E - C,
-    -1], [1, 0]], over (n, 2L, 2L) (windowed) projections at n energies."""
-    energies = np.asarray(energies, dtype=np.complex128)
-    L = proj.shape[-1] // 2
-    # M_bd @ [1; 0] = [E - C; 1]
-    col = np.zeros((energies.size, 2 * L, L), dtype=np.complex128)
-    col[:, :L] = energies[:, None, None] * np.eye(L) - C
-    col[:, L:] = np.eye(L)
-    return np.linalg.det((proj @ col)[:, L:, :])
-
-
-def q_perturbed_stack(proj: np.ndarray, Tbd: np.ndarray) -> np.ndarray:
-    """det_2L(R_I T_bd - R_{I^c}) over (n, 2L, 2L) R_I and T_bd stacks."""
-    eye = np.eye(proj.shape[-1], dtype=np.complex128)
-    return np.linalg.det(proj @ Tbd - (eye[None] - proj))
+    P = set_projections(spec.right_vectors, spec.left_rows, [members])
+    return complex(np.nan if spec.degenerate else np.linalg.det(P[:, L:, :L])[0])
 
 
 Window = Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
 
 
-def _windowed_q_hat(proj: np.ndarray, energies, C,
-                    window: Optional[Window]) -> np.ndarray:
-    """``q_hat_stack`` of (n, s, 2L, 2L) projections at n energies, each
-    taken as W_ri R_I W_le; an (n, s) array."""
-    ri, le = window if window is not None else ((), ())
-    for t in ri:
-        proj = t @ proj
-    for t in reversed(le):
-        proj = proj @ t
-    n, s = proj.shape[:2]
-    return q_hat_stack(proj.reshape(n * s, *proj.shape[2:]),
-                       np.repeat(energies, s), C).reshape(n, s)
+def corner_q(right: np.ndarray, left_rows: np.ndarray, degenerate, energies,
+             corner, sets: Sequence[Sequence[int]],
+             window: Optional[Window] = None) -> np.ndarray:
+    """The (n, len(sets)) q of each index set at n energies, from their
+    ``ordered_eig`` right columns, left rows and degeneracy flags; NaN rows
+    at degenerate energies. The corner picks the rule. A top-left block C
+    gives q_hat of W_ri R_I W_le, where ``window`` optionally supplies
+    ([T_ri_1..T_ri_K], [T_le_1..T_le_K]) for perturbations a finite
+    distance from the boundary, applied as T_K ... T_1. Corner blocks give
+    q_perturbed = det_2L(R_I T_bd - R_{I^c}), exact 0 once
+    |I| > L + rank(A): a BoundaryTriple, or its fields L and rank_A with
+    (n, L, L) stacks A, C and Binv, one row per energy."""
+    energies = np.asarray(energies, dtype=np.complex128)
+    proj = set_projections(right, left_rows, sets)
+    if hasattr(corner, "Binv"):
+        Tbd = boundary_transfer_matrices(corner, energies)[:, None]
+        eye = np.eye(proj.shape[-1], dtype=np.complex128)
+        q = np.linalg.det(proj @ Tbd - (eye - proj))
+        q[:, [len(I) > corner.L + corner.rank_A for I in sets]] = 0
+    else:
+        ri, le = window if window is not None else ((), ())
+        for t in ri:
+            proj = t @ proj
+        for t in reversed(le):
+            proj = proj @ t
+        # det_L of the bottom-left L x L block of R_I M_bd, M_bd = [[E - C,
+        # -1], [1, 0]]; M_bd @ [1; 0] = [E - C; 1]
+        L = proj.shape[-1] // 2
+        col = np.zeros((energies.size, 1, 2 * L, L), dtype=np.complex128)
+        col[:, :, :L] = energies[:, None, None, None] * np.eye(L) - corner
+        col[:, :, L:] = np.eye(L)
+        q = np.linalg.det((proj @ col)[..., L:, :])
+    q[np.asarray(degenerate, dtype=bool)] = np.nan
+    return q
 
 
-def q_hat_sets(spec: TransferSpectrum, C: np.ndarray,
-               sets: Sequence[Sequence[int]],
-               window: Optional[Window] = None) -> np.ndarray:
-    """det_L of the bottom-left L x L corner of W_ri R_I W_le M_bd for each
-    index set I, in one ``q_hat_stack`` call. ``window`` optionally supplies
-    ([T_ri_1..T_ri_K], [T_le_1..T_le_K]) for perturbations a finite distance
-    from the boundary; products are applied as T_K ... T_1."""
-    return _q_rows(spec, sets, lambda G: _windowed_q_hat(
-        G[None], [spec.energy], C, window)[0])
+def q_sets(spec: TransferSpectrum, corner, sets: Sequence[Sequence[int]],
+           window: Optional[Window] = None) -> np.ndarray:
+    """The one-spectrum row of ``corner_q``: q_hat (``corner`` = C) or
+    q_perturbed (a BoundaryTriple) of each index set."""
+    return corner_q(spec.right_vectors[None], spec.left_rows[None],
+                    [spec.degenerate], [spec.energy], corner, sets, window)[0]
 
 
 def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
           window: Optional[Window] = None) -> complex:
-    """The one-set row of ``q_hat_sets``."""
-    return complex(q_hat_sets(spec, C, [members], window)[0])
-
-
-def q_perturbed_sets(spec: TransferSpectrum, boundary: BoundaryTriple,
-                     sets: Sequence[Sequence[int]]) -> np.ndarray:
-    """det_2L(R_I T_bd - R_{I^c}) for each index set I, in one
-    ``q_perturbed_stack`` call; exact 0 once |I| > L + rank(A)."""
-    q = _q_rows(spec, sets, lambda G: q_perturbed_stack(
-        G, boundary_transfer_matrices(boundary, [spec.energy])))
-    if not spec.degenerate:
-        q[[len(I) > spec.L + boundary.rank_A for I in sets]] = 0
-    return q
+    """The one-set row of ``q_sets`` with a top-left block C."""
+    return complex(q_sets(spec, C, [members], window)[0])
 
 
 def q_perturbed(spec: TransferSpectrum, boundary: BoundaryTriple,
                 members: Sequence[int]) -> complex:
-    """The one-set row of ``q_perturbed_sets``."""
-    return complex(q_perturbed_sets(spec, boundary, [members])[0])
-
-
-def transfer_recursion_residual(coeffs: CoefficientTriple,
-                                boundary: BoundaryTriple, N: int, E: complex,
-                                phi: np.ndarray) -> float:
-    """Residual of the chained transfer relations on an eigenvector phi of
-    the assembled operator, relative to ||phi||.
-
-    The chain runs [T phi_2; phi_1] = [[E - C, -A], [1, 0]] [phi_1; phi_N],
-    then [T phi_{n+1}; phi_n] = T^E [T phi_n; phi_{n-1}] through the bulk,
-    then [B phi_1; phi_N] = T^E [T phi_N; phi_{N-1}]. Each link is a single
-    matrix application, so the residual is free of the power-amplified
-    roundoff that the collapsed (T^E)^{N-1} form would pick up. The N links,
-    the closing one last, form one (N, 2L) stack, checked row by row against
-    the corner link and T^E applied to the link before.
-    """
-    L = coeffs.L
-    phi = np.asarray(phi, dtype=np.complex128).reshape(N, L)
-    norm = float(np.linalg.norm(phi))
-    if norm == 0.0:
-        raise ValueError("zero vector")
-    TE = transfer_matrix(coeffs, E)
-    links = np.concatenate([phi[1:] @ coeffs.T.T, phi[:-1]], axis=1)
-    corner = np.concatenate([(E * np.eye(L) - boundary.C) @ phi[0]
-                             - boundary.A @ phi[N - 1], phi[0]])
-    closing = np.concatenate([boundary.B @ phi[0], phi[N - 1]])
-    gaps = np.vstack([links, closing]) - np.vstack([corner, links @ TE.T])
-    return float(np.max(np.linalg.norm(gaps, axis=1))) / norm
+    """The one-set row of ``q_sets`` with a BoundaryTriple."""
+    return complex(q_sets(spec, boundary, [members])[0])
 
 
 def charpoly_circulant(coeffs: CoefficientTriple, N: int, E: complex) -> complex:
@@ -184,7 +140,7 @@ def widom_logdet(coeffs: CoefficientTriple, corner, N: int, energies,
     """Complex log det(H_N - E) at a flat array of energies, a max-shifted
     log-sum-exp of p log Z_I + log q_I. A top-left block ``corner`` = C
     selects the open rule, |I| = L, p = N, q_hat windowed as in
-    ``q_hat_sets``, c = 1; a BoundaryTriple the perturbed rule,
+    ``corner_q``, c = 1; a BoundaryTriple the perturbed rule,
     |I| <= L + rank(A), p = N - 1, q_perturbed, c = det(B). NaN at a
     degenerate energy, -inf where every term is 0."""
     energies = np.asarray(energies, dtype=np.complex128).ravel()
@@ -192,16 +148,11 @@ def widom_logdet(coeffs: CoefficientTriple, corner, N: int, energies,
     values, right, left_rows, degenerate = ordered_eig(coeffs, energies)
     if isinstance(corner, BoundaryTriple):
         sets = index_sets(2 * L, range(L + corner.rank_A + 1))
-        Tbd = boundary_transfer_matrices(corner, energies)
-        q = q_perturbed_stack(set_projections(right, left_rows, sets),
-                              Tbd[:, None])
         power, log_prefactor = N - 1, np.log(corner.detB)
     else:
         sets = index_sets(2 * L, [L])
-        q = _windowed_q_hat(set_projections(right, left_rows, sets),
-                            energies, corner, window)
         power, log_prefactor = N, 0j
-    q[degenerate] = np.nan
+    q = corner_q(right, left_rows, degenerate, energies, corner, sets, window)
     # each set's members, padded to the largest set (the last) with index
     # 2L, whose value 1 has log 0. Every sum is a cumsum, whose order is
     # fixed: np.sum's order, and so a row's bits, depends on the stack shape

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from toeplimit.operators import BoundaryTriple, CoefficientTriple
+from toeplimit.transfer import set_projections
 
 
 def gaussian_matrix(rng, L):
@@ -28,6 +29,12 @@ def random_model(rng, L, rank_a=None):
                               gaussian_matrix(rng, L),
                               gaussian_matrix(rng, L))
     return coeffs, boundary
+
+
+def projection(spec, members):
+    """The Riesz projection of one index set of one spectrum: the one-row
+    call of the stacked ``set_projections``."""
+    return set_projections(spec.right_vectors, spec.left_rows, [members])[0]
 
 
 def nondegenerate_energy(rng, coeffs, scale=3.0, max_tries=50):

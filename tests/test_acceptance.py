@@ -12,9 +12,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import (DEMO_A, DEMO_B, DEMO_C, DEMO_R, DEMO_T, DEMO_V,
-                      gaussian_matrix, nondegenerate_energy, random_model)
+                      gaussian_matrix, nondegenerate_energy, projection,
+                      random_model)
+from reference import (q_tilde_leading, riesz_projection_contour,
+                       transfer_recursion_residual)
 from toeplimit.asymptotics import (genericity_check, q_hat_leading, q_leading,
-                                   q_tilde_leading, rt_spectral_data)
+                                   rt_spectral_data)
 from toeplimit.errors import NotSimpleSpectrum, OnCurve
 from toeplimit.limitsets import (Region, lambda_r, outliers_open,
                                  outliers_perturbed, scan_grid, sigma_r)
@@ -22,11 +25,10 @@ from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  assemble_operator, charpoly_direct,
                                  circulant_spectrum_fft, finite_spectrum,
                                  winding_number)
-from toeplimit.transfer import (ordered_spectrum, riesz_projection,
-                                riesz_projection_contour)
+from toeplimit.transfer import ordered_spectrum
 from toeplimit.widom import (charpoly_circulant, index_sets, q_hat,
-                             q_perturbed, q_tilde, transfer_recursion_residual,
-                             widom_sum_open, widom_sum_perturbed)
+                             q_perturbed, q_tilde, widom_sum_open,
+                             widom_sum_perturbed)
 
 DEMO_COEFFS = CoefficientTriple(DEMO_R, DEMO_T, DEMO_V)
 DEMO_REVERSED = CoefficientTriple(DEMO_T, DEMO_R, DEMO_V)
@@ -152,7 +154,7 @@ def test_criterion_06_projector_algebra():
         E, spec = nondegenerate_energy(rng, co)
         specs.append(spec)
         eye = np.eye(4)
-        projs = {I: riesz_projection(spec, I) for I in subsets}
+        projs = {I: projection(spec, I) for I in subsets}
         for I, P in projs.items():
             comp = tuple(sorted(set(range(4)) - set(I)))
             ok = ok and np.linalg.norm(P @ P - P) < 1e-8
@@ -167,7 +169,7 @@ def test_criterion_06_projector_algebra():
             P = riesz_projection_contour(co, spec.energy, spec.values[j],
                                          radius, nodes=2048)
             ok = ok and np.linalg.norm(
-                P - riesz_projection(spec, (j,))) < 1e-6
+                P - projection(spec, (j,))) < 1e-6
     check(6, "projector idempotency/completeness/commutation + contour check",
           ok)
 

@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 
-from conftest import DEMO_R, DEMO_T, gaussian_matrix, rank_limited, random_model
+from conftest import (DEMO_R, DEMO_T, gaussian_matrix, projection,
+                      rank_limited, random_model)
+from reference import q_tilde_leading, riesz_leading_full
 from toeplimit import numkernel as nk
 from toeplimit.asymptotics import (COEFF_TOL, ENERGY_CHECKS, FrameSet,
-                                   _draw_trial, _statuses,
-                                   frames_from_projection,
-                                   genericity_check, projection_frames,
-                                   q_hat_leading, q_hat_leading_stack,
-                                   q_leading, q_leading_stack, q_tilde_leading,
-                                   riesz_leading_full, rt_spectral_data,
+                                   _draw_trial, _statuses, genericity_check,
+                                   projection_frames, q_hat_leading,
+                                   q_hat_leading_stack, q_leading,
+                                   q_leading_stack, rt_spectral_data,
                                    rt_spectral_stack)
 from toeplimit.errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
                               SingularMatrix)
 from toeplimit.operators import BoundaryTriple, CoefficientTriple
-from toeplimit.transfer import ordered_spectrum, riesz_projection
-from toeplimit.widom import (index_sets, q_hat, q_perturbed, q_perturbed_sets,
-                             q_tilde, widom_sum_perturbed)
+from toeplimit.transfer import ordered_spectrum
+from toeplimit.widom import (index_sets, q_hat, q_perturbed, q_sets, q_tilde,
+                             widom_sum_perturbed)
+
+
+def one_frame(P, rank=None, tol=1e-8):
+    """The frames of one projection: the one-row call of the stacked
+    ``projection_frames``."""
+    fr = projection_frames(nk.as_cmatrix(P)[None], rank, tol)
+    return FrameSet(fr.Phi[0], fr.Phi_c[0], fr.Psi[0], fr.Psi_c[0])
 
 
 def simple_instance(seed, L):
@@ -66,14 +73,14 @@ def test_rank_bookkeeping():
 
 
 def test_frames_basic_and_invariants():
-    fr = frames_from_projection(np.diag([1.0, 0.0]))
+    fr = one_frame(np.diag([1.0, 0.0]))
     assert np.allclose(np.abs(fr.Phi.ravel()), [1.0, 0.0])
     assert fr.p == 1
     rng = np.random.default_rng(32)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     P = np.outer(u, v) / (v @ u)
-    fr = frames_from_projection(P)
+    fr = one_frame(P)
     full = np.hstack([fr.Phi, fr.Phi_c])
     dual = np.hstack([fr.Psi, fr.Psi_c])
     assert np.linalg.norm(dual.conj().T @ full - np.eye(3)) < 1e-9
@@ -81,16 +88,16 @@ def test_frames_basic_and_invariants():
 
 
 def test_frames_full_and_empty_ranges():
-    fr = frames_from_projection(np.eye(2))
+    fr = one_frame(np.eye(2))
     assert fr.Phi.shape == (2, 2) and fr.Phi_c.shape == (2, 0)
     assert nk.determinant(fr.Psi_c.conj().T @ np.eye(2) @ fr.Phi_c) == 1.0
 
 
 def test_frames_errors():
     with pytest.raises(NotAProjection):
-        frames_from_projection([[0.5, 0.0], [0.0, 0.0]])
+        one_frame([[0.5, 0.0], [0.0, 0.0]])
     with pytest.raises(RankMismatch):
-        frames_from_projection(np.diag([1.0, 0.0]), rank=2)
+        one_frame(np.diag([1.0, 0.0]), rank=2)
 
 
 def test_scalar_leading_anchors():
@@ -147,7 +154,7 @@ def test_riesz_leading_blocks():
     E = 1e4 * np.exp(0.7j)
     spec = ordered_spectrum(co, E)
     for I in [(1,), (0, 2), (2, 3), (0, 1, 2)]:
-        P = riesz_projection(spec, I)
+        P = projection(spec, I)
         lead = riesz_leading_full(rt, co.R, co.T, I)
         assert np.linalg.norm(P[:2, :2] - lead.PT) < 1e-3
         assert np.linalg.norm(P[2:, 2:] - lead.PR) < 1e-3
@@ -169,7 +176,7 @@ def test_oblique_factorization_lemma():
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     P = np.outer(u, v) / (v @ u)
-    fr = frames_from_projection(P)
+    fr = one_frame(P)
     M0 = gaussian_matrix(rng, 3)
     M1 = gaussian_matrix(rng, 3)
     target = nk.determinant(fr.Psi_c.conj().T @ M0 @ fr.Phi_c)
@@ -295,7 +302,7 @@ def test_stacked_frames_and_coefficients_match_single_rows(L):
         for k in range(n):
             R, T, V, A, B, C = blocks[k]
             rt_k = rt_spectral_data(R, T)
-            single = frames_from_projection(rt_k.PT_of(I), p)
+            single = one_frame(rt_k.PT_of(I), p)
             for name in ("Phi", "Phi_c", "Psi", "Psi_c"):
                 assert relative_gap(getattr(frames, name)[k],
                                     getattr(single, name)) <= 1e-13
@@ -321,8 +328,8 @@ def scalar_status(blocks, energies):
     coeffs += [q_leading(rt, bd, I)[0]
                for I in index_sets(2 * L, range(2 * L + 1))]
     co = CoefficientTriple(R, T, V)
-    qs = [q_perturbed_sets(ordered_spectrum(co, E), bd,
-                           index_sets(2 * L, [L])) for E in energies]
+    qs = [q_sets(ordered_spectrum(co, E), bd, index_sets(2 * L, [L]))
+          for E in energies]
     small = np.abs(np.concatenate([coeffs] + qs)) <= COEFF_TOL
     return "zero" if small.any() else "nonzero"
 

@@ -13,6 +13,7 @@ from toeplimit.errors import BadConfig
 from toeplimit.limitsets import STAGES
 from toeplimit.numkernel import DEGENERACY_TOL
 from toeplimit.transfer import TIE_TOL
+from toeplimit.widom import WidomSum
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 SCALAR = os.path.join(CONFIG_DIR, "scalar.json")
@@ -119,6 +120,55 @@ def test_verify_widom_passes_past_the_double_range(tmp_path, config):
     for route in report["routes"].values():
         assert set(route) == {"log_value", "rel_error", "pass"}
         assert route["pass"] is True and route["rel_error"] <= 1e-8
+
+
+def strict_json(text):
+    """The payload parsed as strict JSON: Infinity, -Infinity or NaN
+    raise."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_widom_at_a_singular_energy(tmp_path, monkeypatch):
+    # E = 0 is an eigenvalue of the scalar circulant H_4 and H_8: the dense
+    # determinant is exactly 0, so the rule is |value| <= 1e-8, and the
+    # payload holds null where a log or a relative error is not finite
+    for N in ("4", "8"):
+        out = tmp_path / f"w{N}"
+        code = run(["verify-widom", "--config", SCALAR, "--E=0", "--N", N,
+                    "--out", str(out)])
+        assert code == 0
+        report = strict_json((out / "widom_verify.json").read_text())
+        assert report["log_direct"] == [None, 0.0]
+        assert set(report["routes"]) == {"circulant_formula", "perturbed_sum"}
+        for route in report["routes"].values():
+            assert route["rel_error"] is None and route["pass"] is True
+            assert route["log_value"][0] <= np.log(1e-8)
+    # a route that misses the zero determinant, here with log 0, fails
+    monkeypatch.setattr(cli, "widom_sum_perturbed",
+                        lambda coeffs, boundary, N, E: WidomSum(E, N, 0j))
+    out = tmp_path / "missed"
+    code = run(["verify-widom", "--config", SCALAR, "--E=0", "--N", "4",
+                "--out", str(out)])
+    assert code == 2
+    report = strict_json((out / "widom_verify.json").read_text())
+    assert report["routes"]["perturbed_sum"] == {
+        "log_value": [0.0, 0.0], "rel_error": None, "pass": False}
+    assert report["routes"]["circulant_formula"]["pass"] is True
+    assert report["pass"] is False
+
+
+def test_limit_sets_refuse_a_custom_corner(tmp_path, capsys):
+    # a singular B with A or B nonzero has no B^{-1}: no limit sets are
+    # defined, and the run stops before the scan
+    custom = retagged(tmp_path, SCALAR, A=[[1]], B=[[0]], case="custom")
+    for command in ("limit-spectrum", "plot-data"):
+        out = tmp_path / command
+        assert run([command, "--config", custom, "--out", str(out)]) == 1
+        assert ("config error: no limit sets for case 'custom'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_limit_spectrum_deterministic_checksums(tmp_path):

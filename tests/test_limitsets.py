@@ -14,14 +14,13 @@ from toeplimit.errors import DegenerateSplit
 from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
                                  _on_unit_circle, _unit_side, check_rank,
                                  compute_limit_sets, dominant_set, lambda_open,
-                                 lambda_r, omega_r_membership, outliers_open,
-                                 outliers_perturbed, q_open,
-                                 q_perturbed_dominant, refine_zero,
+                                 lambda_r, outliers_open, outliers_perturbed,
+                                 q_open, q_perturbed_dominant, refine_zero,
                                  refine_zeros, scan_grid, sigma_r)
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
-                                 circulant_spectrum_fft)
+                                 circulant_spectrum_fft, winding_number)
 from toeplimit.transfer import (match_branches, ordered_eig, ordered_spectrum,
-                                riesz_projection, transfer_matrix)
+                                transfer_matrix)
 from toeplimit.widom import (q_hat, q_perturbed, q_tilde, widom_sum_open,
                              widom_sum_perturbed)
 
@@ -198,8 +197,10 @@ def test_outliers_perturbed_scalar_circulant_empty(scalar_model, scalar_scan):
 
 
 def test_omega_membership(scalar_model):
-    assert omega_r_membership(scalar_model, 10.0 + 5.0j, 1)
-    assert not omega_r_membership(scalar_model, 3.0, 0)
+    # E lies in the open set Omega_r, whose topological boundary is the
+    # rank-r continuous spectrum, where the winding number exceeds -r
+    assert winding_number(scalar_model, 10.0 + 5.0j) > -1
+    assert not winding_number(scalar_model, 3.0) > 0
 
 
 def test_omega_membership_constant_off_arcs(scalar_model, scalar_scan):
@@ -208,8 +209,8 @@ def test_omega_membership_constant_off_arcs(scalar_model, scalar_scan):
     pts = arc_points(sigma_r(scalar_scan, 1))
     probes = [complex(x, y) for x in (-1.5, 0.3, 1.7) for y in (-1.0, 0.02, 1.0)]
     for E in probes:
-        assert omega_r_membership(scalar_model, E, 1)
-        assert not omega_r_membership(scalar_model, E, 0)
+        assert winding_number(scalar_model, E) > -1
+        assert not winding_number(scalar_model, E) > 0
     # the arcs sit where the indicator boundary must be: on the real segment
     assert np.min(np.abs(pts - 0.5)) < 2 * scalar_scan.h
 
@@ -257,7 +258,7 @@ def test_compute_limit_sets_refuses_an_unread_r(demo_model):
     # r sets Sigma_r and Lambda_r only for a perturbed corner, within 0..L
     _, perturbed = random_model(np.random.default_rng(5), 2, rank_a=1)
     refused = [(None, 0), (BoundaryTriple.circulant(demo_model), 1),
-               (BoundaryTriple.open(demo_model), 1),
+               (BoundaryTriple.boundary(demo_model.V), 1),
                (BoundaryTriple.boundary(np.eye(2)), 2),
                (perturbed, -1), (perturbed, 3)]
     for boundary, r in refused:
@@ -532,10 +533,10 @@ def loop_crossings(scan, a, b):
     tried only if the pair gap can close within twice the pair's movement,
     the larger of min_j |v_i(E) - v_j(E')| over i in (a, b)."""
     gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
-    edges = [((iy, ix), (iy, ix + 1)) for iy in range(scan.ny)
-             for ix in range(scan.nx - 1)]
-    edges += [((iy, ix), (iy + 1, ix)) for iy in range(scan.ny - 1)
-              for ix in range(scan.nx)]
+    edges = [((iy, ix), (iy, ix + 1)) for iy in range(scan.im.size)
+             for ix in range(scan.re.size - 1)]
+    edges += [((iy, ix), (iy + 1, ix)) for iy in range(scan.im.size - 1)
+              for ix in range(scan.re.size)]
     candidates, points = 0, []
     for n0, n1 in edges:
         if not (scan.valid[n0] and scan.valid[n1]):
@@ -723,8 +724,8 @@ def test_marching_squares_matches_per_cell_reference(demo_scan, kind):
             return float(np.cos(4 * E.real) * np.cos(4 * E.imag) - 1e-3)
     valid = demo_scan.valid
     reference, saddles = [], 0
-    for iy in range(demo_scan.ny - 1):
-        for ix in range(demo_scan.nx - 1):
+    for iy in range(demo_scan.im.size - 1):
+        for ix in range(demo_scan.re.size - 1):
             corners = ((iy, ix), (iy, ix + 1), (iy + 1, ix + 1), (iy + 1, ix))
             if not all(valid[c] for c in corners):
                 continue
@@ -817,8 +818,6 @@ def test_outlier_q_refuses_identical_channels(L, data):
         assert np.isnan(q_hat(spec, bd.C, members))
         assert np.isnan(q_perturbed(spec, bd, members))
         assert np.isnan(q_tilde(spec, members))
-        with pytest.raises(DegenerateSplit):
-            riesz_projection(spec, members)
         with pytest.raises(DegenerateSplit):
             widom_sum_open(co, bd.C, 4, E)
         with pytest.raises(DegenerateSplit):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import random_model
+from reference import transfer_recursion_residual
 from toeplimit.errors import OnCurve, SingularMatrix, ZeroArgument
 from toeplimit.numkernel import numerical_rank
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
@@ -15,7 +16,6 @@ from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  finite_spectrum, symbol_det_coefficients,
                                  winding_number)
 from toeplimit.transfer import ordered_spectrum
-from toeplimit.widom import transfer_recursion_residual
 
 
 def multiset_distance(a, b):
@@ -31,13 +31,6 @@ def test_coefficient_triple_validation():
         CoefficientTriple([[1.0]], np.eye(2), [[0.0]])
 
 
-def test_reversed_swaps_off_diagonals(demo_model):
-    rev = demo_model.reversed()
-    assert np.array_equal(rev.R, demo_model.T)
-    assert np.array_equal(rev.T, demo_model.R)
-    assert np.array_equal(rev.V, demo_model.V)
-
-
 def test_numerical_rank():
     assert numerical_rank(np.zeros((3, 3))) == 0
     assert numerical_rank(np.eye(3)) == 3
@@ -49,7 +42,7 @@ def test_boundary_triple_rank_and_classify(demo_model, demo_corner):
     assert demo_corner.rank_A == 1
     assert demo_corner.classify(demo_model) == "perturbed"
     assert BoundaryTriple.circulant(demo_model).classify(demo_model) == "circulant"
-    assert BoundaryTriple.open(demo_model).classify(demo_model) == "open"
+    assert BoundaryTriple.boundary(demo_model.V).classify(demo_model) == "open"
     other = BoundaryTriple.boundary(np.eye(2))
     assert other.classify(demo_model) == "boundary"
 
@@ -216,7 +209,7 @@ def block_loop_operator(co, bd, N):
 @pytest.mark.parametrize("N", [3, 4, 17])
 def test_assemble_operator_matches_block_loop(L, N):
     co, perturbed = random_model(np.random.default_rng(10 * L + N), L)
-    corners = {"open": BoundaryTriple.open(co),
+    corners = {"open": BoundaryTriple.boundary(co.V),
                "boundary": BoundaryTriple.boundary(perturbed.C),
                "circulant": BoundaryTriple.circulant(co),
                "perturbed": perturbed}

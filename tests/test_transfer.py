@@ -4,16 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import gaussian_matrix, nondegenerate_energy, random_model
+from conftest import (gaussian_matrix, nondegenerate_energy, projection,
+                      random_model)
+from reference import riesz_projection_contour
 from toeplimit import numkernel as nk
-from toeplimit.errors import DegenerateSplit, SingularMatrix
+from toeplimit.errors import SingularMatrix
 from toeplimit.operators import BoundaryTriple, eval_symbol
 from toeplimit.transfer import (_optimal_assignment, boundary_transfer_matrices,
-                                boundary_transfer_matrix, match_branches,
-                                modulus_order, ordered_eig, ordered_spectrum,
-                                riesz_projection, riesz_projection_contour,
-                                size_groups, transfer_matrices, transfer_matrix)
+                                match_branches, modulus_order, ordered_eig,
+                                ordered_spectrum, size_groups,
+                                transfer_matrices, transfer_matrix)
 from toeplimit.widom import index_sets
+
+
+def boundary_transfer_matrix(boundary, E):
+    """The one-energy row of the stacked ``boundary_transfer_matrices``."""
+    return boundary_transfer_matrices(boundary, [E])[0]
 
 
 def test_transfer_matrix_blocks(demo_model):
@@ -88,8 +94,7 @@ def test_riesz_projection_algebra():
     co, _ = random_model(rng, 2)
     E, spec = nondegenerate_energy(rng, co)
     n = 2 * co.L
-    projections = {I: riesz_projection(spec, I)
-                   for I in index_sets(n, range(n + 1))}
+    projections = {I: projection(spec, I) for I in index_sets(n, range(n + 1))}
     eye = np.eye(n)
     for I, P in projections.items():
         assert np.linalg.norm(P @ P - P) < 1e-8
@@ -109,7 +114,7 @@ def test_riesz_projection_reproduces_eigenvalue_action():
     E, spec = nondegenerate_energy(rng, co)
     M = transfer_matrix(co, E)
     I = (0, 3)
-    P = riesz_projection(spec, I)
+    P = projection(spec, I)
     rebuilt = sum(spec.values[i] * np.outer(spec.right_vectors[:, i],
                                             spec.left_rows[i, :]) for i in I)
     assert np.linalg.norm(M @ P - rebuilt) < 1e-8 * np.linalg.norm(M)
@@ -124,7 +129,7 @@ def test_contour_cross_check():
     radius = 0.5 * (mods[1] + mods[2])
     if mods[2] - mods[1] < 0.1:
         pytest.skip("random instance lacks a clean modulus gap")
-    P_eig = riesz_projection(spec, (0, 1))
+    P_eig = projection(spec, (0, 1))
     P_contour = riesz_projection_contour(co, E, 0.0, radius, nodes=2048)
     assert np.linalg.norm(P_eig - P_contour) < 1e-6
 
@@ -133,17 +138,8 @@ def test_projection_onto_one_tie_member_is_a_projection(scalar_model):
     # z = i and z = -i share modulus 1 at E = 0: a tie, not a degeneracy
     spec = ordered_spectrum(scalar_model, 0.0)
     assert not spec.degenerate
-    P = riesz_projection(spec, (0,))
+    P = projection(spec, (0,))
     assert np.linalg.norm(P @ P - P) < 1e-8
-
-
-def test_riesz_projection_refuses_degenerate_spectrum(twin_channels):
-    spec = ordered_spectrum(twin_channels, 0.3)
-    assert spec.degenerate
-    # refused whether or not the index set splits the pair
-    for members in ((0,), (0, 1), ()):
-        with pytest.raises(DegenerateSplit):
-            riesz_projection(spec, members)
 
 
 def test_no_spurious_ties_at_large_energy():

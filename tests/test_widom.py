@@ -6,16 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_matrix, nondegenerate_energy, random_model
+from conftest import (gaussian_matrix, nondegenerate_energy, projection,
+                      random_model)
 from toeplimit import numkernel as nk
 from toeplimit.errors import DegenerateSplit, OnCurve
 from toeplimit.operators import (BoundaryTriple, assemble_operator,
                                  charpoly_direct, charpoly_logdet,
                                  winding_number)
-from toeplimit.transfer import (boundary_transfer_matrix, ordered_spectrum,
+from toeplimit.transfer import (boundary_transfer_matrices, ordered_spectrum,
                                 transfer_matrix)
 from toeplimit.widom import (WidomSum, charpoly_circulant, index_sets, q_hat,
-                             q_perturbed, q_tilde, widom_logdet,
+                             q_perturbed, q_sets, q_tilde, widom_logdet,
                              widom_sum_open, widom_sum_perturbed)
 
 
@@ -54,9 +55,8 @@ def test_q_tilde_lower_left_block():
     rng = np.random.default_rng(20)
     co, _ = random_model(rng, 2)
     E, spec = nondegenerate_energy(rng, co)
-    from toeplimit.transfer import riesz_projection
     I = (1, 3)
-    P = riesz_projection(spec, I)
+    P = projection(spec, I)
     q = q_tilde(spec, I)
     assert q == pytest.approx(np.linalg.det(P[2:, :2]))
 
@@ -103,7 +103,7 @@ def charpoly_semipermeable(coeffs, boundary, N, E):
     N, where the matrix power stays in the double range."""
     L = coeffs.L
     power = np.linalg.matrix_power(transfer_matrix(coeffs, E), N - 1)
-    Tbd = boundary_transfer_matrix(boundary, E)
+    Tbd = boundary_transfer_matrices(boundary, [E])[0]
     return ((-1) ** (L * (N - 1)) * boundary.detB * coeffs.detT ** (N - 1)
             * np.linalg.det(power @ Tbd - np.eye(2 * L)))
 
@@ -147,7 +147,7 @@ def test_windowed_q_hat_consistency():
         TE = transfer_matrix(co, E)
         ws = widom_sum_open(co, co.V, N, E, window=([TE], [TE]))
         detT = nk.determinant(co.T)
-        direct = charpoly_direct(co, BoundaryTriple.open(co), N + 2, E)
+        direct = charpoly_direct(co, BoundaryTriple.boundary(co.V), N + 2, E)
         value = ws.total * detT ** 2
         assert abs(value - direct) <= 1e-8 * (1 + abs(direct))
 
@@ -220,6 +220,11 @@ def reference_total(spec, sets, z_power, qvals, detT, prefactor):
                    math.fsum(t.imag for t in terms))
 
 
+def same_rows(stacked, one_set):
+    """The rows of a stacked q call have the bits of the one-set calls."""
+    return stacked.tobytes() == np.array(one_set, dtype=complex).tobytes()
+
+
 def assert_same_total(ws, total):
     assert isinstance(ws, WidomSum) and isinstance(ws.total, complex)
     assert ws.total == cmath.exp(ws.logdet)
@@ -245,16 +250,18 @@ def test_widom_sums_are_their_one_set_rows(case, N, windowed):
         if windowed:
             G = TE @ G @ TE
         assert repr(q) == repr(complex(np.linalg.det((G @ col)[L:, :])))
+    assert same_rows(q_sets(spec, boundary.C, sets, window), qvals)
     ws = widom_sum_open(coeffs, boundary.C, N, E, window=window)
     assert_same_total(ws, reference_total(spec, sets, N, qvals, detT, 1.0))
 
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
     qvals = [q_perturbed(spec, boundary, I) for I in sets]
-    Tbd = boundary_transfer_matrix(boundary, E)
+    Tbd = boundary_transfer_matrices(boundary, [E])[0]
     for I, q in zip(sets, qvals):
         P = written_out_projection(spec, I)
         direct = np.linalg.det(P @ Tbd - (np.eye(2 * L) - P))
         assert repr(q) == repr(complex(direct))
+    assert same_rows(q_sets(spec, boundary, sets), qvals)
     ws = widom_sum_perturbed(coeffs, boundary, N, E)
     detB = nk.determinant(boundary.B)
     assert_same_total(ws, reference_total(spec, sets, N - 1, qvals, detT, detB))
