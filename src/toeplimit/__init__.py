@@ -3,8 +3,8 @@ perturbations: transfer-matrix spectra, determinant identities, limit-set
 extraction and large-energy asymptotics."""
 
 from .errors import (BadConfig, ConvergenceFailure, DegenerateSplit,
-                     NonSquare, NotAProjection, NotSimpleSpectrum, OnCurve,
-                     RankMismatch, SingularMatrix, ToeplimitError, ZeroArgument)
+                     NonSquare, NotSimpleSpectrum, OnCurve, SingularMatrix,
+                     ToeplimitError, ZeroArgument)
 from .operators import (BoundaryTriple, CoefficientTriple, assemble_operator,
                         charpoly_direct, charpoly_logdet, circulant_spectrum_fft,
                         eval_symbol, finite_spectrum, winding_number)
@@ -18,8 +18,7 @@ from .limitsets import (Arc, LimitSpectrumResult, Outlier, Region, ScanGrid,
                         compute_limit_sets, lambda_open, lambda_r,
                         outliers_open, outliers_perturbed, refine_zero,
                         scan_grid, sigma_r)
-from .asymptotics import (FrameSet, GenericityReport, RTData,
-                          genericity_check, projection_frames, q_hat_leading,
-                          q_leading, rt_spectral_data)
+from .asymptotics import (GenericityReport, RTData, genericity_check,
+                          q_hat_leading, q_leading, rt_spectral_data)
 
 __version__ = "0.1.0"

@@ -1,20 +1,23 @@
-"""Large-energy machinery: spectral data of the off-diagonal blocks, oblique
-frames, and closed-form leading coefficients of the q-functions.
+"""Large-energy machinery: the modulus-ordered eigen-data of the
+off-diagonal blocks R and T, and closed-form leading coefficients of the
+q-functions.
 
-These evaluators are exact transcriptions of the limit formulas; the ratio
-tests in the test suite are the independent oracle for them.
+Each leading coefficient is a determinant over dual bases of Ran(1 - PT_I)
+and Ran(PR_I), the same for any pair of dual bases; the eigenvector columns
+of R and T and their biorthogonal left rows are such bases, so both rules
+read them directly. These evaluators are exact transcriptions of the limit
+formulas; the ratio tests in the test suite are the independent oracle for
+them.
 """
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import numkernel as nk
-from .errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
-                     SingularMatrix)
-from .operators import BoundaryTriple
+from .errors import NotSimpleSpectrum, SingularMatrix
 from .transfer import ordered_eig
 from .widom import corner_q, index_sets
 
@@ -36,57 +39,45 @@ def _rows(data, index):
     return type(data)(*(getattr(data, f.name)[index] for f in fields(data)))
 
 
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
 @dataclass(frozen=True)
 class RTData:
-    """Eigenvalues and rank-1 spectral projectors of R and T, of one model
-    or over the leading axes of a stack of models.
+    """Eigenvalues, right eigenvector columns and biorthogonal left rows of
+    R and T, of one model or over the leading axes of a stack of models.
 
     ``r_values`` are ordered |r_1| < ... < |r_L| and ``t_values`` so that
     |t_L| < ... < |t_1|; index i in {0..L-1} refers to r_i, index L+i to t_i,
     matching the small/large transfer-eigenvalue branches at large energy.
-    ``PR[..., i, :, :]`` is the projector of r_i, ``PT[..., i, :, :]`` that
-    of t_i.
+    Column i of ``r_right`` and row i of ``r_left`` belong to r_i, and
+    ``r_left @ r_right`` is the identity, so PR_I = r_right[:, K] r_left[K]
+    over the R members K of I; likewise for T.
     """
     r_values: np.ndarray   # (..., L)
     t_values: np.ndarray   # (..., L)
-    PR: np.ndarray         # (..., L, L, L), indices 0..L-1
-    PT: np.ndarray         # (..., L, L, L), stored for indices L..2L-1
+    r_right: np.ndarray    # (..., L, L) columns
+    r_left: np.ndarray     # (..., L, L) rows
+    t_right: np.ndarray
+    t_left: np.ndarray
 
     @property
     def L(self) -> int:
         return self.r_values.shape[-1]
 
-    @staticmethod
-    def _sum(projs: np.ndarray, picks) -> np.ndarray:
-        acc = np.zeros(projs.shape[:-3] + projs.shape[-2:], dtype=np.complex128)
-        for i in picks:
-            acc += projs[..., i, :, :]
-        return acc
 
-    def PR_of(self, members: Sequence[int]) -> np.ndarray:
-        return self._sum(self.PR, [i for i in members if i < self.L])
-
-    def PT_of(self, members: Sequence[int]) -> np.ndarray:
-        return self._sum(self.PT, [i - self.L for i in members if i >= self.L])
-
-
-def _spectral_projectors(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (..., L) and the projectors (..., L, L, L), the outer
-    product of right column i and biorthogonal left row i, of a stack."""
+def _ordered_eigen(m: np.ndarray, descending: bool):
+    """Eigenvalues (..., L), right columns and biorthogonal left rows of a
+    stack in ascending (or descending) modulus order, and the flags of the
+    rows whose moduli are strictly ordered."""
     values, right = nk.eig_stack(m)
     left = nk.biorthogonal_rows(right)
-    return values, right.swapaxes(-1, -2)[..., :, :, None] * left[..., :, None, :]
-
-
-def _strictly_ordered(values: np.ndarray, descending: bool) -> np.ndarray:
     mods = np.abs(values)
-    gaps = -np.diff(mods, axis=-1) if descending else np.diff(mods, axis=-1)
+    order = np.argsort(-mods if descending else mods, axis=-1, kind="stable")
+    mods = np.take_along_axis(mods, order, axis=-1)
     scale = 1.0 + np.max(mods, axis=-1, keepdims=True)
-    return np.all(gaps > SIMPLE_TOL * scale, axis=-1)
+    return (np.take_along_axis(values, order, axis=-1),
+            np.take_along_axis(right, order[..., None, :], axis=-1),
+            np.take_along_axis(left, order[..., :, None], axis=-2),
+            np.all(np.abs(np.diff(mods, axis=-1)) > SIMPLE_TOL * scale,
+                   axis=-1))
 
 
 def rt_spectral_stack(R, T) -> Tuple[RTData, np.ndarray]:
@@ -105,16 +96,10 @@ def rt_spectral_stack(R, T) -> Tuple[RTData, np.ndarray]:
         if np.any(rank < L):
             raise SingularMatrix(f"{name} is singular: numerical rank "
                                  f"{np.min(rank)} of {L}")
-    rv, rp = _spectral_projectors(R)
-    tv, tp = _spectral_projectors(T)
-    r_order = np.argsort(np.abs(rv), axis=-1, kind="stable")
-    t_order = np.argsort(-np.abs(tv), axis=-1, kind="stable")
-    rv = np.take_along_axis(rv, r_order, axis=-1)
-    rp = np.take_along_axis(rp, r_order[..., None, None], axis=-3)
-    tv = np.take_along_axis(tv, t_order, axis=-1)
-    tp = np.take_along_axis(tp, t_order[..., None, None], axis=-3)
-    simple = _strictly_ordered(rv, False) & _strictly_ordered(tv, True)
-    return RTData(rv, tv, rp, tp), simple
+    rv, r_right, r_left, r_simple = _ordered_eigen(R, False)
+    tv, t_right, t_left, t_simple = _ordered_eigen(T, True)
+    return (RTData(rv, tv, r_right, r_left, t_right, t_left),
+            r_simple & t_simple)
 
 
 def rt_spectral_data(R, T) -> RTData:
@@ -131,107 +116,55 @@ def rt_spectral_data(R, T) -> RTData:
     return _rows(rt, 0)
 
 
-@dataclass(frozen=True)
-class FrameSet:
-    """Oblique frames of a projection P: columns of Phi span Ran(P), Phi_c
-    spans Ran(1-P), and (Psi, Psi_c) = ((Phi, Phi_c)^{-1})^*; of one P or
-    over the leading axes of a stack."""
-    Phi: np.ndarray
-    Phi_c: np.ndarray
-    Psi: np.ndarray
-    Psi_c: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.Phi.shape[-1]
+def _split(L: int, I: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(J, K): the T indices outside I, which index the columns of rt.t_right
+    spanning Ran(1 - PT_I), and the R indices in I, spanning Ran(PR_I)."""
+    return ([j for j in range(L) if L + j not in I],
+            [i for i in I if i < L])
 
 
-def _range_basis(m: np.ndarray, rank: int) -> np.ndarray:
-    if rank == 0:
-        return np.zeros(m.shape[:-1] + (0,), dtype=np.complex128)
-    # left singular vectors give the best-conditioned range basis
-    u, _, _ = np.linalg.svd(m)
-    return u[..., :rank]
+def q_hat_leading(rt: RTData, sets: Sequence[Sequence[int]], C,
+                  V) -> Tuple[np.ndarray, np.ndarray]:
+    """q_hat_I ~ det_{L-p}((Psi^c)* PR_I (C - V) Phi^c) * E^{-L+p} for each
+    index set I with p members on the T side, where Phi^c are the T columns
+    outside I and (Psi^c)* their left rows: the (..., len(sets))
+    coefficients over the models of ``rt`` (C and V broadcast against them)
+    and the (len(sets),) exponents. Void for C = V."""
+    CV = nk.as_cstack(C) - nk.as_cstack(V)
+    coeffs, expos = [], []
+    for I in sets:
+        J, K = _split(rt.L, I)
+        PR = rt.r_right[..., :, K] @ rt.r_left[..., K, :]
+        coeffs.append(np.linalg.det(
+            rt.t_left[..., J, :] @ PR @ CV @ rt.t_right[..., :, J]))
+        expos.append(-len(J))
+    return np.stack(coeffs, axis=-1), np.array(expos)
 
 
-def projection_frames(P, rank: Optional[int] = None,
-                      tol: float = 1e-8) -> FrameSet:
-    """Frames of each projection of an (..., L, L) stack, all of numerical
-    rank ``rank`` (the first projection's when None); a stack that holds a
-    non-projection or another rank raises."""
-    P = nk.as_cstack(P)
-    L = P.shape[-1]
-    norm = np.linalg.norm(P, axis=(-2, -1))
-    bad = np.linalg.norm(P @ P - P, axis=(-2, -1)) > tol * (1.0 + norm ** 2)
-    if np.any(bad):
-        raise NotAProjection(f"||P^2 - P|| too large ({norm[bad][0]:.3e})")
-    numeric = np.asarray(nk.numerical_rank(P, tol=1e-8))
-    if rank is None:
-        rank = int(numeric.flat[0])
-    if np.any(numeric != rank):
-        raise RankMismatch(f"requested rank {rank}, numerical rank "
-                           f"{numeric[numeric != rank][0]}")
-    Phi = _range_basis(P, rank)
-    Phi_c = _range_basis(np.eye(L, dtype=np.complex128) - P, L - rank)
-    dual = _dagger(nk.inverse(np.concatenate([Phi, Phi_c], axis=-1)))
-    return FrameSet(Phi, Phi_c, dual[..., :rank], dual[..., rank:])
-
-
-def _ranks(rt_L: int, members: Sequence[int]) -> Tuple[int, int]:
-    """(p, p_hat): the members on the T side and on the R side."""
-    p = sum(1 for i in members if i >= rt_L)
-    return p, len(members) - p
-
-
-def q_hat_leading_stack(PT: np.ndarray, PR: np.ndarray, p: int,
-                        CV: np.ndarray) -> np.ndarray:
-    """det_{L-p}((Psi^c)* PR_I (C - V) Phi^c) over stacks of PT_I of rank p
-    and PR_I, with ``CV`` = C - V broadcast against them."""
-    fr = projection_frames(PT, p)
-    return np.linalg.det(_dagger(fr.Psi_c) @ (PR @ CV) @ fr.Phi_c)
-
-
-def q_hat_leading(rt: RTData, members: Sequence[int], C, V) -> Tuple[complex, int]:
-    """q_hat ~ det_{L-p}((Psi^c)* PR_I (C - V) Phi^c) * E^{-L+p} with
-    p = rk(PT_I), the one-set row of ``q_hat_leading_stack``. Void for
-    C = V."""
-    p, _ = _ranks(rt.L, members)
-    CV = nk.as_cmatrix(C) - nk.as_cmatrix(V)
-    coeff = q_hat_leading_stack(rt.PT_of(members)[None],
-                                rt.PR_of(members)[None], p, CV)[0]
-    return complex(coeff), -rt.L + p
-
-
-def q_leading_stack(PT: np.ndarray, PR: np.ndarray, p: int, p_hat: int,
-                    A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """det_{L-p}((Psi^c)* B Phi^c) det_{p_hat}(Psi_hat* A Phi_hat)
-    / ((-1)^{p - p_hat} det(B)) over stacks of PT_I of rank p and PR_I of
-    rank p_hat, with A and B broadcast against them. A B that the rank rule
-    calls singular raises SingularMatrix."""
-    if np.any(nk.numerical_rank(B) < B.shape[-1]):
-        raise SingularMatrix("B is singular")
-    fr_t = projection_frames(PT, p)
-    fr_r = projection_frames(PR, p_hat)
-    d1 = np.linalg.det(_dagger(fr_t.Psi_c) @ B @ fr_t.Phi_c)
-    d2 = np.linalg.det(_dagger(fr_r.Psi) @ A @ fr_r.Phi)
-    return d1 * d2 / ((-1) ** (p - p_hat) * np.linalg.det(B))
-
-
-def q_leading(rt: RTData, boundary: BoundaryTriple,
-              members: Sequence[int]) -> Tuple[complex, int]:
+def q_leading(rt: RTData, sets: Sequence[Sequence[int]], A, B,
+              rank_A: int) -> Tuple[np.ndarray, np.ndarray]:
     """q_I ~ det_{L-p}((Psi^c)* B Phi^c) det_{p_hat}(Psi_hat* A Phi_hat)
-    / ((-1)^{p - p_hat} det(B)) * E^{p - p_hat}, the one-set row of
-    ``q_leading_stack``. A B without inverse raises SingularMatrix, as
-    the perturbed Widom sum does."""
-    if boundary.Binv is None:
+    / ((-1)^{p - p_hat} det(B)) * E^{p - p_hat} for each index set I with p
+    members on the T side and p_hat on the R side, where Phi_hat are the R
+    columns in I and Psi_hat* their left rows: the (..., len(sets))
+    coefficients over the models of ``rt`` (A and B broadcast against them)
+    and the (len(sets),) exponents. A coefficient is exactly 0 once
+    |I| > L + rank_A. A B that the rank rule calls singular raises
+    SingularMatrix, as the perturbed Widom sum does."""
+    if np.any(nk.numerical_rank(B) < rt.L):
         raise SingularMatrix("B is singular")
-    members = tuple(members)
-    p, p_hat = _ranks(rt.L, members)
-    if len(members) > rt.L + boundary.rank_A:
-        return 0.0 + 0j, p - p_hat
-    coeff = q_leading_stack(rt.PT_of(members)[None], rt.PR_of(members)[None],
-                            p, p_hat, boundary.A, boundary.B)[0]
-    return complex(coeff), p - p_hat
+    detB = np.linalg.det(B)
+    coeffs, expos = [], []
+    for I in sets:
+        J, K = _split(rt.L, I)
+        p, p_hat = rt.L - len(J), len(K)
+        d1 = np.linalg.det(rt.t_left[..., J, :] @ B @ rt.t_right[..., :, J])
+        d2 = np.linalg.det(rt.r_left[..., K, :] @ A @ rt.r_right[..., :, K])
+        coeffs.append(d1 * d2 / ((-1) ** (p - p_hat) * detB))
+        expos.append(p - p_hat)
+    coeffs = np.stack(coeffs, axis=-1)
+    coeffs[..., [len(I) > rt.L + rank_A for I in sets]] = 0.0
+    return coeffs, np.array(expos)
 
 
 @dataclass(frozen=True)
@@ -276,14 +209,6 @@ def _draw_trial(seed: "np.random.SeedSequence", L: int):
     return blocks, energies
 
 
-def _by_ranks(L: int, sets) -> Dict[Tuple[int, int], list]:
-    """Index sets grouped by (p, p_hat), in order of first appearance."""
-    groups: Dict[Tuple[int, int], list] = {}
-    for I in sets:
-        groups.setdefault(_ranks(L, I), []).append(I)
-    return groups
-
-
 def _nonzero_rows(blocks: np.ndarray, energies: np.ndarray,
                   rt: RTData) -> np.ndarray:
     """(n,) flags over trials whose A has full rank and whose R and T have
@@ -292,28 +217,17 @@ def _nonzero_rows(blocks: np.ndarray, energies: np.ndarray,
     COEFF_TOL."""
     R, T, V, A, B, C = np.moveaxis(blocks, 1, 0)
     L = rt.L
-    ok = np.ones(len(blocks), dtype=bool)
 
     def test(values):
         # a NaN value compares false and fails no trial
         return ~np.any(np.abs(values) <= COEFF_TOL, axis=-1)
 
-    def projections(sets):
-        """(n, len(sets), L, L) stacks of PT_I and PR_I."""
-        return (np.stack([rt.PT_of(I) for I in sets], axis=1),
-                np.stack([rt.PR_of(I) for I in sets], axis=1))
-
-    CV = (C - V)[:, None]
-    for (p, _), sets in _by_ranks(L, index_sets(2 * L, [L])).items():
-        ok &= test(q_hat_leading_stack(*projections(sets), p, CV))
+    ok = test(q_hat_leading(rt, index_sets(2 * L, [L]), C, V)[0])
     # rank(A) = L: every set up to 2L members
-    all_sets = index_sets(2 * L, range(2 * L + 1))
-    for (p, p_hat), sets in _by_ranks(L, all_sets).items():
-        ok &= test(q_leading_stack(*projections(sets), p, p_hat, A[:, None],
-                                   B[:, None]))
+    ok &= test(q_leading(rt, index_sets(2 * L, range(2 * L + 1)), A, B, L)[0])
     # direct confirmation: q_I nonzero at each trial's random energies; the
     # transfer stacks take one row of blocks per energy, B passed the rank
-    # rule in q_leading_stack, and A has full rank
+    # rule in q_leading, and A has full rank
     E = energies.ravel()
     rows = SimpleNamespace(L=L, rank_A=L, **{
         k: np.repeat(m, ENERGY_CHECKS, axis=0) for k, m in
@@ -348,9 +262,8 @@ def genericity_check(trials: int, L: int = 2,
     coefficient is nonzero; full measure is the expectation.
 
     Trials run as stacks of up to GENERICITY_BLOCK: the rank rule on A, the
-    R/T eigen-data, the leading coefficients of each group of index sets of
-    one (p, p_hat), and the energy confirmations each take one call per
-    stack."""
+    R/T eigen-data, each rule's leading coefficients, and the energy
+    confirmations each take one call per stack."""
     if trials < 1:
         raise ValueError("trials >= 1 required")
     per_trial = ENERGY_CHECKS * math.comb(2 * L, L) * (2 * L) ** 2

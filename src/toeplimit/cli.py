@@ -407,18 +407,20 @@ def _cmd_asymptotics_check(args) -> int:
     E = magnitude * np.exp(2j * np.pi * rng.random())
     spec = ordered_spectrum(cfg.coeffs, E)
     boundary = cfg.boundary
-    # (kind, I, leading (coeff, exponent), q) per index set
+    # (kind, index sets, their q, their leading (coeffs, exponents))
     sets = index_sets(2 * L, [L])
-    checks = [("q_hat", I, q_hat_leading(rt, I, cfg.C, cfg.V), q) for I, q
-              in zip(sets, q_sets(spec, cfg.C, sets).tolist())]
+    checks = [("q_hat", sets, q_sets(spec, cfg.C, sets),
+               q_hat_leading(rt, sets, cfg.C, cfg.V))]
     if boundary.classify(cfg.coeffs) in ("circulant", "perturbed"):
         sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
-        qs = q_sets(spec, boundary, sets).tolist()
-        checks += [("q", I, q_leading(rt, boundary, I), q)
-                   for I, q in zip(sets, qs)]
+        checks.append(("q", sets, q_sets(spec, boundary, sets),
+                       q_leading(rt, sets, boundary.A, boundary.B,
+                                 boundary.rank_A)))
     rows = [{"kind": kind, "I": list(I),
              "deviation": float(abs(q / (coeff * E ** expo) - 1))}
-            for kind, I, (coeff, expo), q in checks
+            for kind, sets, qs, (coeffs, expos) in checks
+            for I, q, coeff, expo in zip(sets, qs.tolist(), coeffs.tolist(),
+                                         expos.tolist())
             if not np.isnan(q) and abs(coeff) > COEFF_TOL]
     worst = max([0.0, *(row["deviation"] for row in rows)])
     ok = bool(worst <= args.tolerance)

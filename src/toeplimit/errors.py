@@ -36,13 +36,5 @@ class NotSimpleSpectrum(ToeplimitError):
     strictly ordered moduli, so the large-energy evaluators refuse."""
 
 
-class NotAProjection(ToeplimitError):
-    """The given matrix is not idempotent within tolerance."""
-
-
-class RankMismatch(ToeplimitError):
-    """Numerical rank disagrees with the requested rank."""
-
-
 class BadConfig(ToeplimitError):
     """A model configuration file is malformed or inconsistent."""

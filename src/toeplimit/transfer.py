@@ -56,15 +56,15 @@ def modulus_order(values: np.ndarray):
     modulus ties, by argument in [0, 2pi) then by real part.
 
     Returns the orderings and (n, m - 1) flags, ``tied[k, i]`` when ordered
-    entries i and i + 1 of row k share a modulus within TIE_TOL. Tie
-    detection scales with the pair's own modulus, not the global maximum, so
-    widely separated decaying/growing branches never collapse into one group
-    at large energy.
+    entries i and i + 1 of row k share a modulus within TIE_TOL times the
+    larger one. Tie detection scales with the pair's own modulus alone, so
+    at large energy neither far-apart decaying/growing branches nor close
+    decaying ones, of modulus ~|r_i|/|E|, collapse into one group.
     """
     moduli = np.abs(values)
     order = np.argsort(moduli, axis=1, kind="stable")
     m = np.take_along_axis(moduli, order, axis=1)
-    tied = ~(np.diff(m, axis=1) > TIE_TOL * (1.0 + m[:, 1:]))
+    tied = ~(np.diff(m, axis=1) > TIE_TOL * m[:, 1:])
     rows = np.flatnonzero(tied.any(axis=1))
     if rows.size:
         sub = order[rows]

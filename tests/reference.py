@@ -1,8 +1,9 @@
 """Reference routes that cross-check the package from outside it.
 
-The transfer matrix T^E is rebuilt here from the model blocks with plain
-numpy, so a defect in the package's transfer stack cannot vouch for itself
-through these routes.
+The transfer matrix T^E, the spectral projectors of R and T and the oblique
+frames of those projectors are rebuilt here from the model blocks with plain
+numpy, so a defect in the package's transfer stack or large-energy kernels
+cannot vouch for itself through these routes.
 """
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -56,6 +57,84 @@ def transfer_recursion_residual(coeffs, boundary, N: int, E: complex,
     return float(np.max(np.linalg.norm(gaps, axis=1))) / norm
 
 
+def rt_projectors(R, T, members: Sequence[int]):
+    """(PT_I, PR_I): the spectral projectors of T and of R onto the members
+    of an index set, from plain numpy eigendecompositions. Index i < L is
+    the eigenvalue of R with the (i+1)-th smallest modulus, index L + i that
+    of T with the (i+1)-th largest."""
+    L = np.shape(R)[0]
+
+    def projector(m, picks, descending):
+        values, right = np.linalg.eig(np.asarray(m, dtype=np.complex128))
+        mods = np.abs(values)
+        right = right[:, np.argsort(-mods if descending else mods,
+                                    kind="stable")]
+        return right[:, picks] @ np.linalg.inv(right)[picks, :]
+
+    return (projector(T, [i - L for i in members if i >= L], True),
+            projector(R, [i for i in members if i < L], False))
+
+
+@dataclass(frozen=True)
+class FrameSet:
+    """Oblique frames of a projection P: columns of Phi span Ran(P), Phi_c
+    spans Ran(1-P), and (Psi, Psi_c) = ((Phi, Phi_c)^{-1})^*."""
+    Phi: np.ndarray
+    Phi_c: np.ndarray
+    Psi: np.ndarray
+    Psi_c: np.ndarray
+
+    @property
+    def p(self) -> int:
+        return self.Phi.shape[-1]
+
+
+def projection_frames(P, rank=None) -> FrameSet:
+    """Frames of one projection of rank ``rank`` (its numerical rank when
+    None), with left singular vectors as the best-conditioned range bases."""
+    P = np.asarray(P, dtype=np.complex128)
+    L = P.shape[0]
+    if rank is None:
+        rank = int(np.linalg.matrix_rank(P))
+
+    def basis(m, r):
+        return np.linalg.svd(m)[0][:, :r]
+
+    Phi = basis(P, rank)
+    Phi_c = basis(np.eye(L) - P, L - rank)
+    dual = np.linalg.inv(np.hstack([Phi, Phi_c])).conj().T
+    return FrameSet(Phi, Phi_c, dual[:, :rank], dual[:, rank:])
+
+
+def q_hat_leading_frames(R, T, members: Sequence[int], C, V) -> complex:
+    """The leading coefficient det_{L-p}((Psi^c)* PR_I (C - V) Phi^c) of
+    q_hat_I, with frames of PT_I of rank p."""
+    PT, PR = rt_projectors(R, T, members)
+    fr = projection_frames(PT, sum(1 for i in members if i >= len(R)))
+    return complex(np.linalg.det(fr.Psi_c.conj().T @ PR
+                                 @ (np.asarray(C) - np.asarray(V))
+                                 @ fr.Phi_c))
+
+
+def q_leading_frames(R, T, members: Sequence[int], A, B,
+                     rank_A: int) -> complex:
+    """The leading coefficient det_{L-p}((Psi^c)* B Phi^c)
+    det_{p_hat}(Psi_hat* A Phi_hat) / ((-1)^{p - p_hat} det(B)) of q_I with
+    frames of PT_I of rank p and PR_I of rank p_hat; exactly 0 once
+    |I| > L + rank_A."""
+    L = len(R)
+    if len(members) > L + rank_A:
+        return 0j
+    p = sum(1 for i in members if i >= L)
+    p_hat = len(members) - p
+    PT, PR = rt_projectors(R, T, members)
+    fr_t = projection_frames(PT, p)
+    fr_r = projection_frames(PR, p_hat)
+    d1 = np.linalg.det(fr_t.Psi_c.conj().T @ B @ fr_t.Phi_c)
+    d2 = np.linalg.det(fr_r.Psi.conj().T @ A @ fr_r.Phi)
+    return complex(d1 * d2 / ((-1) ** (p - p_hat) * np.linalg.det(B)))
+
+
 @dataclass(frozen=True)
 class RieszLeading:
     """Order-0 diagonal blocks and order-1 off-diagonal blocks of the Riesz
@@ -66,17 +145,16 @@ class RieszLeading:
     lower_left: np.ndarray    # coefficient of 1/E: -(PR - PT)
 
 
-def riesz_leading_full(rt, R, T, members: Sequence[int]) -> RieszLeading:
+def riesz_leading_full(R, T, members: Sequence[int]) -> RieszLeading:
     """The leading blocks of the Riesz projection onto ``members`` from the
-    R/T spectral data ``rt``."""
-    PT = rt.PT_of(members)
-    PR = rt.PR_of(members)
+    spectral projectors of R and T."""
+    PT, PR = rt_projectors(R, T, members)
     return RieszLeading(PT, PR, np.asarray(T) @ (PR - PT) @ np.asarray(R),
                         -(PR - PT))
 
 
-def q_tilde_leading(rt, members: Sequence[int]) -> Tuple[complex, int]:
+def q_tilde_leading(R, T, members: Sequence[int]) -> Tuple[complex, int]:
     """q_tilde ~ det(PT_I - PR_I) * E^{-L}; the coefficient vanishes unless
     |I| = L."""
-    coeff = complex(np.linalg.det(rt.PT_of(members) - rt.PR_of(members)))
-    return coeff, -rt.L
+    PT, PR = rt_projectors(R, T, members)
+    return complex(np.linalg.det(PT - PR)), -len(R)

@@ -187,26 +187,30 @@ def test_criterion_07_asymptotic_ratios():
                 continue
         E = 1e4 * np.exp(2j * np.pi * rng.random())
         spec = ordered_spectrum(co, E)
-        for I in index_sets(2 * L, [L]):
-            c, e = q_tilde_leading(rt, I)
-            if abs(c) > 1e-9:
-                ok = ok and abs(q_tilde(spec, I) / (c * E ** e) - 1) <= 0.02
-            c, e = q_hat_leading(rt, I, bd.C, co.V)
+        sets = index_sets(2 * L, [L])
+        for I, c, e in zip(sets, *q_hat_leading(rt, sets, bd.C, co.V)):
             if abs(c) > 1e-9:
                 ok = ok and abs(
                     q_hat(spec, bd.C, I) / (c * E ** e) - 1) <= 0.02
-        for I in index_sets(2 * L, range(L + bd.rank_A + 1)):
-            c, e = q_leading(rt, bd, I)
+            c, e = q_tilde_leading(co.R, co.T, I)
+            if abs(c) > 1e-9:
+                ok = ok and abs(q_tilde(spec, I) / (c * E ** e) - 1) <= 0.02
+        sets = index_sets(2 * L, range(L + bd.rank_A + 1))
+        for I, c, e in zip(sets, *q_leading(rt, sets, bd.A, bd.B,
+                                            bd.rank_A)):
             if abs(c) > 1e-9:
                 ok = ok and abs(
                     q_perturbed(spec, bd, I) / (c * E ** e) - 1) <= 0.02
     # scalar anchors for the leading powers themselves
     rt1 = rt_spectral_data([[1.0]], [[1.0]])
-    ok = ok and q_tilde_leading(rt1, (1,)) == (pytest.approx(1.0), -1)
-    ok = ok and q_hat_leading(rt1, (1,), [[0.0]], [[0.0]]) == (
-        pytest.approx(1.0), 0)
-    bd1 = BoundaryTriple([[1.0]], [[1.0]], [[0.0]])
-    ok = ok and q_leading(rt1, bd1, (0,)) == (pytest.approx(-1.0), -1)
+    ok = ok and q_tilde_leading([[1.0]], [[1.0]], (1,)) == (
+        pytest.approx(1.0), -1)
+    coeff, expo = q_hat_leading(rt1, [(1,)], [[0.0]], [[0.0]])
+    ok = ok and (coeff.tolist(), expo.tolist()) == (
+        [pytest.approx(1.0)], [0])
+    coeff, expo = q_leading(rt1, [(0,)], [[1.0]], [[1.0]], 1)
+    ok = ok and (coeff.tolist(), expo.tolist()) == (
+        [pytest.approx(-1.0)], [-1])
     check(7, "large-energy leading-term ratios within 2% at |E| = 1e4", ok)
 
 

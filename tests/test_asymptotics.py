@@ -1,35 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (DEMO_R, DEMO_T, gaussian_matrix, projection,
                       rank_limited, random_model)
-from reference import q_tilde_leading, riesz_leading_full
+from reference import (projection_frames, q_hat_leading_frames,
+                       q_leading_frames, q_tilde_leading, riesz_leading_full,
+                       rt_projectors)
 from toeplimit import numkernel as nk
-from toeplimit.asymptotics import (COEFF_TOL, ENERGY_CHECKS, FrameSet,
-                                   _draw_trial, _statuses, genericity_check,
-                                   projection_frames, q_hat_leading,
-                                   q_hat_leading_stack, q_leading,
-                                   q_leading_stack, rt_spectral_data,
+from toeplimit.asymptotics import (COEFF_TOL, ENERGY_CHECKS, _draw_trial,
+                                   _rows, _statuses, genericity_check,
+                                   q_hat_leading, q_leading, rt_spectral_data,
                                    rt_spectral_stack)
-from toeplimit.errors import (NotAProjection, NotSimpleSpectrum, RankMismatch,
-                              SingularMatrix)
+from toeplimit.errors import NotSimpleSpectrum, SingularMatrix
 from toeplimit.operators import BoundaryTriple, CoefficientTriple
 from toeplimit.transfer import ordered_spectrum
 from toeplimit.widom import (index_sets, q_hat, q_perturbed, q_sets, q_tilde,
                              widom_sum_perturbed)
 
 
-def one_frame(P, rank=None, tol=1e-8):
-    """The frames of one projection: the one-row call of the stacked
-    ``projection_frames``."""
-    fr = projection_frames(nk.as_cmatrix(P)[None], rank, tol)
-    return FrameSet(fr.Phi[0], fr.Phi_c[0], fr.Psi[0], fr.Psi_c[0])
-
-
-def simple_instance(seed, L):
+def simple_instance(seed, L, rank_a=None):
     rng = np.random.default_rng(seed)
     while True:
-        co, bd = random_model(rng, L)
+        co, bd = random_model(rng, L, rank_a)
         try:
             rt = rt_spectral_data(co.R, co.T)
         except NotSimpleSpectrum:
@@ -41,22 +35,28 @@ def test_rt_data_scalar():
     rt = rt_spectral_data([[2.0]], [[3.0]])
     assert rt.r_values[0] == pytest.approx(2.0)
     assert rt.t_values[0] == pytest.approx(3.0)
-    assert np.allclose(rt.PR[0], 1.0)
-    assert np.allclose(rt.PT[0], 1.0)
+    assert np.allclose(rt.r_right * rt.r_left, 1.0)
+    assert np.allclose(rt.t_right * rt.t_left, 1.0)
 
 
 def test_rt_data_diagonal_ordering():
     rt = rt_spectral_data(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.allclose(rt.r_values, [1.0, 2.0])
     assert np.allclose(rt.t_values, [4.0, 3.0])  # descending modulus
-    assert np.allclose(rt.PR[0], np.diag([1.0, 0.0]))
-    assert np.allclose(rt.PT[0], np.diag([0.0, 1.0]))  # eigenvalue 4
+    assert np.allclose(np.outer(rt.r_right[:, 0], rt.r_left[0]),
+                       np.diag([1.0, 0.0]))
+    # eigenvalue 4
+    assert np.allclose(np.outer(rt.t_right[:, 0], rt.t_left[0]),
+                       np.diag([0.0, 1.0]))
 
 
 def test_rt_data_completeness():
+    # the left rows are biorthogonal to the columns, and the rank-1
+    # projectors they make sum to the identity
     co, bd, rt, _ = simple_instance(30, 3)
-    assert np.linalg.norm(sum(rt.PR) - np.eye(3)) < 1e-9
-    assert np.linalg.norm(sum(rt.PT) - np.eye(3)) < 1e-9
+    for right, left in ((rt.r_right, rt.r_left), (rt.t_right, rt.t_left)):
+        assert np.linalg.norm(left @ right - np.eye(3)) < 1e-9
+        assert np.linalg.norm(right @ left - np.eye(3)) < 1e-9
 
 
 def test_rt_data_demo_refuses():
@@ -66,21 +66,31 @@ def test_rt_data_demo_refuses():
 
 
 def test_rank_bookkeeping():
+    # the projectors of an index set, built outside the package, have ranks
+    # summing to |I|, and the package's R columns in I span Ran(PR_I) while
+    # its T columns outside I span Ran(1 - PT_I)
     co, bd, rt, _ = simple_instance(31, 2)
     for I in index_sets(4, range(5)):
-        assert (nk.numerical_rank(rt.PR_of(I))
-                + nk.numerical_rank(rt.PT_of(I)) == len(I))
+        PT, PR = rt_projectors(co.R, co.T, I)
+        assert nk.numerical_rank(PR) + nk.numerical_rank(PT) == len(I)
+        K = [i for i in I if i < 2]
+        J = [j for j in range(2) if 2 + j not in I]
+        assert np.linalg.norm(PR @ rt.r_right[:, K] - rt.r_right[:, K]) < 1e-9
+        assert np.linalg.norm(rt.r_left[K] @ PR - rt.r_left[K]) < 1e-9
+        assert np.linalg.norm(PT @ rt.t_right[:, J]) < 1e-9
+        assert np.linalg.norm(rt.t_left[J] @ PT) < 1e-9
 
 
 def test_frames_basic_and_invariants():
-    fr = one_frame(np.diag([1.0, 0.0]))
+    # the reference frames that the kernels are checked against
+    fr = projection_frames(np.diag([1.0, 0.0]))
     assert np.allclose(np.abs(fr.Phi.ravel()), [1.0, 0.0])
     assert fr.p == 1
     rng = np.random.default_rng(32)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     P = np.outer(u, v) / (v @ u)
-    fr = one_frame(P)
+    fr = projection_frames(P)
     full = np.hstack([fr.Phi, fr.Phi_c])
     dual = np.hstack([fr.Psi, fr.Psi_c])
     assert np.linalg.norm(dual.conj().T @ full - np.eye(3)) < 1e-9
@@ -88,37 +98,31 @@ def test_frames_basic_and_invariants():
 
 
 def test_frames_full_and_empty_ranges():
-    fr = one_frame(np.eye(2))
+    fr = projection_frames(np.eye(2))
     assert fr.Phi.shape == (2, 2) and fr.Phi_c.shape == (2, 0)
     assert nk.determinant(fr.Psi_c.conj().T @ np.eye(2) @ fr.Phi_c) == 1.0
 
 
-def test_frames_errors():
-    with pytest.raises(NotAProjection):
-        one_frame([[0.5, 0.0], [0.0, 0.0]])
-    with pytest.raises(RankMismatch):
-        one_frame(np.diag([1.0, 0.0]), rank=2)
-
-
 def test_scalar_leading_anchors():
     rt = rt_spectral_data([[1.0]], [[1.0]])
-    assert q_tilde_leading(rt, (1,)) == (pytest.approx(1.0), -1)
-    coeff, expo = q_hat_leading(rt, (1,), [[0.0]], [[0.0]])
-    assert (coeff, expo) == (pytest.approx(1.0), 0)
-    bd = BoundaryTriple([[1.0]], [[1.0]], [[0.0]])
-    coeff, expo = q_leading(rt, bd, (0,))
-    assert (coeff, expo) == (pytest.approx(-1.0), -1)
+    assert q_tilde_leading([[1.0]], [[1.0]], (1,)) == (pytest.approx(1.0), -1)
+    coeff, expo = q_hat_leading(rt, [(1,)], [[0.0]], [[0.0]])
+    assert (coeff.tolist(), expo.tolist()) == ([pytest.approx(1.0)], [0])
+    coeff, expo = q_leading(rt, [(0,)], [[1.0]], [[1.0]], 1)
+    assert (coeff.tolist(), expo.tolist()) == ([pytest.approx(-1.0)], [-1])
 
 
 def test_q_leading_empty_and_overfull():
     co, bd, rt, _ = simple_instance(33, 2)
-    assert q_leading(rt, bd, ()) == (pytest.approx(1.0), 0)
+    coeff, expo = q_leading(rt, [()], bd.A, bd.B, bd.rank_A)
+    assert (coeff.tolist(), expo.tolist()) == ([pytest.approx(1.0)], [0])
     # |I| beyond L + rank(A) has vanishing leading coefficient
     rng = np.random.default_rng(34)
     bd1 = BoundaryTriple(rank_limited(rng, 2, 1), gaussian_matrix(rng, 2),
                          gaussian_matrix(rng, 2))
-    coeff, _ = q_leading(rt, bd1, (0, 1, 2, 3))
-    assert coeff == 0
+    coeff, _ = q_leading(rt, [(0, 2, 3), (0, 1, 2, 3)], bd1.A, bd1.B,
+                         bd1.rank_A)
+    assert abs(coeff[0]) > COEFF_TOL and coeff[1] == 0
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -129,17 +133,19 @@ def test_ratio_tests_all_functions(L):
         E = mag * np.exp(1j * 2 * np.pi * 0.137)
         spec = ordered_spectrum(co, E)
         assert not spec.degenerate
-        for I in index_sets(2 * L, [L]):
-            c, e = q_tilde_leading(rt, I)
-            if abs(c) > 1e-9:
-                q = q_tilde(spec, I)
-                devs[mag] = max(devs[mag], abs(q / (c * E ** e) - 1))
-            c, e = q_hat_leading(rt, I, bd.C, co.V)
+        sets = index_sets(2 * L, [L])
+        lead = zip(*q_hat_leading(rt, sets, bd.C, co.V))
+        for I, (c, e) in zip(sets, lead):
             if abs(c) > 1e-9:
                 q = q_hat(spec, bd.C, I)
                 devs[mag] = max(devs[mag], abs(q / (c * E ** e) - 1))
-        for I in index_sets(2 * L, range(L + bd.rank_A + 1)):
-            c, e = q_leading(rt, bd, I)
+            c, e = q_tilde_leading(co.R, co.T, I)
+            if abs(c) > 1e-9:
+                q = q_tilde(spec, I)
+                devs[mag] = max(devs[mag], abs(q / (c * E ** e) - 1))
+        sets = index_sets(2 * L, range(L + bd.rank_A + 1))
+        lead = zip(*q_leading(rt, sets, bd.A, bd.B, bd.rank_A))
+        for I, (c, e) in zip(sets, lead):
             if abs(c) > 1e-9:
                 q = q_perturbed(spec, bd, I)
                 devs[mag] = max(devs[mag], abs(q / (c * E ** e) - 1))
@@ -155,7 +161,7 @@ def test_riesz_leading_blocks():
     spec = ordered_spectrum(co, E)
     for I in [(1,), (0, 2), (2, 3), (0, 1, 2)]:
         P = projection(spec, I)
-        lead = riesz_leading_full(rt, co.R, co.T, I)
+        lead = riesz_leading_full(co.R, co.T, I)
         assert np.linalg.norm(P[:2, :2] - lead.PT) < 1e-3
         assert np.linalg.norm(P[2:, 2:] - lead.PR) < 1e-3
         assert np.linalg.norm(P[2:, :2] * E - lead.lower_left) < 1e-3
@@ -164,7 +170,7 @@ def test_riesz_leading_blocks():
 
 def test_riesz_leading_full_set_off_diagonal_vanishes():
     co, bd, rt, _ = simple_instance(45, 2)
-    lead = riesz_leading_full(rt, co.R, co.T, tuple(range(4)))
+    lead = riesz_leading_full(co.R, co.T, tuple(range(4)))
     assert np.linalg.norm(lead.lower_left) < 1e-9
     assert np.linalg.norm(lead.upper_right) < 1e-9
     assert np.linalg.norm(lead.PT - np.eye(2)) < 1e-9
@@ -176,7 +182,7 @@ def test_oblique_factorization_lemma():
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     P = np.outer(u, v) / (v @ u)
-    fr = one_frame(P)
+    fr = projection_frames(P)
     M0 = gaussian_matrix(rng, 3)
     M1 = gaussian_matrix(rng, 3)
     target = nk.determinant(fr.Psi_c.conj().T @ M0 @ fr.Phi_c)
@@ -210,13 +216,15 @@ def test_q_leading_refuses_a_b_without_inverse():
         widom_sum_perturbed(co, bd, 8, 0.3 + 0.2j)
     for I in [(), (0,), (1, 2), (0, 1, 2, 3)]:
         with pytest.raises(SingularMatrix):
-            q_leading(rt, bd, I)
-    PT = np.stack([rt.PT_of((2,))] * 3)
-    PR = np.stack([rt.PR_of((2,))] * 3)
+            q_leading(rt, [I], bd.A, bd.B, bd.rank_A)
+    # one such B refuses a stack of models
+    rts = _rows(rt_spectral_stack(co.R[None], co.T[None])[0], [0, 0, 0])
     Bs = np.stack([np.eye(2), B, np.eye(2)])
     with pytest.raises(SingularMatrix):
-        q_leading_stack(PT, PR, 1, 0, bd.A, Bs)
-    assert np.all(q_leading_stack(PT[:2], PR[:2], 1, 0, bd.A, Bs[[0, 2]]) != 0)
+        q_leading(rts, [(2,)], bd.A, Bs, bd.rank_A)
+    coeff, _ = q_leading(_rows(rts, [0, 2]), [(2,)], bd.A, Bs[[0, 2]],
+                         bd.rank_A)
+    assert coeff.shape == (2, 1) and np.all(coeff != 0)
 
 
 @pytest.mark.parametrize("trials, L, seed", [(100, 1, 0), (100, 2, 0),
@@ -271,10 +279,9 @@ def test_stacked_q_hat_leading_flags_the_row_with_c_equal_v():
     blocks, rt = simple_stack(48, 2, 5)
     C = blocks[:, 5].copy()
     C[3] = blocks[3, 2]   # C = V in row 3
-    for I in [(0, 1), (0, 2), (1, 3)]:   # p < L: the coefficient has C - V
-        p = sum(i >= 2 for i in I)
-        coeff = q_hat_leading_stack(rt.PT_of(I), rt.PR_of(I), p,
-                                    C - blocks[:, 2])
+    # p < L: each coefficient has C - V
+    coeffs, _ = q_hat_leading(rt, [(0, 1), (0, 2), (1, 3)], C, blocks[:, 2])
+    for coeff in coeffs.T:
         assert coeff[3] == 0
         assert np.all(np.abs(np.delete(coeff, 3)) > COEFF_TOL)
     energies = np.full((5, ENERGY_CHECKS), 2.0 + 1.0j)
@@ -284,33 +291,31 @@ def test_stacked_q_hat_leading_flags_the_row_with_c_equal_v():
 
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_stacked_frames_and_coefficients_match_single_rows(L):
+    # the eigen-data rows are the frames of both rules
     n = 6
     blocks, rt = simple_stack(49 + L, L, n)
     for k in range(n):
         R, T, V, A, B, C = blocks[k]
         rt_k = rt_spectral_data(R, T)
-        for name in ("r_values", "t_values", "PR", "PT"):
+        for name in ("r_values", "t_values", "r_right", "r_left", "t_right",
+                     "t_left"):
             assert np.array_equal(getattr(rt, name)[k], getattr(rt_k, name))
-    for I in index_sets(2 * L, range(2 * L + 1)):
-        p = sum(i >= L for i in I)
-        PT, PR = rt.PT_of(I), rt.PR_of(I)
-        frames = projection_frames(PT, p)
-        q_hat_rows = q_hat_leading_stack(PT, PR, p,
-                                         blocks[:, 5] - blocks[:, 2])
-        q_rows = q_leading_stack(PT, PR, p, len(I) - p, blocks[:, 3],
-                                 blocks[:, 4])
-        for k in range(n):
-            R, T, V, A, B, C = blocks[k]
-            rt_k = rt_spectral_data(R, T)
-            single = one_frame(rt_k.PT_of(I), p)
-            for name in ("Phi", "Phi_c", "Psi", "Psi_c"):
-                assert relative_gap(getattr(frames, name)[k],
-                                    getattr(single, name)) <= 1e-13
-            c, _ = q_leading(rt_k, BoundaryTriple(A, B, C), I)
-            assert relative_gap(q_rows[k], c) <= 1e-13
-            if len(I) == L:
-                c, _ = q_hat_leading(rt_k, I, C, V)
-                assert relative_gap(q_hat_rows[k], c) <= 1e-13
+    sets = index_sets(2 * L, range(2 * L + 1))
+    hat_sets = index_sets(2 * L, [L])
+    q_rows, q_expos = q_leading(rt, sets, blocks[:, 3], blocks[:, 4], L)
+    hat_rows, hat_expos = q_hat_leading(rt, hat_sets, blocks[:, 5],
+                                        blocks[:, 2])
+    assert q_rows.shape == (n, len(sets))
+    assert hat_rows.shape == (n, len(hat_sets))
+    for k in range(n):
+        R, T, V, A, B, C = blocks[k]
+        rt_k = rt_spectral_data(R, T)
+        c, e = q_leading(rt_k, sets, A, B, L)
+        assert relative_gap(q_rows[k], c) <= 1e-13
+        assert np.array_equal(e, q_expos)
+        c, e = q_hat_leading(rt_k, hat_sets, C, V)
+        assert relative_gap(hat_rows[k], c) <= 1e-13
+        assert np.array_equal(e, hat_expos)
 
 
 def scalar_status(blocks, energies):
@@ -324,13 +329,13 @@ def scalar_status(blocks, energies):
     except NotSimpleSpectrum:
         return "not_simple"
     bd = BoundaryTriple(A, B, C)
-    coeffs = [q_hat_leading(rt, I, C, V)[0] for I in index_sets(2 * L, [L])]
-    coeffs += [q_leading(rt, bd, I)[0]
-               for I in index_sets(2 * L, range(2 * L + 1))]
+    coeffs = [q_hat_leading(rt, index_sets(2 * L, [L]), C, V)[0],
+              q_leading(rt, index_sets(2 * L, range(2 * L + 1)), A, B,
+                        bd.rank_A)[0]]
     co = CoefficientTriple(R, T, V)
     qs = [q_sets(ordered_spectrum(co, E), bd, index_sets(2 * L, [L]))
           for E in energies]
-    small = np.abs(np.concatenate([coeffs] + qs)) <= COEFF_TOL
+    small = np.abs(np.concatenate(coeffs + qs)) <= COEFF_TOL
     return "zero" if small.any() else "nonzero"
 
 
@@ -353,3 +358,28 @@ def test_stacked_statuses_match_the_one_trial_functions(L):
         assert expected[4] == "zero"
     assert expected.count("nonzero") >= n - 3
     assert _statuses(blocks, energies) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.data())
+def test_leading_kernels_match_the_frame_formulas(L, data):
+    # both kernels read the eigen-data of R and T; the reference takes SVD
+    # frames of projectors it builds itself, so the two agree only if any
+    # pair of dual bases gives the same determinants
+    rank_a = data.draw(st.integers(0, L), label="rank_a")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    co, bd, rt, _ = simple_instance(seed, L, rank_a)
+    sets = index_sets(2 * L, range(2 * L + 1))
+    # relative to the rule's largest coefficient: a coefficient whose A
+    # block has more rows than rank A is 0 up to roundoff on both routes
+    coeffs, expos = q_leading(rt, sets, bd.A, bd.B, bd.rank_A)
+    refs = [q_leading_frames(co.R, co.T, I, bd.A, bd.B, bd.rank_A)
+            for I in sets]
+    assert relative_gap(coeffs, np.array(refs)) <= 1e-10
+    assert expos.tolist() == [sum(i >= L for i in I) - sum(i < L for i in I)
+                              for I in sets]
+    sets = index_sets(2 * L, [L])
+    coeffs, expos = q_hat_leading(rt, sets, bd.C, co.V)
+    refs = [q_hat_leading_frames(co.R, co.T, I, bd.C, co.V) for I in sets]
+    assert relative_gap(coeffs, np.array(refs)) <= 1e-10
+    assert expos.tolist() == [-L + sum(i >= L for i in I) for I in sets]

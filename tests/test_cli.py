@@ -8,12 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import random_model
 from toeplimit import cli
-from toeplimit.errors import BadConfig
+from toeplimit.asymptotics import rt_spectral_data
+from toeplimit.errors import BadConfig, NotSimpleSpectrum
 from toeplimit.limitsets import STAGES
 from toeplimit.numkernel import DEGENERACY_TOL
 from toeplimit.transfer import TIE_TOL
-from toeplimit.widom import WidomSum
+from toeplimit.widom import WidomSum, index_sets
 
 CONFIG_DIR = os.path.join(os.path.dirname(cli.__file__), "configs")
 SCALAR = os.path.join(CONFIG_DIR, "scalar.json")
@@ -373,6 +375,64 @@ def test_asymptotics_check_skips_coefficients_at_coeff_tol(tmp_path,
     assert len(rows("default")) == 5
     monkeypatch.setattr(cli, "COEFF_TOL", 1.0)
     assert rows("at_one") == []
+
+
+def model_config(tmp_path, name, L, case, R, T, V, A, B, C):
+    """Write a config of the given blocks under tmp_path; return its path."""
+    cfg = cli.ModelConfig(L, 20, *(np.asarray(m, dtype=complex)
+                                   for m in (R, T, V, A, B, C)), case)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("L, case, seed", [(2, "boundary", 5),
+                                           (2, "perturbed", 6),
+                                           (3, "boundary", 7),
+                                           (3, "perturbed", 8)])
+def test_asymptotics_check_at_larger_blocks(tmp_path, L, case, seed):
+    # seeded Gaussian blocks with simple R, T spectra; a perturbed corner
+    # has rank A = L - 1, so sets past L + rank A, and sets with more R
+    # members than rank A, have leading coefficient 0 and no row
+    rng = np.random.default_rng(seed)
+    while True:
+        co, bd = random_model(rng, L, L - 1)
+        try:
+            rt_spectral_data(co.R, co.T)
+        except NotSimpleSpectrum:
+            continue
+        break
+    A, B = (bd.A, bd.B) if case == "perturbed" else (np.zeros((L, L)),) * 2
+    path = model_config(tmp_path, f"L{L}_{case}", L, case, co.R, co.T, co.V,
+                        A, B, bd.C)
+    out = tmp_path / "a"
+    assert run(["asymptotics-check", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "asymptotics_check.json").read_text())
+    assert report["pass"] is True
+    rows = {kind: [row["I"] for row in report["per_set"] if row["kind"] == kind]
+            for kind in ("q_hat", "q")}
+    assert rows["q_hat"] == [list(I) for I in index_sets(2 * L, [L])]
+    if case == "perturbed":
+        assert rows["q"] == [list(I) for I in index_sets(2 * L, range(2 * L))
+                             if sum(i < L for i in I) < L]
+    else:
+        assert rows["q"] == []
+
+
+def test_asymptotics_check_keeps_decaying_branches_in_modulus_order(
+        tmp_path):
+    # the decaying branches |r_i|/|E| of this model differ by 5e-8 at
+    # |E| = 1e4; a tie test in absolute terms reordered them by argument,
+    # and the ratio of q to its leading term read 0.9998 off
+    path = model_config(tmp_path, "tie", 2, "perturbed",
+                        np.diag([1.9j, 1.905]), np.diag([3.0, 2.0]),
+                        [[0.0, 0.5], [0.5, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                        [[1.0, 0.2], [0.0, 1.0]], np.diag([0.3, -0.2]))
+    out = tmp_path / "a"
+    assert run(["asymptotics-check", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "asymptotics_check.json").read_text())
+    assert report["worst_deviation"] < 0.01
+    assert {row["kind"] for row in report["per_set"]} == {"q_hat", "q"}
 
 
 def test_asymptotics_check_refuses_degenerate_r(tmp_path):

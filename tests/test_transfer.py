@@ -9,7 +9,8 @@ from conftest import (gaussian_matrix, nondegenerate_energy, projection,
 from reference import riesz_projection_contour
 from toeplimit import numkernel as nk
 from toeplimit.errors import SingularMatrix
-from toeplimit.operators import BoundaryTriple, eval_symbol
+from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
+                                 eval_symbol)
 from toeplimit.transfer import (_optimal_assignment, boundary_transfer_matrices,
                                 match_branches, modulus_order, ordered_eig,
                                 ordered_spectrum, size_groups,
@@ -150,6 +151,20 @@ def test_no_spurious_ties_at_large_energy():
     spec = ordered_spectrum(co, 1e4)
     assert not modulus_order(spec.values[None])[1].any()
     assert not spec.degenerate
+
+
+def test_decaying_branches_tie_only_within_their_own_modulus():
+    # at |E| = 1e4 the decaying branches have moduli ~|r_i|/|E| = 1.905e-4
+    # and 1.9e-4: 5e-8 apart, below TIE_TOL in absolute terms but 2.6e-3
+    # apart relative to their size, so they are no tie and keep modulus order
+    co = CoefficientTriple(np.diag([1.9j, 1.905]), np.diag([3.0, 2.0]),
+                           [[0.0, 0.5], [0.5, 0.0]])
+    spec = ordered_spectrum(co, 1e4)
+    assert not modulus_order(spec.values[None])[1].any()
+    assert np.all(np.diff(spec.moduli) > 0)
+    assert spec.moduli[0] == pytest.approx(1.9e-4, rel=1e-3)
+    # a pair within TIE_TOL of each other's modulus is still a tie
+    assert modulus_order(np.array([[1e-4, 1e-4j * (1 + 1e-7)]]))[1].all()
 
 
 def test_match_branches_identity_and_continuity():
