@@ -1,9 +1,13 @@
 """Extraction of limit-spectrum sets from complex-plane grid scans.
 
-The continuous sets are level sets of ordered transfer-eigenvalue moduli:
-unit-modulus crossings for the Sigma-type sets, equal-modulus branch
-crossings for the Lambda-type sets. Outliers are zeros of the dominant
-q-function, Newton-refined from grid minima.
+The continuous sets are level sets of ordered transfer-eigenvalue moduli.
+Sigma-type sets, where some |z_j| = 1, come from marching squares on the
+grid and, where the grid misses them, from the symbol curve
+spec a(e^{i theta}) (Schmidt and Spitzer, 1960), labelled by a transfer
+eigensolve. Lambda-type sets, where two branches share a modulus, come from
+branch-matched edge crossings, each located from the branch slopes
+dz_j/dE of the scan's eigen-triples and checked by one solve. Outliers are
+zeros of the dominant q-function, Newton-refined from grid minima.
 """
 import hashlib
 import os
@@ -11,16 +15,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import numkernel as nk
 from .errors import ConvergenceFailure
-from .operators import BoundaryTriple, CoefficientTriple
-from .transfer import (TIE_TOL, match_branches, modulus_order, ordered_eig,
-                       transfer_matrices, transfer_matrix)
+from .operators import BoundaryTriple, CoefficientTriple, eval_symbol
+from .transfer import (TIE_TOL, branch_slopes, match_branches, modulus_order,
+                       ordered_eig, transfer_matrices, transfer_matrix)
 from .widom import corner_q
 
 EXCLUSION_FACTOR = 3.0
@@ -28,6 +32,12 @@ SEED_QUANTILE = 0.05
 SEED_FACTOR = 10.0
 ACCEPT_RESIDUAL = 1e-10
 UNIT_COND_TOL = 1e-6
+# the symbol curve's first angles, and its most refinement rounds
+CURVE_SAMPLES = 64
+CURVE_ROUNDS = 12
+# half-width, in edge fractions, of the check of a located crossing: the
+# crossing is then bracketed to 2^-8 of the edge, h/100 and below
+CHECK = 2.0 ** -9
 
 
 @dataclass(frozen=True)
@@ -60,20 +70,19 @@ class ScanGrid:
     h: float
     # (ny, nx) |q| of the q function the scan was given, NaN at masked nodes
     q_field: Optional[np.ndarray] = None
-    # work of the equal-modulus detector, summed over its calls on this grid;
-    # with a point filter the candidate counts are taken after its endpoint
-    # pre-test, so they cover only the edges that can hold a kept crossing.
-    # bisection_evals and tie_flagged_crossings count each (pair, edge) once,
-    # when it is first bisected; tie_flagged_crossings counts the bisected
-    # crossings whose pair ties the branch below it, before the point filter
+    # (ny, nx, 2L) dz_j/dE of each ordered branch, from the eigen-triple of a
+    # scan given a q function; None for an eigenvalue-only scan
+    slopes: Optional[np.ndarray] = None
+    # work of the arc detectors, summed over their calls on this grid.
+    # candidate_edges, swapped_edges, crossing_fallbacks, crossings_kept and
+    # tie_flagged_crossings are the equal-modulus detector's; with a point
+    # filter its candidate counts are taken after the endpoint pre-test.
+    # crossing_solves counts every transfer solve of both detectors, and
+    # sigma_curve_points the symbol-curve samples kept as Sigma points
     detector_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
-        "candidate_edges": 0, "swapped_edges": 0, "bisection_evals": 0,
-        "crossings_kept": 0, "tie_flagged_crossings": 0})
-    # per branch pair (a, b): the edges the detector has bisected on this
-    # grid, as sorted flat edge ids (horizontal edges row-major, then
-    # vertical), with each crossing point and its sorted-moduli row
-    crossings: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
-                    ] = field(init=False, default_factory=dict)
+        "candidate_edges": 0, "swapped_edges": 0, "crossing_solves": 0,
+        "crossing_fallbacks": 0, "crossings_kept": 0,
+        "tie_flagged_crossings": 0, "sigma_curve_points": 0})
     # seeds, rounds, q rows and rejections of the outlier stage's Newton runs
     newton_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "newton_seeds": 0, "newton_rounds": 0, "newton_q_rows": 0,
@@ -189,19 +198,21 @@ def model_hash(coeffs: CoefficientTriple,
 def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
                  workers: Optional[int], q: Optional[Callable]):
     """Modulus-ordered transfer eigenvalues and their degeneracy flags at a
-    flat energy array, with the |q| of each node from the same
-    ``ordered_eig`` triple when a q function is given.
+    flat energy array; when a q function is given, also the |q| and the
+    branch slopes dz_j/dE of each node from the same ``ordered_eig`` triple.
 
     Worker chunks build their own transfer stacks and write into
     preallocated outputs, so a chunk's eigenvectors are dropped when it
     returns. A chunk whose stacked solve fails is solved node by node; a node
     that still fails is masked and keeps zero values, a degenerate flag and
-    NaN |q|. Returns (values, degenerate, |q| or None, masked).
+    NaN |q|. Returns (values, degenerate, |q| or None, masked, slopes or
+    None).
     """
     n = energies.size
     values = np.zeros((n, 2 * coeffs.L), dtype=np.complex128)
     degenerate = np.ones(n, dtype=bool)
     q_field = None if q is None else np.full(n, np.nan)
+    slopes = None if q is None else np.zeros_like(values)
     masked = np.zeros(n, dtype=bool)
 
     def solve(idx: np.ndarray) -> None:
@@ -214,6 +225,7 @@ def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
         triple = ordered_eig(coeffs, energies[idx])
         q_field[idx] = np.abs(q(energies[idx], triple))
         values[idx], degenerate[idx] = triple[0], triple[3]
+        slopes[idx] = branch_slopes(coeffs, triple[1], triple[2])
 
     def fill(idx: np.ndarray) -> None:
         try:
@@ -234,7 +246,7 @@ def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
         chunks = np.array_split(np.arange(n), workers * 4)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
-    return values, degenerate, q_field, masked
+    return values, degenerate, q_field, masked, slopes
 
 
 def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
@@ -242,22 +254,24 @@ def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
               q: Optional[Callable] = None) -> ScanGrid:
     """Transfer spectra over an nx x ny grid of the region; with a q
     function (``q_open``, ``q_perturbed_dominant``) the scan also computes
-    its |q| field from the same solve, so no node is solved twice."""
+    its |q| field and the branch slopes from the same solve, so no node is
+    solved twice."""
     if nx < 16 or ny < 16:
         raise ValueError("nx, ny >= 16 required")
     re = np.linspace(region.re_min, region.re_max, nx)
     im = np.linspace(region.im_min, region.im_max, ny)
     h = max(re[1] - re[0], im[1] - im[0])
     energies = (re[None, :] + 1j * im[:, None]).ravel()
-    vals, degenerate, q_field, masked = _solve_nodes(coeffs, energies,
-                                                     workers, q)
+    vals, degenerate, q_field, masked, slopes = _solve_nodes(
+        coeffs, energies, workers, q)
     moduli = np.abs(vals)
     shape = (ny, nx)
     m = 2 * coeffs.L
     return ScanGrid(coeffs, region, re, im, vals.reshape(shape + (m,)),
                     moduli.reshape(shape + (m,)), degenerate.reshape(shape),
                     masked.reshape(shape), float(h),
-                    None if q_field is None else q_field.reshape(shape))
+                    None if q_field is None else q_field.reshape(shape),
+                    None if slopes is None else slopes.reshape(shape + (m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +376,133 @@ def _sorted_moduli(stack: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(np.linalg.eigvals(stack)), axis=-1)
 
 
-def _on_unit_circle(mods: np.ndarray, a: int, slack, tol: float) -> np.ndarray:
-    """Rows of an (n, 2L) sorted-moduli stack whose pair (a, a + 1) lies
-    within tol + slack of the unit circle: the Sigma fold crossings."""
-    near = tol + slack
-    return ((np.abs(mods[:, a] - 1.0) < near)
-            & (np.abs(mods[:, a + 1] - 1.0) < near))
+def _all_points(arcs: Sequence[Arc]) -> np.ndarray:
+    """The points of all arcs in one complex array."""
+    return np.concatenate([np.empty(0, complex)] + [a.points for a in arcs])
+
+
+def _symbol_curve(coeffs: CoefficientTriple, h: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The symbol curve, the eigenvalues of a(e^{i theta}) over theta in
+    [0, 2 pi), sampled along its L branches: (L, n) energies and the (n,)
+    angles.
+
+    One stacked ``match_branches`` carries the eigenvalues from each angle
+    to the next, the last to the first. Each interval on which a branch
+    moves by more than h gets evenly spaced angles of its own, so that
+    after at most CURVE_ROUNDS refinements (eigenvalues move as a root of
+    the angle only near an exceptional point) no branch moves by more than
+    h from one sample to the next.
+    """
+    theta = np.linspace(0.0, 2 * np.pi, CURVE_SAMPLES, endpoint=False)
+    values = np.linalg.eigvals(eval_symbol(coeffs, np.exp(1j * theta)))
+    for rounds in range(CURVE_ROUNDS + 1):
+        following = np.roll(values, -1, axis=0)
+        perm = match_branches(values, following)
+        step = np.max(np.abs(np.take_along_axis(following, perm, axis=1)
+                             - values), axis=1)
+        extra = np.maximum(np.ceil(step / h).astype(np.intp) - 1, 0)
+        if rounds == CURVE_ROUNDS or not extra.any():
+            break
+        # the m-th of the extra[k] new angles in interval k sits at the
+        # fraction m / (extra[k] + 1) of it
+        k = np.repeat(np.arange(theta.size), extra)
+        m = np.arange(k.size) - np.repeat(np.cumsum(extra) - extra, extra) + 1
+        width = np.diff(theta, append=2 * np.pi)[k]
+        new = theta[k] + width * m / (extra[k] + 1)
+        theta = np.concatenate([theta, new])
+        values = np.concatenate([values, np.linalg.eigvals(
+            eval_symbol(coeffs, np.exp(1j * new)))])
+        order = np.argsort(theta, kind="stable")
+        theta, values = theta[order], values[order]
+    # column of each branch at each sample, composed only where the matching
+    # is not the identity
+    columns = np.empty(values.shape, dtype=np.intp)
+    current, start = np.arange(values.shape[1]), 0
+    for k in np.flatnonzero(np.any(perm != np.arange(values.shape[1]), axis=1)):
+        columns[start:k + 1] = current
+        current, start = perm[k, current], k + 1
+    columns[start:] = current
+    return np.take_along_axis(values, columns, axis=1).T, theta
+
+
+def _far_from(points: np.ndarray, vertices: np.ndarray, h: float,
+              region: Region) -> np.ndarray:
+    """Flags of the points, all in the region, that lie farther than h from
+    every vertex. Both are binned into h-wide squares from the region's
+    corner, so a vertex within h of a point lies in the point's square or in
+    one of its eight neighbours, and only those are compared."""
+    far = np.ones(points.shape, dtype=bool)
+    if not (points.size and vertices.size):
+        return far
+    corner = complex(region.re_min, region.im_min)
+    width = int(np.ceil(max(region.re_max - region.re_min,
+                            region.im_max - region.im_min) / h)) + 3
+
+    def squares(z):
+        z = (z - corner) / h
+        return (np.floor(z.real).astype(np.intp) + 1,
+                np.floor(z.imag).astype(np.intp) + 1)
+
+    vx, vy = squares(vertices)
+    keys = vx * width + vy
+    order = np.argsort(keys, kind="stable")
+    keys, vertices = keys[order], vertices[order]
+    px, py = squares(points)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            key = (px + dx) * width + py + dy
+            first = np.searchsorted(keys, key, "left")
+            count = np.searchsorted(keys, key, "right") - first
+            for m in range(int(count.max())):
+                rows = np.flatnonzero(count > m)
+                near = vertices[first[rows] + m]
+                far[rows] &= np.abs(points[rows] - near) > h
+    return far
+
+
+def _sigma_curve_arcs(scan: ScanGrid, r: int, label: str,
+                      vertices: np.ndarray) -> List[Arc]:
+    """The Sigma_r points that marching squares leaves out, from the symbol
+    curve: its samples in the region farther than h from every
+    marching-squares vertex.
+
+    One stacked transfer eigensolve labels them: e^{i theta} is a root at
+    each, and the crossing index is its 1-based rank in modulus order,
+    raised to the highest index among the roots within h/10 of the unit
+    circle. A sample is kept when its spectrum is not degenerate (the grid
+    detectors skip such nodes too), that root lies within h/10 of the
+    circle and its index is at least L - r + 1; each branch's kept samples
+    are split into polylines where the index changes.
+    """
+    L, h, region = scan.L, scan.h, scan.region
+    curve, theta = _symbol_curve(scan.coeffs, h)
+    kept = ((region.re_min <= curve.real) & (curve.real <= region.re_max)
+            & (region.im_min <= curve.imag) & (curve.imag <= region.im_max))
+    kept[kept] = _far_from(curve[kept], vertices, h, region)
+    branch, k = np.nonzero(kept)
+    vals = np.linalg.eigvals(transfer_matrices(scan.coeffs, curve[branch, k]))
+    scan.detector_counts["crossing_solves"] += k.size
+    moduli = np.abs(vals)
+    order = np.argsort(moduli, axis=1, kind="stable")
+    unit = np.abs(np.take_along_axis(moduli, order, axis=1) - 1.0) <= h / 10
+    nearest = np.argmin(np.abs(vals - np.exp(1j * theta[k])[:, None]), axis=1)
+    rank = np.argmax(order == nearest[:, None], axis=1)
+    top = np.where(unit.any(axis=1),
+                   2 * L - 1 - np.argmax(unit[:, ::-1], axis=1), -1)
+    j = np.maximum(rank, top)
+    ok = (unit[np.arange(j.size), j] & (j >= L - r)
+          & ~np.any(nk.close_pairs(vals), axis=(1, 2)))
+    scan.detector_counts["sigma_curve_points"] += int(np.sum(ok))
+    index = np.zeros(curve.shape, dtype=np.intp)
+    index[branch[ok], k[ok]] = j[ok] + 1
+    # runs of one nonzero index along each branch
+    flat, points = index.ravel(), curve.ravel()
+    starts = np.flatnonzero((flat != np.roll(flat, 1))
+                            | (np.arange(flat.size) % curve.shape[1] == 0))
+    ends = np.append(starts[1:], flat.size)
+    return [Arc(label, r, points[s:e].copy(), crossing_index=int(flat[s]))
+            for s, e in zip(starts, ends) if flat[s]]
 
 
 def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
@@ -375,10 +510,10 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
     j >= L - r + 1.
 
     Transversal crossings come from one marching-squares pass per admissible
-    ordered branch. Fold crossings, where two branches reach the unit circle
-    together and the sorted field touches zero without a sign change (the
-    scalar slit is the canonical case), come from the equal-modulus pair
-    detector filtered to common modulus 1.
+    ordered branch. The rest, where the sorted field touches the unit circle
+    without a sign change (folds, where two branches reach the circle
+    together; the scalar slit is the canonical case) or turns between grid
+    nodes, comes from the symbol curve (``_sigma_curve_arcs``).
     """
     L = scan.L
     if not 0 <= r <= L:
@@ -396,14 +531,7 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
         segments = _marching_squares(field, valid, scan.re, scan.im, mid)
         for line in _assemble_polylines(segments, scan.h * 1e-6):
             arcs.append(Arc(label, r, line, crossing_index=j))
-    on_unit_circle = partial(_on_unit_circle, tol=scan.h / 10)
-    for ju in range(max(L - r + 1, 2), 2 * L + 1):
-        fold = _lambda_pair_arcs(scan, ju - 2, ju - 1, label, r,
-                                 point_filter=on_unit_circle)
-        for arc in fold:
-            arc.crossing_index = ju
-        arcs.extend(fold)
-    return arcs
+    return arcs + _sigma_curve_arcs(scan, r, label, _all_points(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -416,27 +544,69 @@ def _edges(nodal: np.ndarray):
     return (nodal[:, :-1], nodal[:, 1:]), (nodal[:-1], nodal[1:])
 
 
-def _bisect_crossings(scan: ScanGrid, a: int, b: int, base: np.ndarray,
-                      Ea: np.ndarray, Eb: np.ndarray) -> np.ndarray:
-    """Points where the gap |z_a| - |z_b| of the branches continued from
-    ``base`` by matching closes along each edge Ea -> Eb, bisected together
-    to h/100."""
-    rows = np.arange(Ea.size)
+def _in_order(scan: ScanGrid, a: int, b: int, base: np.ndarray,
+              energies: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One stacked transfer solve: whether |z_a| <= |z_b| still holds for
+    the branches continued from ``base`` by matching, and the sorted
+    moduli, at each energy."""
+    vals = np.linalg.eigvals(transfer_matrices(scan.coeffs, energies))
+    scan.detector_counts["crossing_solves"] += energies.size
+    p = match_branches(base, vals)
+    rows = np.arange(energies.size)
+    return (np.abs(vals[rows, p[:, a]]) <= np.abs(vals[rows, p[:, b]]),
+            np.sort(np.abs(vals), axis=1))
+
+
+def _locate_crossings(scan: ScanGrid, a: int, b: int, base: np.ndarray,
+                      Ea: np.ndarray, Eb: np.ndarray, mods_a: np.ndarray,
+                      gap: np.ndarray, slope: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Points where the gap log|z_a| - log|z_b| of the branches continued
+    from ``base`` by matching closes along each edge Ea -> Eb, to h/100,
+    with the sorted moduli there.
+
+    ``gap`` and ``slope`` (n, 2) hold the matched gap and its derivative in
+    the edge fraction t at both ends (``mods_a``: the sorted moduli at Ea).
+    The root t of their cubic Hermite interpolant is checked by one stacked
+    solve at t - CHECK and t + CHECK: where the pair is still in order at
+    the first and swapped at the second, the crossing lies between them.
+    The other rows keep the side of the check that brackets a crossing and
+    are halved to the same width 2 CHECK. Each point is the in-order end of
+    its bracket, with the moduli of its solve.
+    """
+    g0, g1 = gap.T
+    m0, m1 = slope.T
     lo, hi = np.zeros(Ea.size), np.ones(Ea.size)
-    width = 1.0
-    while width > 0.01:  # fraction of the edge length = h/100
-        mid = 0.5 * (lo + hi)
-        vals = np.linalg.eigvals(transfer_matrices(scan.coeffs,
-                                                   Ea + mid * (Eb - Ea)))
-        p = match_branches(base, vals)
-        gap = np.abs(vals[rows, p[:, a]]) - np.abs(vals[rows, p[:, b]])
-        closed = gap <= 0
-        lo = np.where(closed, mid, lo)
-        hi = np.where(closed, hi, mid)
-        width *= 0.5
-        scan.detector_counts["bisection_evals"] += Ea.size
-    t = 0.5 * (lo + hi)
-    return Ea + t * (Eb - Ea)
+    for _ in range(20):   # the cubic's root, to 2^-20 of the edge
+        t = 0.5 * (lo + hi)
+        s, c = t * t * (3 - 2 * t), t * (1 - t)
+        closed = ((1 - s) * g0 + s * g1 + c * ((1 - t) * m0 - t * m1)) <= 0
+        lo, hi = np.where(closed, t, lo), np.where(closed, hi, t)
+    t = np.clip(0.5 * (lo + hi), CHECK, 1 - CHECK)
+    probe = np.concatenate([t - CHECK, t + CHECK])
+    in_order, mods = _in_order(scan, a, b, np.concatenate([base, base]),
+                               np.tile(Ea, 2) + probe * np.tile(Eb - Ea, 2))
+    first, second = np.split(in_order, 2)
+    mods_lo, mods_hi = np.split(mods, 2)
+    # in order at both probes: a crossing lies beyond the second; swapped
+    # at the first: one lies before it
+    lo = np.where(first, np.where(second, t + CHECK, t - CHECK), 0.0)
+    hi = np.where(first & second, 1.0, np.where(first, t + CHECK, t - CHECK))
+    mods = np.where(first[:, None],
+                    np.where(second[:, None], mods_hi, mods_lo), mods_a)
+    rows = np.flatnonzero(~(first & ~second))
+    scan.detector_counts["crossing_fallbacks"] += rows.size
+    while True:
+        rows = rows[hi[rows] - lo[rows] > 2 * CHECK]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        closed, m = _in_order(scan, a, b, base[rows],
+                              Ea[rows] + mid * (Eb[rows] - Ea[rows]))
+        lo[rows] = np.where(closed, mid, lo[rows])
+        hi[rows] = np.where(closed, hi[rows], mid)
+        mods[rows[closed]] = m[closed]
+    return Ea + lo * (Eb - Ea), mods
 
 
 def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
@@ -448,14 +618,13 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     ``point_filter(mods, a, slack)`` maps an (n, 2L) stack of sorted moduli
     to the mask of rows kept, each condition loosened by ``slack`` (a scalar
     or one value per row). The crossing points are kept by it at slack 0.
-    Before bisecting, an edge is dropped unless one of its endpoint rows
+    Before locating, an edge is dropped unless one of its endpoint rows
     passes it at slack ``2 * move``, with ``move`` the larger of the two
     branches' ``ScanGrid.branch_moves``: the bound on how far the pair moves
     along the edge that the gap test below also relies on.
 
-    Each (pair, edge) is bisected at most once per grid: the crossing
-    points and sorted-moduli rows are kept in ``scan.crossings``, and a
-    later call on the pair bisects only the swapped edges new to it.
+    The crossings are located from the scan's branch slopes where it has
+    them, else from the chord of the gap (``_locate_crossings``).
     """
     counts = scan.detector_counts
     gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
@@ -490,27 +659,32 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     rows = np.arange(len(va))
     swapped = np.flatnonzero(rank_b[rows, perm[:, a]] > rank_b[rows, perm[:, b]])
     counts["swapped_edges"] += swapped.size
-    # bisect only the swapped edges this pair has not met on the grid yet
-    edge_ids = np.flatnonzero(np.concatenate([m.ravel() for m in candidates]))
-    swapped_ids = edge_ids[swapped]
-    known_ids, known_points, known_mods = scan.crossings.get(
-        (a, b), (np.empty(0, np.intp), np.empty(0, complex),
-                 np.empty((0, 2 * scan.L))))
-    new = swapped[~np.isin(swapped_ids, known_ids)]
-    energies = scan.energies
-    points = _bisect_crossings(scan, a, b, va[new], gather(energies, 0)[new],
-                               gather(energies, 1)[new])
-    mods = _sorted_moduli(transfer_matrices(scan.coeffs, points))
+    # the pair at both ends of each swapped edge, matched: columns z_a, z_b
+    # at the start, then at the end
+    ends = np.arange(swapped.size)
+    at_end = (ends, perm[swapped, a]), (ends, perm[swapped, b])
+
+    def pair(nodal):
+        start, end = (gather(nodal, k)[swapped] for k in (0, 1))
+        return np.column_stack([start[:, a], start[:, b], end[at_end[0]],
+                                end[at_end[1]]])
+
+    z = pair(scan.values)
+    log_mod = np.log(np.abs(z))
+    gaps = log_mod[:, [0, 2]] - log_mod[:, [1, 3]]
+    Ea, Eb = (gather(scan.energies, end)[swapped] for end in (0, 1))
+    if scan.slopes is None:
+        slopes = np.column_stack([gaps[:, 1] - gaps[:, 0]] * 2)
+    else:
+        # d log|z|/dt = Re(dz/dE (Eb - Ea) / z)
+        d = np.real(pair(scan.slopes) / z * (Eb - Ea)[:, None])
+        slopes = d[:, [0, 2]] - d[:, [1, 3]]
+    points, mods = _locate_crossings(
+        scan, a, b, va[swapped], Ea, Eb,
+        np.sort(gather(scan.moduli, 0)[swapped], axis=1), gaps, slopes)
     if a >= 1:
         counts["tie_flagged_crossings"] += int(np.sum(
             mods[:, a] - mods[:, a - 1] < TIE_TOL * (1 + mods[:, a])))
-    ids = np.concatenate([known_ids, edge_ids[new]])
-    order = np.argsort(ids)
-    ids, points, mods = scan.crossings[(a, b)] = (
-        ids[order], np.concatenate([known_points, points])[order],
-        np.concatenate([known_mods, mods])[order])
-    at_edge = np.searchsorted(ids, swapped_ids)
-    points, mods = points[at_edge], mods[at_edge]
     if point_filter is not None:
         keep = point_filter(mods, a, 0.0)
         swapped, points = swapped[keep], points[keep]
@@ -678,14 +852,6 @@ def _local_minima_mask(mag: np.ndarray, valid: np.ndarray,
     return is_min & valid & (mag < threshold)
 
 
-def _arc_distance(point: complex, arcs: Sequence[Arc]) -> float:
-    best = np.inf
-    for arc in arcs:
-        if arc.points.size:
-            best = min(best, float(np.min(np.abs(arc.points - point))))
-    return best
-
-
 def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
                      label: str, arcs: Sequence[Arc],
                      q_field: Optional[np.ndarray]) -> List[Outlier]:
@@ -708,6 +874,7 @@ def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
     counts["newton_rounds"] += rounds
     counts["newton_q_rows"] += rows
     region, h = scan.region, scan.h
+    arc_points = _all_points(arcs)
     outliers: List[Outlier] = []
     for point, residual, status in results:
         if not (region.re_min - h <= point.real <= region.re_max + h
@@ -720,7 +887,8 @@ def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
         # without meeting the step criterion
         elif residual > ACCEPT_RESIDUAL * scale:
             rejected = "residual"
-        elif _arc_distance(point, arcs) <= EXCLUSION_FACTOR * h:
+        elif (arc_points.size and np.min(np.abs(arc_points - point))
+              <= EXCLUSION_FACTOR * h):
             rejected = "exclusion"
         elif any(abs(point - o.point) < h / 10 for o in outliers):
             rejected = "duplicate"

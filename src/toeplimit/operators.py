@@ -104,12 +104,28 @@ class BoundaryTriple:
         return "custom" if self.Binv is None else "perturbed"
 
 
+def _ldexp(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """z * 2**e for complex z, exactly while the result is a normal number."""
+    out = np.empty(np.broadcast_shapes(z.shape, e.shape), dtype=np.complex128)
+    out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+    return out
+
+
 def eval_symbol(coeffs: CoefficientTriple, z) -> np.ndarray:
-    """The symbol R/z + V + T*z at one z, or stacked over an array of z."""
+    """The symbol R/z + V + T*z at one z, or stacked over an array of z.
+
+    numpy's complex division forms 1/z first, which overflows at a
+    subnormal z even where R/z is representable. Below the smallest normal
+    modulus R/z is therefore taken as (R/w) 2^-e, with z = w 2^e and the
+    larger part of w in [0.5, 1): the bits of R/z wherever both are
+    defined."""
     z = np.asarray(z, dtype=np.complex128)[..., None, None]
     if np.any(z == 0):
         raise ZeroArgument("symbol undefined at z = 0")
-    return coeffs.R / z + coeffs.V + coeffs.T * z
+    if np.all(np.abs(z) >= np.finfo(np.float64).tiny):
+        return coeffs.R / z + coeffs.V + coeffs.T * z
+    e = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
+    return _ldexp(coeffs.R / _ldexp(z, -e), -e) + coeffs.V + coeffs.T * z
 
 
 def assemble_operator(coeffs: CoefficientTriple, boundary: BoundaryTriple,

@@ -94,6 +94,16 @@ def ordered_eig(coeffs: CoefficientTriple, energies):
     return values, right, left_rows, np.any(nk.close_pairs(values), axis=(1, 2))
 
 
+def branch_slopes(coeffs: CoefficientTriple, right: np.ndarray,
+                  left_rows: np.ndarray) -> np.ndarray:
+    """dz_j/dE = y_j [[T^{-1}, 0], [0, 0]] x_j of each branch (Kato 1966,
+    II §2), from the right columns x_j and left rows y_j of ``ordered_eig``:
+    (n, 2L), in their order. Only the top-left block of T^E depends on E."""
+    L = coeffs.L
+    return np.sum((left_rows[:, :, :L] @ coeffs.Tinv)
+                  * right[:, :L, :].swapaxes(1, 2), axis=2)
+
+
 @dataclass(frozen=True)
 class TransferSpectrum:
     """Modulus-ordered eigendata of the transfer matrix at one energy."""

@@ -435,6 +435,53 @@ def test_asymptotics_check_keeps_decaying_branches_in_modulus_order(
     assert {row["kind"] for row in report["per_set"]} == {"q_hat", "q"}
 
 
+def tail_model_config(tmp_path):
+    """A seeded L = 3 perturbed model with rank A = 2 and simple R, T whose
+    q over (0, 2) and (0, 2, 3) have large O(1/E) terms: their deviations
+    read 0.205 and 0.031 at |E| = 1e4, and a tenth of that at 1e5."""
+    co, bd = random_model(np.random.default_rng(46), 3, 2)
+    return model_config(tmp_path, "tail", 3, "perturbed", co.R, co.T, co.V,
+                        bd.A, bd.B, bd.C)
+
+
+def test_asymptotics_check_passes_an_o1e_tail(tmp_path):
+    out = tmp_path / "a"
+    path = tail_model_config(tmp_path)
+    assert run(["asymptotics-check", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "asymptotics_check.json").read_text())
+    assert report["pass"] is True
+    assert report["worst_deviation"] > report["tolerance"]
+    tails = [row for row in report["per_set"] if row["deviation"] > 0.02]
+    assert [(row["kind"], row["I"]) for row in tails] == [("q", [0, 2]),
+                                                          ("q", [0, 2, 3])]
+    for row in tails:
+        assert row["deviation_at_10E"] == pytest.approx(row["deviation"] / 10,
+                                                        rel=0.01)
+
+
+@pytest.mark.parametrize("kernel", ["q_hat_leading", "q_leading"])
+def test_asymptotics_check_fails_a_wrong_leading_coefficient(
+        tmp_path, monkeypatch, kernel):
+    # 3% off in every coefficient: the deviation stays 0.03 over the decade
+    right = getattr(cli, kernel)
+
+    def wrong(*args):
+        coeffs, expos = right(*args)
+        return coeffs * 1.03, expos
+
+    monkeypatch.setattr(cli, kernel, wrong)
+    out = tmp_path / "a"
+    path = tail_model_config(tmp_path)
+    assert run(["asymptotics-check", "--config", path, "--out", str(out)]) == 2
+    report = json.loads((out / "asymptotics_check.json").read_text())
+    kind = "q_hat" if kernel == "q_hat_leading" else "q"
+    # a set of the wrong kernel fails both ways: above the tolerance, and
+    # falling by less than 5x over the decade
+    assert [row for row in report["per_set"] if row["kind"] == kind
+            and row["deviation"] > report["tolerance"]
+            and row["deviation_at_10E"] > row["deviation"] / 5]
+
+
 def test_asymptotics_check_refuses_degenerate_r(tmp_path):
     # the double eigenvalue of R makes the spectral data non-simple
     code = run(["asymptotics-check", "--config", DEMO_H,

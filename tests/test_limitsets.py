@@ -12,15 +12,15 @@ from conftest import random_model
 from toeplimit import cli, limitsets
 from toeplimit.errors import DegenerateSplit
 from toeplimit.limitsets import (Region, _lambda_pair_arcs, _marching_squares,
-                                 _on_unit_circle, _unit_side, check_rank,
-                                 compute_limit_sets, dominant_set, lambda_open,
-                                 lambda_r, outliers_open, outliers_perturbed,
-                                 q_open, q_perturbed_dominant, refine_zero,
+                                 _unit_side, check_rank, compute_limit_sets,
+                                 dominant_set, lambda_open, lambda_r,
+                                 outliers_open, outliers_perturbed, q_open,
+                                 q_perturbed_dominant, refine_zero,
                                  refine_zeros, scan_grid, sigma_r)
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  circulant_spectrum_fft, winding_number)
 from toeplimit.transfer import (match_branches, ordered_eig, ordered_spectrum,
-                                transfer_matrix)
+                                transfer_matrices, transfer_matrix)
 from toeplimit.widom import (q_hat, q_perturbed, q_tilde, widom_sum_open,
                              widom_sum_perturbed)
 
@@ -137,6 +137,54 @@ def test_sigma_r_subset_of_periodic_cloud(demo_model, demo_scan):
         assert pts.size
         dist = np.abs(pts[:, None] - cloud[None, :]).min(axis=1)
         assert np.max(dist) <= 2 * demo_scan.h
+
+
+def unit_root_index(coeffs, energies, roots):
+    """1-based modulus rank of the transfer root nearest ``roots`` at each
+    energy, from a plain numpy T^E stack."""
+    L = coeffs.L
+    Tinv = np.linalg.inv(coeffs.T)
+    stack = np.zeros((energies.size, 2 * L, 2 * L), dtype=complex)
+    stack[:, :L, :L] = (energies[:, None, None] * np.eye(L) - coeffs.V) @ Tinv
+    stack[:, :L, L:] = -coeffs.R
+    stack[:, L:, :L] = Tinv
+    vals = np.linalg.eigvals(stack)
+    nearest = np.argmin(np.abs(vals - roots[:, None]), axis=1)
+    moduli = np.abs(vals)
+    return 1 + np.sum(moduli < moduli[np.arange(energies.size), nearest, None],
+                      axis=1)
+
+
+SIX_CONFIGS = ("scalar", "demo_open", "demo_boundary", "demo_H",
+               "demo_Htilde", "demo_circulant")
+
+
+@pytest.mark.parametrize("grid", [64, 128])
+@pytest.mark.parametrize("name", SIX_CONFIGS)
+def test_sigma_covers_the_periodic_cloud(name, grid):
+    """Every FFT circulant eigenvalue in the region whose unit root e^{i
+    theta} has index >= L - r + 1 lies within 2h of a Sigma_r point."""
+    from scipy.spatial import cKDTree
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, name + ".json"))
+    coeffs, region, L = cfg.coeffs, Region(*cfg.region), cfg.L
+    n = 2048
+    cloud = circulant_spectrum_fft(coeffs, n)
+    roots = np.repeat(np.exp(2j * np.pi * np.arange(1, n + 1) / n), L)
+    inside = ((region.re_min <= cloud.real) & (cloud.real <= region.re_max)
+              & (region.im_min <= cloud.imag) & (cloud.imag <= region.im_max))
+    cloud, index = cloud[inside], unit_root_index(coeffs, cloud[inside],
+                                                  roots[inside])
+    scan = scan_grid(coeffs, region, grid, grid)
+    checked = 0
+    for r in range(L + 1):
+        points = arc_points(sigma_r(scan, r))
+        wanted = cloud[index >= L - r + 1]
+        checked += wanted.size
+        if wanted.size:
+            tree = cKDTree(np.column_stack([points.real, points.imag]))
+            dist, _ = tree.query(np.column_stack([wanted.real, wanted.imag]))
+            assert np.max(dist) <= 2 * scan.h, (name, grid, r)
+    assert checked > 0
 
 
 def test_demo_sigma1_equals_sigma_lambda1_empty(demo_scan):
@@ -270,25 +318,33 @@ def test_compute_limit_sets_refuses_an_unread_r(demo_model):
 
 
 def test_detector_counts_in_metadata():
-    keys = ("candidate_edges", "swapped_edges", "bisection_evals",
-            "crossings_kept", "sigma_tie_nodes", "tie_flagged_crossings")
-    pins = [("scalar", None, (432, 84, 588, 84, 0, 0)),
-            # without the endpoint pre-test these three bisect every swapped
-            # edge: 1,855 evaluations each, as the fold pairs bisect every
-            # edge of the Lambda pair first
-            ("demo_circulant", 64, (219, 42, 294, 3, 0, 0)),
-            ("demo_H", 64, (219, 42, 294, 3, 0, 0)),
-            ("demo_boundary", 64, (672, 137, 938, 98, 0, 0))]
+    keys = ("candidate_edges", "swapped_edges", "crossing_solves",
+            "crossing_fallbacks", "crossings_kept", "sigma_curve_points",
+            "sigma_tie_nodes", "tie_flagged_crossings")
+    # the scalar slit is a fold of the sorted field, so all of its Sigma
+    # comes from the symbol curve: one solve per curve point. demo_circulant
+    # and demo_H run no equal-modulus pair, and marching squares leaves no
+    # Sigma point of theirs more than h from a vertex
+    pins = [("scalar", None, (0, 0, 208, 0, 0, 208, 0, 0)),
+            ("demo_circulant", 64, (0, 0, 0, 0, 0, 0, 0, 0)),
+            ("demo_H", 64, (0, 0, 0, 0, 0, 0, 0, 0)),
+            ("demo_boundary", 64, (453, 95, 221, 4, 95, 0, 0, 0))]
     for name, grid, counts in pins:
         first, again = config_run(name, grid), config_run(name, grid)
         assert {k: first.metadata[k] for k in keys} == dict(zip(keys, counts))
         assert again.metadata == first.metadata
     # two decoupled channels with the slits [-2, 2] and [-1.5, 2.5] on the
-    # real axis, a grid row: each slit node holds two unimodular eigenvalues,
-    # and the fold crossings of the upper pairs tie the branch below
+    # real axis, a grid row: each slit node holds two unimodular eigenvalues.
+    # Marching squares covers both slits to within h, so the curve adds no
+    # point; with an open corner the crossings of the Lambda pair tie the
+    # branch below
     co = CoefficientTriple(np.eye(2), np.eye(2), np.diag([0.0, 0.5]))
-    meta = compute_limit_sets(co, None, Region(-3, 3, -1, 1), 17, 17).metadata
-    assert (meta["sigma_tie_nodes"], meta["tie_flagged_crossings"]) == (12, 5)
+    pinned = ("sigma_tie_nodes", "tie_flagged_crossings", "sigma_curve_points")
+    for corner, counts in ((None, (12, 0, 0)),
+                           (BoundaryTriple.boundary(co.V), (12, 8, 0))):
+        meta = compute_limit_sets(co, corner, Region(-3, 3, -1, 1), 17,
+                                  17).metadata
+        assert tuple(meta[k] for k in pinned) == counts
 
 
 @pytest.mark.parametrize("name, counts", [
@@ -323,7 +379,10 @@ def test_masked_node_does_not_abort_the_outlier_stage(monkeypatch):
 
     def failing(solver):
         def solve(a):
-            if np.all(np.asarray(a) == bad, axis=(-2, -1)).any():
+            # the symbol curve's L x L eigenproblems never fail
+            a = np.asarray(a)
+            if (a.shape[-2:] == bad.shape
+                    and np.all(a == bad, axis=(-2, -1)).any()):
                 raise np.linalg.LinAlgError("forced failure")
             return solver(a)
         return solve
@@ -575,12 +634,16 @@ def test_pair_detector_matches_per_edge_reference(demo_model):
         work = {k: v - before[k] for k, v in scan.detector_counts.items()}
         assert work["candidate_edges"] == candidates
         assert work["swapped_edges"] == len(reference)
-        assert set(arc_points(arcs).tolist()) <= set(reference)
+        # the located crossings are the bisected ones to h/100
+        points = arc_points(arcs)
+        assert points.size
+        assert np.max(np.min(np.abs(points[:, None] - np.array(reference)),
+                             axis=1)) <= scan.h / 100
 
 
 def unpruned(point_filter):
     """``point_filter`` with the pre-test switched off: every edge passes a
-    call with nonzero slack, so every swapped edge is bisected."""
+    call with nonzero slack, so every swapped edge is located."""
     def f(mods, a, slack):
         if np.any(slack):
             return np.ones(len(mods), dtype=bool)
@@ -601,8 +664,8 @@ def pruning_scans():
 
 
 def fresh(scan):
-    """The scan's solved grid with no crossings bisected on it yet and zero
-    detector counts: a scan_grid of its own."""
+    """The scan's solved grid with zero detector counts: a scan_grid of its
+    own."""
     return dataclasses.replace(scan)
 
 
@@ -625,55 +688,74 @@ def assert_same_arcs(arcs, reference, where):
 def test_endpoint_pretest_keeps_every_crossing():
     total = {"pruned": 0, "unpruned": 0, "kept": 0}
     for name, scan in pruning_scans():
-        L = scan.L
-        fold = partial(_on_unit_circle, tol=scan.h / 10)
-        # every Sigma fold pair over r = 0..L, and every Lambda_r pair
-        pairs = ([(a, "Sigma_r", fold) for a in range(2 * L - 1)]
-                 + [(a, "Lambda_r", _unit_side) for a in range(L)])
-        for a, label, point_filter in pairs:
-            # each run on its own grid, so neither reuses the other's
-            # bisections and their work compares
-            pruned, work = detector_run(fresh(scan), a, label, point_filter)
-            full, full_work = detector_run(fresh(scan), a, label,
-                                           unpruned(point_filter))
-            where = (name, a, label)
+        # every Lambda_r pair, r = L - 1 .. 0
+        for a in range(scan.L):
+            # each run on its own grid, so that their counts compare
+            pruned, work = detector_run(fresh(scan), a, "Lambda_r", _unit_side)
+            full, full_work = detector_run(fresh(scan), a, "Lambda_r",
+                                           unpruned(_unit_side))
+            where = (name, a)
             assert_same_arcs(pruned, full, where)
             assert work["crossings_kept"] == full_work["crossings_kept"], where
             assert work["swapped_edges"] <= full_work["swapped_edges"], where
-            assert work["bisection_evals"] <= full_work["bisection_evals"], where
-            total["pruned"] += work["bisection_evals"]
-            total["unpruned"] += full_work["bisection_evals"]
+            assert work["crossing_solves"] <= full_work["crossing_solves"], where
+            total["pruned"] += work["crossing_solves"]
+            total["unpruned"] += full_work["crossing_solves"]
             total["kept"] += work["crossings_kept"]
     # the models have kept crossings, and the pre-test saves work
     assert total["kept"] > 0 and total["pruned"] < total["unpruned"]
 
 
-def test_lambda_after_sigma_bisects_no_edge_twice(monkeypatch):
-    cfg = cli.load_config(os.path.join(CONFIG_DIR, "demo_boundary.json"))
-    scan = scan_grid(cfg.coeffs, Region(*cfg.region), 64, 64)
-    bisected = []
-    bisect = limitsets._bisect_crossings
+def plain_bisection(coeffs, a, b, base, Ea, Eb):
+    """The crossing of the ordered pair (a, b), continued from ``base`` by
+    matching, on each edge Ea -> Eb by seven halvings of the whole edge: the
+    midpoint of the last bracket, 2^-8 of the edge from the crossing."""
+    lo, hi = np.zeros(Ea.size), np.ones(Ea.size)
+    rows = np.arange(Ea.size)
+    for _ in range(7):
+        mid = 0.5 * (lo + hi)
+        vals = np.linalg.eigvals(transfer_matrices(coeffs, Ea + mid * (Eb - Ea)))
+        p = match_branches(base, vals)
+        in_order = np.abs(vals[rows, p[:, a]]) <= np.abs(vals[rows, p[:, b]])
+        lo, hi = np.where(in_order, mid, lo), np.where(in_order, hi, mid)
+    return Ea + 0.5 * (lo + hi) * (Eb - Ea)
 
-    def recording(scan, a, b, base, Ea, Eb):
-        bisected.append({(a, b, complex(e0), complex(e1))
-                         for e0, e1 in zip(Ea, Eb)})
-        return bisect(scan, a, b, base, Ea, Eb)
 
-    monkeypatch.setattr(limitsets, "_bisect_crossings", recording)
-    sigma_r(scan, scan.L)
-    by_sigma = set().union(*bisected)
-    del bisected[:]
-    before = dict(scan.detector_counts)
-    lam = lambda_open(scan)
-    assert not by_sigma & set().union(*bisected)
-    # a lambda_open on a grid of its own bisects edges the fold pair had
-    # bisected, and finds the same arcs and the same kept crossings
-    alone = fresh(scan)
-    del bisected[:]
-    assert_same_arcs(lam, lambda_open(alone), "lambda_open")
-    assert by_sigma & set().union(*bisected)
-    assert (scan.detector_counts["crossings_kept"] - before["crossings_kept"]
-            == alone.detector_counts["crossings_kept"] > 0)
+def test_lambda_crossings_match_a_plain_bisection(monkeypatch):
+    located = []
+    locate = limitsets._locate_crossings
+
+    def recording(scan, a, b, base, Ea, Eb, *data):
+        points, mods = locate(scan, a, b, base, Ea, Eb, *data)
+        located.append((scan, a, b, base, Ea, Eb, points, mods))
+        return points, mods
+
+    monkeypatch.setattr(limitsets, "_locate_crossings", recording)
+    fallbacks = {}
+    for name, plain in pruning_scans():
+        coeffs, L = plain.coeffs, plain.L
+        _, boundary = random_model(np.random.default_rng(7), L)
+        # Hermite roots from the branch slopes of a q scan, as in the
+        # pipeline, and from chord slopes on the eigenvalue-only scan
+        with_slopes = scan_grid(coeffs, plain.region, plain.re.size,
+                                plain.im.size, q=q_open(coeffs, boundary.C))
+        for scan in (with_slopes, plain):
+            lambda_open(scan)
+            for r in range(L):
+                lambda_r(scan, r)
+            fallbacks[name, scan.slopes is None] = (
+                scan.detector_counts["crossing_fallbacks"])
+    assert sum(points.size for *_, points, _ in located) > 500
+    for scan, a, b, base, Ea, Eb, points, mods in located:
+        reference = plain_bisection(scan.coeffs, a, b, base, Ea, Eb)
+        assert np.max(np.abs(points - reference), initial=0) <= scan.h / 100
+        # each point comes with the sorted moduli of its own solve
+        own = np.sort(np.abs(np.linalg.eigvals(
+            transfer_matrices(scan.coeffs, points))), axis=1)
+        assert np.allclose(mods, own, rtol=1e-12, atol=0)
+    # both ways of locating met rows whose check failed
+    assert any(n for (_, chord), n in fallbacks.items() if chord)
+    assert any(n for (_, chord), n in fallbacks.items() if not chord)
 
 
 def all_branch_bound(scan):
@@ -696,16 +778,18 @@ def test_pair_bound_and_reuse_keep_the_arcs(L):
     calls = [partial(sigma_r, r=L), lambda_open]
     for r in range(L + 1):
         calls += [partial(sigma_r, r=r), partial(lambda_r, r=r)]
-    kept = evals = 0
+    kept = candidates = 0
     for call in calls:
         arcs = call(scan)
         reference = all_branch_bound(scan)
         assert_same_arcs(arcs, call(reference), (L, call))
         kept += reference.detector_counts["crossings_kept"]
-        evals += reference.detector_counts["bisection_evals"]
+        candidates += reference.detector_counts["candidate_edges"]
     counts = scan.detector_counts
     assert counts["crossings_kept"] == kept > 0
-    assert counts["bisection_evals"] < evals
+    # at L = 1 the pair is every branch, so both bounds are one
+    assert (counts["candidate_edges"] < candidates if L > 1
+            else counts["candidate_edges"] == candidates)
 
 
 @pytest.mark.parametrize("kind", ["modulus", "saddles"])

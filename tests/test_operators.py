@@ -54,6 +54,22 @@ def test_eval_symbol():
         eval_symbol(co, 0.0)
 
 
+def test_eval_symbol_at_a_subnormal_z():
+    # |R/z| is about 5.8e307, below the double maximum, though 1/z is not
+    R, T, V = 0.0889 - 0.0934j, 0.4528 + 0.0742j, -0.3788 + 0.2557j
+    co = CoefficientTriple([[R]], [[T]], [[V]])
+    s = 2.22507386e-309
+    # R/(i s) = (Im R - i Re R)/s by real divisions, within the rounding of
+    # numpy's reciprocal-then-multiply division
+    expected = [complex(R.imag / s, -R.real / s) + V + T * (s * 1j),
+                complex(-R.real / s, -R.imag / s) + V - T * s]
+    one = eval_symbol(co, s * 1j)[0, 0]
+    stack = eval_symbol(co, np.array([s * 1j, -s, 0.5 + 3j]))[:, 0, 0]
+    assert np.allclose([one, *stack[:2]], [expected[0], *expected],
+                       rtol=1e-15, atol=0)
+    assert np.isfinite(stack).all()
+
+
 def test_assemble_operator_structure(demo_model, demo_corner):
     N, L = 5, 2
     H = assemble_operator(demo_model, demo_corner, N)

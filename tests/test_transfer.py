@@ -12,8 +12,8 @@ from toeplimit.errors import SingularMatrix
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  eval_symbol)
 from toeplimit.transfer import (_optimal_assignment, boundary_transfer_matrices,
-                                match_branches, modulus_order, ordered_eig,
-                                ordered_spectrum, size_groups,
+                                branch_slopes, match_branches, modulus_order,
+                                ordered_eig, ordered_spectrum, size_groups,
                                 transfer_matrices, transfer_matrix)
 from toeplimit.widom import index_sets
 
@@ -274,3 +274,24 @@ def test_scalar_calls_are_rows_of_the_batched_kernels(case):
     assert singular.classify(coeffs) == "custom"
     with pytest.raises(ValueError):
         ordered_eig(coeffs, np.append(energies, np.nan))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_branch_slopes_match_a_central_difference(L, seed):
+    rng = np.random.default_rng(seed)
+    coeffs, _ = random_model(rng, L)
+    energies = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * 2
+    values, right, left_rows, degenerate = ordered_eig(coeffs, energies)
+    slopes = branch_slopes(coeffs, right, left_rows)
+    assert slopes.shape == values.shape
+    step = 1e-6
+    for k, E in enumerate(energies):
+        if degenerate[k]:
+            continue
+        # each ordered branch continued to E +- step by matching
+        ahead, behind = (ordered_eig(coeffs, [E + d])[0][0]
+                         for d in (step, -step))
+        central = (ahead[match_branches(values[k], ahead)]
+                   - behind[match_branches(values[k], behind)]) / (2 * step)
+        assert np.all(np.abs(central - slopes[k]) <= 1e-6 * np.abs(slopes[k]))
