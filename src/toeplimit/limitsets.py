@@ -15,7 +15,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,21 +99,6 @@ class ScanGrid:
     @property
     def valid(self) -> np.ndarray:
         return ~(self.degenerate | self.masked)
-
-    @cached_property
-    def branch_moves(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Movement of each branch along each horizontal, then each vertical
-        edge, (..., 2L): min_j |v_i(E) - v_j(E')| for branch i. The larger
-        of a pair's two is the pair's movement bound; twice it is the slack
-        of the pair detector's gap test and of its endpoint pre-test with a
-        point filter."""
-        moves = []
-        for va, vb in _edges(self.values):
-            move = np.empty(va.shape)
-            for i in range(va.shape[2]):
-                move[:, :, i] = np.min(np.abs(va[:, :, i, None] - vb), axis=2)
-            moves.append(move)
-        return moves[0], moves[1]
 
 
 def dominant_set(moduli: np.ndarray, r: int) -> np.ndarray:
@@ -609,6 +593,15 @@ def _locate_crossings(scan: ScanGrid, a: int, b: int, base: np.ndarray,
     return Ea + lo * (Eb - Ea), mods
 
 
+def _movement(v0: np.ndarray, v1: np.ndarray, branches) -> np.ndarray:
+    """How far the given branches move along each edge from the values v0
+    to v1 (..., 2L): the largest over them of min_j |v_i(E) - v_j(E')|.
+    Twice it is the slack of the pair detector's gap test and of its
+    endpoint pre-test with a point filter."""
+    return np.abs(v0[..., branches, None]
+                  - v1[..., None, :]).min(axis=-1).max(axis=-1)
+
+
 def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
                       r: Optional[int],
                       point_filter: Optional[Callable] = None) -> List[Arc]:
@@ -619,9 +612,9 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     to the mask of rows kept, each condition loosened by ``slack`` (a scalar
     or one value per row). The crossing points are kept by it at slack 0.
     Before locating, an edge is dropped unless one of its endpoint rows
-    passes it at slack ``2 * move``, with ``move`` the larger of the two
-    branches' ``ScanGrid.branch_moves``: the bound on how far the pair moves
-    along the edge that the gap test below also relies on.
+    passes it at slack ``2 * move``, with ``move`` the pair's ``_movement``:
+    the bound on how far the pair moves along the edge that the gap test
+    below also relies on.
 
     The crossings are located from the scan's branch slopes where it has
     them, else from the chord of the gap (``_locate_crossings``).
@@ -629,10 +622,10 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     counts = scan.detector_counts
     gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
     candidates = []
-    for (ok0, ok1), (g0, g1), (m0, m1), moves in zip(
+    for (ok0, ok1), (g0, g1), (m0, m1), (v0, v1) in zip(
             _edges(scan.valid), _edges(gap), _edges(scan.moduli),
-            scan.branch_moves):
-        move = np.maximum(moves[:, :, a], moves[:, :, b])
+            _edges(scan.values)):
+        move = _movement(v0, v1, [a, b])
         # an order swap needs the pair gap to close somewhere on the edge,
         # and the pair to start in order (g0 < 0 only inside a tie group)
         candidate = (ok0 & ok1 & ~(np.minimum(g0, g1) > 2 * move + 1e-12)
@@ -754,71 +747,52 @@ def refine_zeros(q: Callable[[np.ndarray], np.ndarray], seeds, h0: float,
     lockstep over the seeds: each round makes one stacked q call on z + h
     and z - h of the live seeds, and one on their stepped z.
 
-    q maps a flat energy array to complex values row by row. Each seed keeps
-    the control flow and the Python-complex arithmetic of a lone run, so its
-    result does not depend on the other seeds (numpy's complex division
-    rounds differently from Python's).
+    q maps a flat energy array to complex values row by row. A seed's result
+    does not depend on the other seeds: numpy's elementwise complex
+    operations give each element the same bits at any array length and
+    position, and q's rows do not depend on the stack either.
 
     Returns ([(point, |q(point)|, status)] per seed, rounds, q rows
     evaluated); unconverged seeds are reported, not discarded.
     """
-    seeds = [complex(s) for s in seeds]
-    n = len(seeds)
-    if n == 0:
+    seeds = np.array(seeds, dtype=np.complex128)
+    if seeds.size == 0:
         return [], 0, 0
-    z, h = list(seeds), [float(h0)] * n
-    fz = [complex(v) for v in q(np.array(z))]
-    rows = n
-    results: List[Optional[Tuple[complex, float, str]]] = [None] * n
-    live, rounds = list(range(n)), 0
-    while live and rounds < max_iter:
+    tol = 1e-12 * scale
+    z, h = seeds.copy(), np.full(seeds.size, float(h0))
+    fz = np.array(q(z), dtype=np.complex128)
+    rows, rounds, live = seeds.size, 0, np.arange(seeds.size)
+    while live.size and rounds < max_iter:
         rounds += 1
-        differentiate = []
-        for i in live:
-            if not (np.isfinite(z[i]) and np.isfinite(fz[i])):
-                # hit an invalid evaluation (degenerate spectrum, overflow);
-                # report the seed as unconverged rather than wandering off
-                results[i] = (seeds[i], np.inf, "unconverged")
-            elif abs(fz[i]) < 1e-12 * scale:
-                results[i] = (z[i], abs(fz[i]), "converged")
-            else:
-                differentiate.append(i)
-        m = len(differentiate)
-        if m == 0:
+        # a seed stops when converged or at an invalid evaluation
+        # (degenerate spectrum, overflow), which is reported unconverged
+        live = live[np.isfinite(z[live]) & np.isfinite(fz[live])
+                    & ~(np.abs(fz[live]) < tol)]
+        if not live.size:
             break
-        around = q(np.array([z[i] + h[i] for i in differentiate]
-                            + [z[i] - h[i] for i in differentiate]))
-        rows += 2 * m
-        live, moved, steps = [], [], []
-        for k, i in enumerate(differentiate):
-            df = (complex(around[k]) - complex(around[m + k])) / (2 * h[i])
-            if df == 0:
-                h[i] *= 0.5
-                if not h[i] < 1e-13:
-                    live.append(i)
-                continue
-            step = fz[i] / df
-            z[i] = z[i] - step
-            moved.append(i)
-            steps.append(step)
-        if moved:
-            stepped = q(np.array([z[i] for i in moved]))
-            rows += len(moved)
-            for i, step, v in zip(moved, steps, stepped):
-                fz[i] = complex(v)
-                if not abs(step) < 1e-13:
-                    h[i] = max(min(h[i], 0.5 * abs(step) + 1e-12), 1e-9)
-                    live.append(i)
-    for i in range(n):
-        if results[i] is not None:
-            continue
-        if not (np.isfinite(z[i]) and np.isfinite(fz[i])):
-            results[i] = (seeds[i], np.inf, "unconverged")
-        else:
-            residual = abs(fz[i])
-            results[i] = (z[i], residual, "converged"
-                          if residual < 1e-12 * scale else "unconverged")
-    return results, rounds, rows
+        around = q(np.concatenate([z[live] + h[live], z[live] - h[live]]))
+        rows += 2 * live.size
+        with np.errstate(invalid="ignore", over="ignore"):
+            df = (around[:live.size] - around[live.size:]) / (2 * h[live])
+            nonzero = df != 0
+            flat, moved = live[~nonzero], live[nonzero]
+            step = fz[moved] / df[nonzero]
+            z[moved] -= step
+            size = np.abs(step)
+        # a zero derivative halves h; the seed stops once h < 1e-13
+        h[flat] *= 0.5
+        if moved.size:
+            fz[moved] = q(z[moved])
+            rows += moved.size
+        going = ~(size < 1e-13)
+        h[moved[going]] = np.maximum(
+            np.minimum(h[moved[going]], 0.5 * size[going] + 1e-12), 1e-9)
+        live = np.concatenate([flat[~(h[flat] < 1e-13)], moved[going]])
+    invalid = ~(np.isfinite(z) & np.isfinite(fz))
+    residual = np.where(invalid, np.inf, np.abs(fz))
+    status = np.where(residual < tol, "converged", "unconverged")
+    return (list(zip(np.where(invalid, seeds, z).tolist(), residual.tolist(),
+                     status.tolist())), rounds, rows)
 
 
 def refine_zero(f: Callable[[complex], complex], seed: complex,

@@ -351,7 +351,12 @@ def test_detector_counts_in_metadata():
     ("demo_boundary", {"newton_seeds": 2, "newton_rounds": 4,
                        "newton_q_rows": 20, "newton_rejected_residual": 0}),
     ("demo_H", {"newton_seeds": 11, "newton_rounds": 42,
-                "newton_q_rows": 929, "newton_rejected_residual": 11})])
+                "newton_q_rows": 929, "newton_rejected_residual": 11}),
+    ("demo_open", {"newton_seeds": 5, "newton_rounds": 8,
+                   "newton_q_rows": 80, "newton_rejected_residual": 5}),
+    # both seeds run the full 50 rounds: the exhaustion path
+    ("demo_Htilde", {"newton_seeds": 2, "newton_rounds": 50,
+                     "newton_q_rows": 302, "newton_rejected_residual": 2})])
 def test_newton_counts_in_metadata(name, counts):
     first, again = config_run(name, 64), config_run(name, 64)
     meta = first.metadata
@@ -456,40 +461,48 @@ def test_scan_workers_are_capped_at_the_cpu_count(monkeypatch):
 
 
 def lone_newton(f, seed, h0, scale=1.0, max_iter=50):
-    """Newton on one seed as a scalar loop, the reference for the rows of
-    refine_zeros: (result, f evaluations, iterations entered)."""
+    """Newton on one seed as a scalar loop in numpy's rounding, the
+    reference for the rows of refine_zeros: (result, f evaluations,
+    iterations entered). Values are np.complex128 scalars, whose division
+    rounds as the array loop's does; moduli come from np.abs of a one-element
+    array, since the scalar abs rounds differently in about a third of
+    cases."""
     calls = iterations = 0
 
     def g(E):
         nonlocal calls
         calls += 1
-        return f(E)
+        return np.complex128(f(complex(E)))
 
-    z = complex(seed)
-    h = float(h0)
+    def modulus(v):
+        return np.abs(np.array([v]))[0]
+
+    z, h = np.complex128(seed), np.float64(h0)
     fz = g(z)
     for _ in range(max_iter):
         iterations += 1
-        if not (np.isfinite(z) and np.isfinite(fz)):
-            return (complex(seed), np.inf, "unconverged"), calls, iterations
-        if abs(fz) < 1e-12 * scale:
-            return (z, abs(fz), "converged"), calls, iterations
-        df = (g(z + h) - g(z - h)) / (2 * h)
+        if (not (np.isfinite(z) and np.isfinite(fz))
+                or modulus(fz) < 1e-12 * scale):
+            break
+        with np.errstate(invalid="ignore", over="ignore"):
+            df = (g(z + h) - g(z - h)) / (2 * h)
         if df == 0:
             h *= 0.5
             if h < 1e-13:
                 break
             continue
-        step = fz / df
-        z = z - step
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = fz / df
+            z = z - step
         fz = g(z)
-        if abs(step) < 1e-13:
+        size = modulus(step)
+        if size < 1e-13:
             break
-        h = max(min(h, 0.5 * abs(step) + 1e-12), 1e-9)
+        h = max(min(h, 0.5 * size + 1e-12), 1e-9)
     if not (np.isfinite(z) and np.isfinite(fz)):
         return (complex(seed), np.inf, "unconverged"), calls, iterations
-    status = "converged" if abs(fz) < 1e-12 * scale else "unconverged"
-    return (z, abs(fz), status), calls, iterations
+    status = "converged" if modulus(fz) < 1e-12 * scale else "unconverged"
+    return (complex(z), float(modulus(fz)), status), calls, iterations
 
 
 def same_result(a, b):
@@ -562,6 +575,12 @@ def test_lockstep_newton_rows_are_lone_runs(case):
     assert rows == sum(calls for _, calls, _ in lone)
     assert rounds == max(iterations for _, _, iterations in lone)
     assert refine_zeros(q, [], h0) == ([], 0, 0)
+    # permuting the seeds permutes the results, bit for bit
+    order = np.random.default_rng(len(seeds)).permutation(len(seeds))
+    permuted, _, _ = refine_zeros(q, [seeds[k] for k in order], h0, scale,
+                                  max_iter)
+    for k, got in zip(order, permuted):
+        assert same_result(got, results[k])
 
 
 @pytest.mark.parametrize("name", ["demo_open", "demo_Htilde"])
@@ -758,19 +777,15 @@ def test_lambda_crossings_match_a_plain_bisection(monkeypatch):
     assert any(n for (_, chord), n in fallbacks.items() if not chord)
 
 
-def all_branch_bound(scan):
-    """A fresh scan of the same grid whose every branch moves by the
-    all-branch bound max_i min_j |v_i(E) - v_j(E')| along each edge: the
-    pair detector's slack before the pair bound."""
-    reference = fresh(scan)
-    reference.branch_moves = tuple(
-        np.broadcast_to(m.max(axis=2, keepdims=True), m.shape)
-        for m in scan.branch_moves)
-    return reference
+def all_branch_bound(v0, v1, branches):
+    """The movement bound of every branch, max_i min_j |v_i(E) - v_j(E')|
+    over all 2L branches: the pair detector's slack before the pair bound."""
+    moves = np.abs(v0[..., :, None] - v1[..., None, :]).min(axis=-1)
+    return moves.max(axis=-1)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_pair_bound_and_reuse_keep_the_arcs(L):
+def test_pair_bound_and_reuse_keep_the_arcs(L, monkeypatch):
     """Every detector call of the pipeline, in pipeline order on one scan,
     gives the arcs of an all-branch-bound run on a fresh scan of its own."""
     coeffs, _ = random_model(np.random.default_rng(500 + L), L)
@@ -781,8 +796,10 @@ def test_pair_bound_and_reuse_keep_the_arcs(L):
     kept = candidates = 0
     for call in calls:
         arcs = call(scan)
-        reference = all_branch_bound(scan)
-        assert_same_arcs(arcs, call(reference), (L, call))
+        reference = fresh(scan)
+        with monkeypatch.context() as patch:
+            patch.setattr(limitsets, "_movement", all_branch_bound)
+            assert_same_arcs(arcs, call(reference), (L, call))
         kept += reference.detector_counts["crossings_kept"]
         candidates += reference.detector_counts["candidate_edges"]
     counts = scan.detector_counts
