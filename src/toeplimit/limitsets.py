@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,9 +83,11 @@ class ScanGrid:
         "candidate_edges": 0, "swapped_edges": 0, "crossing_solves": 0,
         "crossing_fallbacks": 0, "crossings_kept": 0,
         "tie_flagged_crossings": 0, "sigma_curve_points": 0})
-    # seeds, rounds, q rows and rejections of the outlier stage's Newton runs
+    # seeds, rounds, (q, dq) rows, seeds stopped at a zero or non-finite dq,
+    # and rejections of the outlier stage's Newton runs
     newton_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
         "newton_seeds": 0, "newton_rounds": 0, "newton_q_rows": 0,
+        "newton_flat": 0,
         "newton_rejected_out_of_region": 0, "newton_rejected_residual": 0,
         "newton_rejected_exclusion": 0, "newton_rejected_duplicate": 0})
 
@@ -740,70 +743,64 @@ def lambda_r(scan: ScanGrid, r: int) -> List[Arc]:
 # outliers
 
 
-def refine_zeros(q: Callable[[np.ndarray], np.ndarray], seeds, h0: float,
+def refine_zeros(f: Callable[[np.ndarray], np.ndarray], seeds,
                  scale: float = 1.0, max_iter: int = 50
-                 ) -> Tuple[List[Tuple[complex, float, str]], int, int]:
-    """Newton iterations with a central-difference derivative, run in
-    lockstep over the seeds: each round makes one stacked q call on z + h
-    and z - h of the live seeds, and one on their stepped z.
+                 ) -> Tuple[List[Tuple[complex, float, str]], int, int, int]:
+    """Newton iterations with an analytic derivative, run in lockstep over
+    the seeds: one stacked call on the seeds, then one per round on the
+    stepped z of the live ones.
 
-    q maps a flat energy array to complex values row by row. A seed's result
-    does not depend on the other seeds: numpy's elementwise complex
-    operations give each element the same bits at any array length and
-    position, and q's rows do not depend on the stack either.
+    f maps a flat energy array to the (2, n) stack of q and dq/dE, row by
+    row. A seed stops when |q| < 1e-12 * scale (converged), when z or q(z)
+    is not finite, when dq is 0 or not finite (flat: no Newton step exists
+    there), when its step falls below 1e-13, or after max_iter rounds. A
+    seed's result does not depend on the other seeds: numpy's elementwise
+    complex operations give each element the same bits at any array length
+    and position, and f's rows do not depend on the stack either.
 
-    Returns ([(point, |q(point)|, status)] per seed, rounds, q rows
-    evaluated); unconverged seeds are reported, not discarded.
+    Returns ([(point, |q(point)|, status)] per seed, rounds, f rows
+    evaluated, flat seeds); unconverged seeds are reported, not discarded,
+    and a non-finite z or q(z) reports (seed, inf, "unconverged").
     """
     seeds = np.array(seeds, dtype=np.complex128)
     if seeds.size == 0:
-        return [], 0, 0
+        return [], 0, 0, 0
     tol = 1e-12 * scale
-    z, h = seeds.copy(), np.full(seeds.size, float(h0))
-    fz = np.array(q(z), dtype=np.complex128)
-    rows, rounds, live = seeds.size, 0, np.arange(seeds.size)
+    z = seeds.copy()
+    fz, dfz = np.array(f(z), dtype=np.complex128)
+    rows, rounds, flat, live = seeds.size, 0, 0, np.arange(seeds.size)
     while live.size and rounds < max_iter:
         rounds += 1
-        # a seed stops when converged or at an invalid evaluation
-        # (degenerate spectrum, overflow), which is reported unconverged
-        live = live[np.isfinite(z[live]) & np.isfinite(fz[live])
-                    & ~(np.abs(fz[live]) < tol)]
+        going = (np.isfinite(z[live]) & np.isfinite(fz[live])
+                 & ~(np.abs(fz[live]) < tol))
+        steep = np.isfinite(dfz[live]) & (dfz[live] != 0)
+        flat += int(np.count_nonzero(going & ~steep))
+        live = live[going & steep]
         if not live.size:
             break
-        around = q(np.concatenate([z[live] + h[live], z[live] - h[live]]))
-        rows += 2 * live.size
         with np.errstate(invalid="ignore", over="ignore"):
-            df = (around[:live.size] - around[live.size:]) / (2 * h[live])
-            nonzero = df != 0
-            flat, moved = live[~nonzero], live[nonzero]
-            step = fz[moved] / df[nonzero]
-            z[moved] -= step
-            size = np.abs(step)
-        # a zero derivative halves h; the seed stops once h < 1e-13
-        h[flat] *= 0.5
-        if moved.size:
-            fz[moved] = q(z[moved])
-            rows += moved.size
-        going = ~(size < 1e-13)
-        h[moved[going]] = np.maximum(
-            np.minimum(h[moved[going]], 0.5 * size[going] + 1e-12), 1e-9)
-        live = np.concatenate([flat[~(h[flat] < 1e-13)], moved[going]])
+            step = fz[live] / dfz[live]
+            z[live] -= step
+        fz[live], dfz[live] = f(z[live])
+        rows += live.size
+        live = live[~(np.abs(step) < 1e-13)]
     invalid = ~(np.isfinite(z) & np.isfinite(fz))
     residual = np.where(invalid, np.inf, np.abs(fz))
     status = np.where(residual < tol, "converged", "unconverged")
     return (list(zip(np.where(invalid, seeds, z).tolist(), residual.tolist(),
-                     status.tolist())), rounds, rows)
+                     status.tolist())), rounds, rows, flat)
 
 
-def refine_zero(f: Callable[[complex], complex], seed: complex,
-                h0: float, scale: float = 1.0,
+def refine_zero(f: Callable[[complex], Tuple[complex, complex]], seed: complex,
+                scale: float = 1.0,
                 max_iter: int = 50) -> Tuple[complex, float, str]:
     """The one-seed row of ``refine_zeros``, for f mapping one complex to
-    complex: (point, |f(point)|, status)."""
-    def q(energies: np.ndarray) -> np.ndarray:
-        return np.array([f(complex(E)) for E in energies], dtype=np.complex128)
+    the pair (f, f'): (point, |f(point)|, status)."""
+    def rows(energies: np.ndarray) -> np.ndarray:
+        return np.array([f(complex(E)) for E in energies],
+                        dtype=np.complex128).T
 
-    return refine_zeros(q, [seed], h0, scale, max_iter)[0][0]
+    return refine_zeros(rows, [seed], scale, max_iter)[0][0]
 
 
 def _local_minima_mask(mag: np.ndarray, valid: np.ndarray,
@@ -830,9 +827,10 @@ def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
                      label: str, arcs: Sequence[Arc],
                      q_field: Optional[np.ndarray]) -> List[Outlier]:
     """Newton-refined zeros of q, seeded from the minima of its |q| grid
-    field, solved here when not given; q maps a flat energy array to complex
-    values, NaN where invalid. Seeds, Newton's work and every rejection add
-    to ``scan.newton_counts``."""
+    field, solved here when not given; q is an outlier q function
+    (``q_open``, ``q_perturbed_dominant``), whose ``derivative`` form
+    Newton calls. Seeds, Newton's work and every rejection add to
+    ``scan.newton_counts``."""
     if q_field is None:
         q_field = np.abs(q(scan.energies.ravel())).reshape(scan.energies.shape)
     valid = scan.valid
@@ -842,11 +840,13 @@ def _refine_outliers(scan: ScanGrid, q: Callable[[np.ndarray], np.ndarray],
     scale = float(np.median(finite))
     threshold = SEED_FACTOR * float(np.quantile(finite, SEED_QUANTILE))
     seeds = scan.energies[_local_minima_mask(q_field, valid, threshold)]
-    results, rounds, rows = refine_zeros(q, seeds, scan.h / 10, scale=scale)
+    results, rounds, rows, flat = refine_zeros(
+        partial(q, derivative=True), seeds, scale=scale)
     counts = scan.newton_counts
     counts["newton_seeds"] += seeds.size
     counts["newton_rounds"] += rounds
     counts["newton_q_rows"] += rows
+    counts["newton_flat"] += flat
     region, h = scan.region, scan.h
     arc_points = _all_points(arcs)
     outliers: List[Outlier] = []
@@ -877,14 +877,16 @@ def q_open(coeffs: CoefficientTriple, C) -> Callable[..., np.ndarray]:
     """Flat energy array -> the dominant open-boundary q, q_hat over the
     0-based index set {L, ..., 2L-1}; NaN at degenerate energies. A given
     ``triple`` (the ``ordered_eig`` result at those energies) stands in for
-    the eigensolve."""
+    the eigensolve. With ``derivative`` set, the (2, n) stack of q and
+    dq/dE from the same triple, the form Newton calls."""
     members = range(coeffs.L, 2 * coeffs.L)
 
-    def q(energies: np.ndarray, triple=None) -> np.ndarray:
-        _, right, left_rows, degenerate = (
+    def q(energies: np.ndarray, triple=None,
+          derivative: bool = False) -> np.ndarray:
+        values, right, left_rows, degenerate = (
             ordered_eig(coeffs, energies) if triple is None else triple)
-        return corner_q(right, left_rows, degenerate, energies, C,
-                        [members])[:, 0]
+        return corner_q(right, left_rows, degenerate, energies, C, [members],
+                        (values, coeffs.Tinv) if derivative else None)[..., 0]
 
     return q
 
@@ -892,21 +894,24 @@ def q_open(coeffs: CoefficientTriple, C) -> Callable[..., np.ndarray]:
 def q_perturbed_dominant(coeffs: CoefficientTriple,
                          boundary: BoundaryTriple) -> Callable[..., np.ndarray]:
     """Flat energy array -> q_perturbed over each energy's dominant index
-    set (r = rank(A)); NaN at degenerate energies. ``triple`` as in
-    ``q_open``."""
+    set (r = rank(A)); NaN at degenerate energies. ``triple`` and
+    ``derivative`` as in ``q_open``."""
 
-    def q(energies: np.ndarray, triple=None) -> np.ndarray:
+    def q(energies: np.ndarray, triple=None,
+          derivative: bool = False) -> np.ndarray:
         values, right, left_rows, degenerate = (
             ordered_eig(coeffs, energies) if triple is None else triple)
         # group energies by dominant set and evaluate q per group
         dominant = dominant_set(np.abs(values), boundary.rank_A)
         codes = dominant.dot(1 << np.arange(2 * coeffs.L))
-        out = np.empty(len(values), dtype=np.complex128)
+        out = np.empty((2,) * derivative + (len(values),), dtype=np.complex128)
         for code in np.unique(codes):
             sel = codes == code
             members = np.flatnonzero(dominant[np.argmax(sel)])
-            out[sel] = corner_q(right[sel], left_rows[sel], degenerate[sel],
-                                energies[sel], boundary, [members])[:, 0]
+            out[..., sel] = corner_q(
+                right[sel], left_rows[sel], degenerate[sel], energies[sel],
+                boundary, [members],
+                (values[sel], coeffs.Tinv) if derivative else None)[..., 0]
         return out
 
     return q

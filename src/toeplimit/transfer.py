@@ -168,6 +168,28 @@ def set_projections(right: np.ndarray, left_rows: np.ndarray,
     return out
 
 
+def set_projection_slopes(values: np.ndarray, Tinv: np.ndarray,
+                          right: np.ndarray, left_rows: np.ndarray,
+                          sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """dP_I/dE of the projectors of ``set_projections``, stacked alike:
+    X (Omega_I o Y M X) Y with M = dT^E/dE = [[T^{-1}, 0], [0, 0]], X the
+    right columns, Y the left rows, and Omega_I[a, b] = (chi_b - chi_a) /
+    (z_b - z_a) for the member flags chi of I (Kato 1966, II §2). Pairs
+    both in or both out of I add nothing, so only gaps across I enter;
+    where one vanishes (a degenerate spectrum) the row is not finite."""
+    m = right.shape[-1]
+    L = m // 2
+    chi = np.zeros((len(sets), m))
+    for rows, idx in size_groups(sets, m):
+        chi[rows[:, None], idx] = 1.0
+    across = chi[:, None, :] - chi[:, :, None]
+    gap = (values[..., None, :] - values[..., :, None])[..., None, :, :]
+    omega = np.where(across != 0, across / gap, 0.0)
+    K = (left_rows[..., :, :L] @ Tinv) @ right[..., :L, :]
+    return (right[..., None, :, :] @ (omega * K[..., None, :, :])
+            @ left_rows[..., None, :, :])
+
+
 def _optimal_assignment(cost: np.ndarray) -> np.ndarray:
     """Column of each row in a minimum-cost assignment of a square cost
     matrix, by shortest augmenting paths (Crouse, IEEE Trans. Aerosp.

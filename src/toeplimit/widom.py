@@ -13,15 +13,15 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateSplit
 from .operators import BoundaryTriple, CoefficientTriple
 from .transfer import (MEMO_SIZE, TransferSpectrum, boundary_transfer_matrices,
-                       ordered_eig, set_projections, size_groups,
-                       transfer_matrix)
+                       ordered_eig, set_projection_slopes, set_projections,
+                       size_groups, transfer_matrix)
 
 
 @dataclass(frozen=True)
@@ -56,57 +56,86 @@ def q_tilde(spec: TransferSpectrum, members: Sequence[int]) -> complex:
     return complex(np.nan if spec.degenerate else np.linalg.det(P[:, L:, :L])[0])
 
 
-Window = Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]
-
-
 def corner_q(right: np.ndarray, left_rows: np.ndarray, degenerate, energies,
              corner, sets: Sequence[Sequence[int]],
-             window: Optional[Window] = None) -> np.ndarray:
+             derivative=None) -> np.ndarray:
     """The (n, len(sets)) q of each index set at n energies, from their
     ``ordered_eig`` right columns, left rows and degeneracy flags; NaN rows
     at degenerate energies. The corner picks the rule. A top-left block C
-    gives q_hat of W_ri R_I W_le, where ``window`` optionally supplies
-    ([T_ri_1..T_ri_K], [T_le_1..T_le_K]) for perturbations a finite
-    distance from the boundary, applied as T_K ... T_1. Corner blocks give
-    q_perturbed = det_2L(R_I T_bd - R_{I^c}), exact 0 once
-    |I| > L + rank(A): a BoundaryTriple, or its fields L and rank_A with
-    (n, L, L) stacks A, C and Binv, one row per energy."""
+    gives q_hat = det_L of the bottom-left block of R_I [[E - C, -1], [1,
+    0]]. Corner blocks give q_perturbed = det_2L(R_I T_bd - R_{I^c}), exact
+    0 once |I| > L + rank(A): a BoundaryTriple, or its fields L and rank_A
+    with (n, L, L) stacks A, C and Binv, one row per energy.
+
+    ``derivative`` = (values, Tinv), the triple's ordered eigenvalues and
+    the model's T^{-1}, asks for dq/dE as well: the result is then the
+    (2, n, len(sets)) stack of q, with the same bits, and dq. dq is
+    Jacobi's formula applied to the matrix G whose det is q, with dG from
+    ``set_projection_slopes`` and the E-dependence of the corner's own
+    factor; a degenerate row's dq is NaN too."""
     energies = np.asarray(energies, dtype=np.complex128)
     proj = set_projections(right, left_rows, sets)
-    if hasattr(corner, "Binv"):
+    L = proj.shape[-1] // 2
+    perturbed = hasattr(corner, "Binv")
+    if perturbed:
         Tbd = boundary_transfer_matrices(corner, energies)[:, None]
-        eye = np.eye(proj.shape[-1], dtype=np.complex128)
-        q = np.linalg.det(proj @ Tbd - (eye - proj))
-        q[:, [len(I) > corner.L + corner.rank_A for I in sets]] = 0
+        eye = np.eye(2 * L, dtype=np.complex128)
+        G = proj @ Tbd - (eye - proj)
+        forced = [len(I) > corner.L + corner.rank_A for I in sets]
     else:
-        ri, le = window if window is not None else ((), ())
-        for t in ri:
-            proj = t @ proj
-        for t in reversed(le):
-            proj = proj @ t
         # det_L of the bottom-left L x L block of R_I M_bd, M_bd = [[E - C,
         # -1], [1, 0]]; M_bd @ [1; 0] = [E - C; 1]
-        L = proj.shape[-1] // 2
         col = np.zeros((energies.size, 1, 2 * L, L), dtype=np.complex128)
         col[:, :, :L] = energies[:, None, None, None] * np.eye(L) - corner
         col[:, :, L:] = np.eye(L)
-        q = np.linalg.det((proj @ col)[..., L:, :])
-    q[np.asarray(degenerate, dtype=bool)] = np.nan
-    return q
+        G = (proj @ col)[..., L:, :]
+        forced = []
+    q = np.linalg.det(G)
+    q[:, forced] = 0
+    degenerate = np.asarray(degenerate, dtype=bool)
+    q[degenerate] = np.nan
+    if derivative is None:
+        return q
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dproj = set_projection_slopes(*derivative, right, left_rows, sets)
+        if perturbed:
+            # dT_bd/dE = [[B^{-1}, 0], [0, 0]]
+            dG = dproj @ (Tbd + eye)
+            dG[..., :L] += proj[..., :L] @ corner.Binv
+        else:
+            # d[E - C; 1]/dE = [1; 0]
+            dG = (dproj @ col)[..., L:, :] + proj[..., L:, :L]
+        dq = _det_slope(G, dG)
+    dq[:, forced] = 0
+    dq[degenerate] = np.nan
+    return np.stack([q, dq])
 
 
-def q_sets(spec: TransferSpectrum, corner, sets: Sequence[Sequence[int]],
-           window: Optional[Window] = None) -> np.ndarray:
+def _det_slope(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """d det(G) = tr(adj(G) dG) = sum_k det(G with its column k taken from
+    dG), over stacks of square G and dG: Jacobi's formula in a form that
+    needs no inverse of G, so it holds where G is singular, at a zero of
+    q. The sum runs in a fixed order, so a row's bits do not depend on the
+    stack."""
+    k = G.shape[-1]
+    # cols[..., c, :, j] is column j of dG when j == c, else of G
+    pick = np.eye(k, dtype=bool)[:, None, :]
+    cols = np.where(pick, dG[..., None, :, :], G[..., None, :, :])
+    return np.cumsum(np.linalg.det(cols), axis=-1)[..., -1]
+
+
+def q_sets(spec: TransferSpectrum, corner,
+           sets: Sequence[Sequence[int]]) -> np.ndarray:
     """The one-spectrum row of ``corner_q``: q_hat (``corner`` = C) or
     q_perturbed (a BoundaryTriple) of each index set."""
     return corner_q(spec.right_vectors[None], spec.left_rows[None],
-                    [spec.degenerate], [spec.energy], corner, sets, window)[0]
+                    [spec.degenerate], [spec.energy], corner, sets)[0]
 
 
-def q_hat(spec: TransferSpectrum, C: np.ndarray, members: Sequence[int],
-          window: Optional[Window] = None) -> complex:
+def q_hat(spec: TransferSpectrum, C: np.ndarray,
+          members: Sequence[int]) -> complex:
     """The one-set row of ``q_sets`` with a top-left block C."""
-    return complex(q_sets(spec, C, [members], window)[0])
+    return complex(q_sets(spec, C, [members])[0])
 
 
 def q_perturbed(spec: TransferSpectrum, boundary: BoundaryTriple,
@@ -135,14 +164,13 @@ def charpoly_circulant(coeffs: CoefficientTriple, N: int, E: complex) -> complex
                        + np.sum(np.log1p(-w ** N)) + 1j * np.pi * sign)
 
 
-def widom_logdet(coeffs: CoefficientTriple, corner, N: int, energies,
-                 window: Optional[Window] = None) -> np.ndarray:
+def widom_logdet(coeffs: CoefficientTriple, corner, N: int,
+                 energies) -> np.ndarray:
     """Complex log det(H_N - E) at a flat array of energies, a max-shifted
     log-sum-exp of p log Z_I + log q_I. A top-left block ``corner`` = C
-    selects the open rule, |I| = L, p = N, q_hat windowed as in
-    ``corner_q``, c = 1; a BoundaryTriple the perturbed rule,
-    |I| <= L + rank(A), p = N - 1, q_perturbed, c = det(B). NaN at a
-    degenerate energy, -inf where every term is 0."""
+    selects the open rule, |I| = L, p = N, q_hat, c = 1; a BoundaryTriple
+    the perturbed rule, |I| <= L + rank(A), p = N - 1, q_perturbed, c =
+    det(B). NaN at a degenerate energy, -inf where every term is 0."""
     energies = np.asarray(energies, dtype=np.complex128).ravel()
     L = coeffs.L
     values, right, left_rows, degenerate = ordered_eig(coeffs, energies)
@@ -152,7 +180,7 @@ def widom_logdet(coeffs: CoefficientTriple, corner, N: int, energies,
     else:
         sets = index_sets(2 * L, [L])
         power, log_prefactor = N, 0j
-    q = corner_q(right, left_rows, degenerate, energies, corner, sets, window)
+    q = corner_q(right, left_rows, degenerate, energies, corner, sets)
     # each set's members, padded to the largest set (the last) with index
     # 2L, whose value 1 has log 0. Every sum is a cumsum, whose order is
     # fixed: np.sum's order, and so a row's bits, depends on the stack shape
@@ -172,19 +200,19 @@ def widom_logdet(coeffs: CoefficientTriple, corner, N: int, energies,
         return log_prefactor + shift[:, 0] + np.log(total)
 
 
-def _widom_row(coeffs: CoefficientTriple, corner, N: int, E: complex,
-               window: Optional[Window] = None) -> WidomSum:
-    logdet = complex(widom_logdet(coeffs, corner, N, [E], window)[0])
+def _widom_row(coeffs: CoefficientTriple, corner, N: int,
+               E: complex) -> WidomSum:
+    logdet = complex(widom_logdet(coeffs, corner, N, [E])[0])
     if cmath.isnan(logdet):
         raise DegenerateSplit(f"E = {E} lies in a degeneracy band")
     return WidomSum(E, N, logdet)
 
 
-def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int, E: complex,
-                   window: Optional[Window] = None) -> WidomSum:
+def widom_sum_open(coeffs: CoefficientTriple, C: np.ndarray, N: int,
+                   E: complex) -> WidomSum:
     """det(H_N(0,0,C) - E) as the sum over |I| = L of Z_I^N q_hat_I: the
     one-energy row of ``widom_logdet``'s open rule."""
-    return _widom_row(coeffs, C, N, E, window)
+    return _widom_row(coeffs, C, N, E)
 
 
 def widom_sum_perturbed(coeffs: CoefficientTriple, boundary: BoundaryTriple,

@@ -201,10 +201,10 @@ def test_demo_reversed_lambda1_nonempty(demo_rev_scan):
 
 
 def test_refine_zero_linear_and_quadratic():
-    point, res, status = refine_zero(lambda z: z - 2, 2.3, 0.01)
+    point, res, status = refine_zero(lambda z: (z - 2, 1), 2.3)
     assert status == "converged" and abs(point - 2) < 1e-10
-    point, res, status = refine_zero(lambda z: (z - 1 - 1j) ** 2,
-                                     1.2 + 0.9j, 0.01)
+    point, res, status = refine_zero(
+        lambda z: ((z - 1 - 1j) ** 2, 2 * (z - 1 - 1j)), 1.2 + 0.9j)
     assert abs(point - (1 + 1j)) < 1e-5
 
 
@@ -349,14 +349,19 @@ def test_detector_counts_in_metadata():
 
 @pytest.mark.parametrize("name, counts", [
     ("demo_boundary", {"newton_seeds": 2, "newton_rounds": 4,
-                       "newton_q_rows": 20, "newton_rejected_residual": 0}),
-    ("demo_H", {"newton_seeds": 11, "newton_rounds": 42,
-                "newton_q_rows": 929, "newton_rejected_residual": 11}),
-    ("demo_open", {"newton_seeds": 5, "newton_rounds": 8,
-                   "newton_q_rows": 80, "newton_rejected_residual": 5}),
+                       "newton_q_rows": 8, "newton_flat": 0,
+                       "newton_rejected_residual": 0}),
+    # every seed stops where dq is exactly 0
+    ("demo_H", {"newton_seeds": 11, "newton_rounds": 6,
+                "newton_q_rows": 47, "newton_flat": 11,
+                "newton_rejected_residual": 11}),
+    ("demo_open", {"newton_seeds": 5, "newton_rounds": 5,
+                   "newton_q_rows": 24, "newton_flat": 0,
+                   "newton_rejected_residual": 5}),
     # both seeds run the full 50 rounds: the exhaustion path
     ("demo_Htilde", {"newton_seeds": 2, "newton_rounds": 50,
-                     "newton_q_rows": 302, "newton_rejected_residual": 2})])
+                     "newton_q_rows": 102, "newton_flat": 0,
+                     "newton_rejected_residual": 2})])
 def test_newton_counts_in_metadata(name, counts):
     first, again = config_run(name, 64), config_run(name, 64)
     meta = first.metadata
@@ -460,49 +465,46 @@ def test_scan_workers_are_capped_at_the_cpu_count(monkeypatch):
     assert len(pools) == 1
 
 
-def lone_newton(f, seed, h0, scale=1.0, max_iter=50):
+def lone_newton(f, seed, scale=1.0, max_iter=50):
     """Newton on one seed as a scalar loop in numpy's rounding, the
-    reference for the rows of refine_zeros: (result, f evaluations,
-    iterations entered). Values are np.complex128 scalars, whose division
-    rounds as the array loop's does; moduli come from np.abs of a one-element
-    array, since the scalar abs rounds differently in about a third of
-    cases."""
+    reference for the rows of refine_zeros; f maps one complex to the pair
+    (f, f'). Returns (result, f evaluations, iterations entered, whether
+    the seed stopped at a zero or non-finite f'). Values are np.complex128
+    scalars, whose division rounds as the array loop's does; moduli come
+    from np.abs of a one-element array, since the scalar abs rounds
+    differently in about a third of cases."""
     calls = iterations = 0
+    flat = False
 
     def g(E):
         nonlocal calls
         calls += 1
-        return np.complex128(f(complex(E)))
+        value, slope = f(complex(E))
+        return np.complex128(value), np.complex128(slope)
 
     def modulus(v):
         return np.abs(np.array([v]))[0]
 
-    z, h = np.complex128(seed), np.float64(h0)
-    fz = g(z)
+    z = np.complex128(seed)
+    fz, dfz = g(z)
     for _ in range(max_iter):
         iterations += 1
         if (not (np.isfinite(z) and np.isfinite(fz))
                 or modulus(fz) < 1e-12 * scale):
             break
-        with np.errstate(invalid="ignore", over="ignore"):
-            df = (g(z + h) - g(z - h)) / (2 * h)
-        if df == 0:
-            h *= 0.5
-            if h < 1e-13:
-                break
-            continue
-        with np.errstate(invalid="ignore", over="ignore"):
-            step = fz / df
-            z = z - step
-        fz = g(z)
-        size = modulus(step)
-        if size < 1e-13:
+        if not (np.isfinite(dfz) and dfz != 0):
+            flat = True
             break
-        h = max(min(h, 0.5 * size + 1e-12), 1e-9)
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = fz / dfz
+            z = z - step
+        fz, dfz = g(z)
+        if modulus(step) < 1e-13:
+            break
     if not (np.isfinite(z) and np.isfinite(fz)):
-        return (complex(seed), np.inf, "unconverged"), calls, iterations
+        return (complex(seed), np.inf, "unconverged"), calls, iterations, flat
     status = "converged" if modulus(fz) < 1e-12 * scale else "unconverged"
-    return (complex(z), float(modulus(fz)), status), calls, iterations
+    return (complex(z), float(modulus(fz)), status), calls, iterations, flat
 
 
 def same_result(a, b):
@@ -511,20 +513,20 @@ def same_result(a, b):
 
 
 def polynomial(roots, offset, radius):
-    """prod(E - r) + offset in Python complex arithmetic, NaN off |E| <=
-    radius."""
+    """E -> (prod(E - r) + offset, its derivative) in Python complex
+    arithmetic, both NaN off |E| <= radius."""
     def f(E):
         if abs(E) > radius:
-            return complex(np.nan, np.nan)
-        value = complex(1.0)
+            return complex(np.nan, np.nan), complex(np.nan, np.nan)
+        value, slope = complex(1.0), complex(0.0)
         for r in roots:
-            value *= E - r
-        return value + offset
+            value, slope = value * (E - r), slope * (E - r) + value
+        return value + offset, slope
     return f
 
 
-# dyadic roots and steps keep z +- h - root exact, so a seed at the centre
-# of a double root sees f(z + h) == f(z - h): the df == 0 branch
+# dyadic roots and seeds: a seed at the centre of a double root has f' == 0
+# exactly, the flat stop
 DYADIC = st.builds(complex, st.integers(-8, 8).map(lambda k: k / 4),
                    st.integers(-8, 8).map(lambda k: k / 4))
 
@@ -543,42 +545,42 @@ def newton_case(draw):
                           min_size=1, max_size=8))
     if double:
         seeds[draw(st.integers(0, len(seeds) - 1))] = roots[0]
-    return (f, seeds, draw(st.sampled_from([2.0 ** -3, 2.0 ** -6, 0.01])),
-            draw(st.sampled_from([1.0, 1e-3, 0.0])),
+    return (f, seeds, draw(st.sampled_from([1.0, 1e-3, 0.0])),
             draw(st.sampled_from([50, 50, 3, 1, 0])))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(newton_case())
-# df == 0 until h < 1e-13: a seed at the centre of a double root
-@example((polynomial([0.5j, 0.5j], 0.25, np.inf), [0.5j, 1 + 1j], 0.125,
-          1.0, 50))
-# a derivative probe off the disc where f is finite: a NaN step, then the
-# non-finite branch one iteration later
-@example((polynomial([0.25], 0.0, 0.75), [0.7], 0.125, 1.0, 50))
+# f' == 0 at a seed on the centre of a double root: a flat stop in the
+# first round, while the other seed runs on
+@example((polynomial([0.5j, 0.5j], 0.25, np.inf), [0.5j, 1 + 1j], 1.0, 50))
+# a step off the disc where f is finite: the non-finite stop one round later
+@example((polynomial([1.0, -1.0], 0.0, 0.75), [0.05], 1.0, 50))
 # exhaustion after one iteration
 @example((polynomial([1.0, -1.0, 2j], 0.0, np.inf), [0.3 + 0.1j, 2.2],
-          0.125, 1.0, 1))
+          1.0, 1))
 def test_lockstep_newton_rows_are_lone_runs(case):
-    f, seeds, h0, scale, max_iter = case
+    f, seeds, scale, max_iter = case
 
     def q(energies):
-        return np.array([f(complex(E)) for E in energies], dtype=np.complex128)
+        return np.array([f(complex(E)) for E in energies],
+                        dtype=np.complex128).T
 
-    results, rounds, rows = refine_zeros(q, seeds, h0, scale, max_iter)
-    lone = [lone_newton(f, s, h0, scale, max_iter) for s in seeds]
+    results, rounds, rows, flat = refine_zeros(q, seeds, scale, max_iter)
+    lone = [lone_newton(f, s, scale, max_iter) for s in seeds]
     assert len(results) == len(seeds)
-    for got, (want, _, _) in zip(results, lone):
+    for got, (want, _, _, _) in zip(results, lone):
         assert same_result(got, want)
-    for s, (want, _, _) in zip(seeds, lone):
-        assert same_result(refine_zero(f, s, h0, scale, max_iter), want)
-    assert rows == sum(calls for _, calls, _ in lone)
-    assert rounds == max(iterations for _, _, iterations in lone)
-    assert refine_zeros(q, [], h0) == ([], 0, 0)
+    for s, (want, _, _, _) in zip(seeds, lone):
+        assert same_result(refine_zero(f, s, scale, max_iter), want)
+    assert rows == sum(run[1] for run in lone)
+    assert rounds == max(run[2] for run in lone)
+    assert flat == sum(run[3] for run in lone)
+    assert refine_zeros(q, []) == ([], 0, 0, 0)
     # permuting the seeds permutes the results, bit for bit
     order = np.random.default_rng(len(seeds)).permutation(len(seeds))
-    permuted, _, _ = refine_zeros(q, [seeds[k] for k in order], h0, scale,
-                                  max_iter)
+    permuted, _, _, _ = refine_zeros(q, [seeds[k] for k in order], scale,
+                                     max_iter)
     for k, got in zip(order, permuted):
         assert same_result(got, results[k])
 
@@ -897,6 +899,38 @@ def test_outlier_q_rows_are_the_scalar_q_functions(case):
             continue
         assert same_bits(reference_q_hat(spec, boundary.C, range(L, 2 * L)),
                          open_rows[k])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_rank_energies())
+# E = 0 has an empty dominant set for this perturbed model
+@example((*random_model(np.random.default_rng(5), 2, 1),
+          np.array([0j, 1 + 0.5j])))
+def test_outlier_q_slopes_match_central_differences(case):
+    coeffs, boundary, energies = case
+    h = 1e-6
+    for q, perturbed in ((q_open(coeffs, boundary.C), False),
+                         (q_perturbed_dominant(coeffs, boundary), True)):
+        value, slope = q(energies, derivative=True)
+        assert value.tobytes() == q(energies).tobytes()
+        for E, v, dv in zip(energies, value, slope):
+            # a one-energy call is the row of the stacked one, bit for bit
+            assert same_bits(q(np.array([E]), derivative=True)[:, 0], [v, dv])
+            around = np.array([E + h, E - h])
+            values, _, _, degenerate = ordered_eig(coeffs, np.append(around, E))
+            dominant = dominant_set(np.abs(values), boundary.rank_A)
+            # the difference quotient needs one nondegenerate q on the
+            # stencil: the perturbed q jumps where its dominant set changes
+            if degenerate.any() or (dominant != dominant[0]).any():
+                continue
+            if perturbed and not dominant[-1].any():
+                # q = det(-1) = 1 on the empty set
+                assert v == 1 and dv == 0
+            f_plus, f_minus = q(around)
+            # the quotient's rounding, about eps |q| / h, is the error where
+            # dq is near 0 (a constant q): hence the scale max(|dq|, |q|)
+            assert (abs(dv - (f_plus - f_minus) / (2 * h))
+                    <= 1e-6 * max(abs(dv), abs(v)))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

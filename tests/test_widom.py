@@ -135,23 +135,6 @@ def test_widom_sum_refuses_degenerate(twin_channels):
                                      [0.3, -1.2 + 0.5j])).all()
 
 
-def test_windowed_q_hat_consistency():
-    # wrapping q_hat with K=1 bulk transfer windows on both sides reproduces
-    # the (N+2)-site open determinant after removing det(T)^2 per window pair
-    rng = np.random.default_rng(25)
-    for _ in range(4):
-        L = int(rng.integers(1, 3))
-        co, _ = random_model(rng, L)
-        N = int(rng.integers(3, 7))
-        E, spec = nondegenerate_energy(rng, co)
-        TE = transfer_matrix(co, E)
-        ws = widom_sum_open(co, co.V, N, E, window=([TE], [TE]))
-        detT = nk.determinant(co.T)
-        direct = charpoly_direct(co, BoundaryTriple.boundary(co.V), N + 2, E)
-        value = ws.total * detT ** 2
-        assert abs(value - direct) <= 1e-8 * (1 + abs(direct))
-
-
 @st.composite
 def model_rank_energy(draw):
     """A random model with L in {1, 2, 3} and rank(A) in {0..L}, one energy
@@ -232,26 +215,22 @@ def assert_same_total(ws, total):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(model_rank_energy(), st.integers(3, 6), st.booleans())
-def test_widom_sums_are_their_one_set_rows(case, N, windowed):
+@given(model_rank_energy(), st.integers(3, 6))
+def test_widom_sums_are_their_one_set_rows(case, N):
     # every q row of a stacked call has the bits of its one-set call, and
     # those have the bits of the written-out formulas; the sums match the
     # written-out compensated sum of those rows
     coeffs, boundary, E, spec = case
     L = coeffs.L
     detT = nk.determinant(coeffs.T)
-    TE = transfer_matrix(coeffs, E)
-    window = ([TE], [TE]) if windowed else None
     sets = index_sets(2 * L, [L])
-    qvals = [q_hat(spec, boundary.C, I, window=window) for I in sets]
+    qvals = [q_hat(spec, boundary.C, I) for I in sets]
     col = np.vstack([E * np.eye(L) - boundary.C, np.eye(L)])
     for I, q in zip(sets, qvals):
         G = written_out_projection(spec, I)
-        if windowed:
-            G = TE @ G @ TE
         assert repr(q) == repr(complex(np.linalg.det((G @ col)[L:, :])))
-    assert same_rows(q_sets(spec, boundary.C, sets, window), qvals)
-    ws = widom_sum_open(coeffs, boundary.C, N, E, window=window)
+    assert same_rows(q_sets(spec, boundary.C, sets), qvals)
+    ws = widom_sum_open(coeffs, boundary.C, N, E)
     assert_same_total(ws, reference_total(spec, sets, N, qvals, detT, 1.0))
 
     sets = index_sets(2 * L, range(L + boundary.rank_A + 1))
