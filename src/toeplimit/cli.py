@@ -532,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
         "--format": dict(choices=("json", "csv"), default="json"),
-        "--workers": dict(type=_positive_int, default=os.cpu_count()),
+        "--workers": dict(type=_positive_int, default=os.cpu_count(),
+                          help="threads of the grid scan (a run without a "
+                               "corner scans no grid)"),
         "--N": dict(type=int, default=None,
                     help="number of blocks (default: the config's N)"),
         "--r": dict(type=int, default=None,

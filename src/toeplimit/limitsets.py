@@ -1,13 +1,18 @@
-"""Extraction of limit-spectrum sets from complex-plane grid scans.
+"""Extraction of limit-spectrum sets from the symbol curve and from
+complex-plane grid scans.
 
 The continuous sets are level sets of ordered transfer-eigenvalue moduli.
-Sigma-type sets, where some |z_j| = 1, come from marching squares on the
-grid and, where the grid misses them, from the symbol curve
-spec a(e^{i theta}) (Schmidt and Spitzer, 1960), labelled by a transfer
-eigensolve. Lambda-type sets, where two branches share a modulus, come from
-branch-matched edge crossings, each located from the branch slopes
-dz_j/dE of the scan's eigen-triples and checked by one solve. Outliers are
-zeros of the dominant q-function, Newton-refined from grid minima.
+Sigma-type sets, where some |z_j| = 1, lie on the symbol curve
+spec a(e^{i theta}) (Schmidt and Spitzer, 1960), whose samples a transfer
+eigensolve labels with their crossing index. Without a corner Sigma is the
+whole limit set, and that labelled curve alone gives it: such a run makes
+no grid scan. With a corner the grid is scanned for the outlier |q| field
+and the Lambda arcs, and Sigma comes from marching squares on the grid plus
+the curve samples it misses. Lambda-type sets, where two branches share a
+modulus, come from branch-matched edge crossings, each located from the
+branch slopes dz_j/dE of the scan's eigen-triples and checked by one solve.
+Outliers are zeros of the dominant q-function, Newton-refined from grid
+minima.
 """
 import hashlib
 import os
@@ -23,8 +28,8 @@ import numpy as np
 from . import numkernel as nk
 from .errors import ConvergenceFailure
 from .operators import BoundaryTriple, CoefficientTriple, eval_symbol
-from .transfer import (TIE_TOL, branch_slopes, match_branches, modulus_order,
-                       ordered_eig, transfer_matrices, transfer_matrix)
+from .transfer import (TIE_TOL, branch_slopes, match_branches, ordered_eig,
+                       transfer_matrices, transfer_matrix)
 from .widom import corner_q
 
 EXCLUSION_FACTOR = 3.0
@@ -52,6 +57,27 @@ class Region:
             raise ValueError("degenerate region")
 
 
+def _zero_detector_counts() -> Dict[str, int]:
+    """Zero counts of the arc detectors' work, summed over their calls on one
+    grid. candidate_edges, swapped_edges, crossing_fallbacks, crossings_kept
+    and tie_flagged_crossings are the equal-modulus detector's; with a point
+    filter its candidate counts are taken after the endpoint pre-test.
+    crossing_solves counts every transfer solve of both detectors, and
+    sigma_curve_points the symbol-curve samples kept as Sigma points."""
+    return {"candidate_edges": 0, "swapped_edges": 0, "crossing_solves": 0,
+            "crossing_fallbacks": 0, "crossings_kept": 0,
+            "tie_flagged_crossings": 0, "sigma_curve_points": 0}
+
+
+def _zero_newton_counts() -> Dict[str, int]:
+    """Zero counts of the outlier stage's Newton runs: seeds, rounds, (q, dq)
+    rows, seeds stopped at a zero or non-finite dq, and rejections."""
+    return {"newton_seeds": 0, "newton_rounds": 0, "newton_q_rows": 0,
+            "newton_flat": 0,
+            "newton_rejected_out_of_region": 0, "newton_rejected_residual": 0,
+            "newton_rejected_exclusion": 0, "newton_rejected_duplicate": 0}
+
+
 @dataclass
 class ScanGrid:
     """Per-node transfer-spectrum summaries on a rectangular grid.
@@ -69,27 +95,13 @@ class ScanGrid:
     masked: np.ndarray            # (ny, nx) bool, failed nodes
     h: float
     # (ny, nx) |q| of the q function the scan was given, NaN at masked nodes
-    q_field: Optional[np.ndarray] = None
-    # (ny, nx, 2L) dz_j/dE of each ordered branch, from the eigen-triple of a
-    # scan given a q function; None for an eigenvalue-only scan
-    slopes: Optional[np.ndarray] = None
-    # work of the arc detectors, summed over their calls on this grid.
-    # candidate_edges, swapped_edges, crossing_fallbacks, crossings_kept and
-    # tie_flagged_crossings are the equal-modulus detector's; with a point
-    # filter its candidate counts are taken after the endpoint pre-test.
-    # crossing_solves counts every transfer solve of both detectors, and
-    # sigma_curve_points the symbol-curve samples kept as Sigma points
-    detector_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
-        "candidate_edges": 0, "swapped_edges": 0, "crossing_solves": 0,
-        "crossing_fallbacks": 0, "crossings_kept": 0,
-        "tie_flagged_crossings": 0, "sigma_curve_points": 0})
-    # seeds, rounds, (q, dq) rows, seeds stopped at a zero or non-finite dq,
-    # and rejections of the outlier stage's Newton runs
-    newton_counts: Dict[str, int] = field(init=False, default_factory=lambda: {
-        "newton_seeds": 0, "newton_rounds": 0, "newton_q_rows": 0,
-        "newton_flat": 0,
-        "newton_rejected_out_of_region": 0, "newton_rejected_residual": 0,
-        "newton_rejected_exclusion": 0, "newton_rejected_duplicate": 0})
+    q_field: np.ndarray
+    # (ny, nx, 2L) dz_j/dE of each ordered branch, from the same eigen-triple
+    slopes: np.ndarray
+    detector_counts: Dict[str, int] = field(
+        init=False, default_factory=_zero_detector_counts)
+    newton_counts: Dict[str, int] = field(
+        init=False, default_factory=_zero_newton_counts)
 
     @property
     def L(self) -> int:
@@ -183,32 +195,25 @@ def model_hash(coeffs: CoefficientTriple,
 
 
 def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
-                 workers: Optional[int], q: Optional[Callable]):
-    """Modulus-ordered transfer eigenvalues and their degeneracy flags at a
-    flat energy array; when a q function is given, also the |q| and the
-    branch slopes dz_j/dE of each node from the same ``ordered_eig`` triple.
+                 workers: Optional[int], q: Callable):
+    """Modulus-ordered transfer eigenvalues, their degeneracy flags, the |q|
+    of the given q function and the branch slopes dz_j/dE at a flat energy
+    array, all from one ``ordered_eig`` triple per node.
 
     Worker chunks build their own transfer stacks and write into
     preallocated outputs, so a chunk's eigenvectors are dropped when it
     returns. A chunk whose stacked solve fails is solved node by node; a node
     that still fails is masked and keeps zero values, a degenerate flag and
-    NaN |q|. Returns (values, degenerate, |q| or None, masked, slopes or
-    None).
+    NaN |q|. Returns (values, degenerate, |q|, masked, slopes).
     """
     n = energies.size
     values = np.zeros((n, 2 * coeffs.L), dtype=np.complex128)
     degenerate = np.ones(n, dtype=bool)
-    q_field = None if q is None else np.full(n, np.nan)
-    slopes = None if q is None else np.zeros_like(values)
+    q_field = np.full(n, np.nan)
+    slopes = np.zeros_like(values)
     masked = np.zeros(n, dtype=bool)
 
     def solve(idx: np.ndarray) -> None:
-        if q is None:
-            vals = np.linalg.eigvals(transfer_matrices(coeffs, energies[idx]))
-            values[idx] = np.take_along_axis(vals, modulus_order(vals)[0],
-                                             axis=1)
-            degenerate[idx] = np.any(nk.close_pairs(vals), axis=(1, 2))
-            return
         triple = ordered_eig(coeffs, energies[idx])
         q_field[idx] = np.abs(q(energies[idx], triple))
         values[idx], degenerate[idx] = triple[0], triple[3]
@@ -236,29 +241,32 @@ def _solve_nodes(coeffs: CoefficientTriple, energies: np.ndarray,
     return values, degenerate, q_field, masked, slopes
 
 
-def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
-              workers: Optional[int] = None,
-              q: Optional[Callable] = None) -> ScanGrid:
-    """Transfer spectra over an nx x ny grid of the region; with a q
-    function (``q_open``, ``q_perturbed_dominant``) the scan also computes
-    its |q| field and the branch slopes from the same solve, so no node is
-    solved twice."""
+def _grid_axes(region: Region, nx: int, ny: int
+               ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The node coordinates (re, im) of an nx x ny grid of the region and
+    its spacing h, the larger of the two steps."""
     if nx < 16 or ny < 16:
         raise ValueError("nx, ny >= 16 required")
     re = np.linspace(region.re_min, region.re_max, nx)
     im = np.linspace(region.im_min, region.im_max, ny)
-    h = max(re[1] - re[0], im[1] - im[0])
+    return re, im, float(max(re[1] - re[0], im[1] - im[0]))
+
+
+def scan_grid(coeffs: CoefficientTriple, region: Region, nx: int, ny: int,
+              q: Callable, workers: Optional[int] = None) -> ScanGrid:
+    """Transfer spectra over an nx x ny grid of the region, with the |q|
+    field of the q function (``q_open``, ``q_perturbed_dominant``) and the
+    branch slopes from the same solve, so no node is solved twice."""
+    re, im, h = _grid_axes(region, nx, ny)
     energies = (re[None, :] + 1j * im[:, None]).ravel()
     vals, degenerate, q_field, masked, slopes = _solve_nodes(
         coeffs, energies, workers, q)
-    moduli = np.abs(vals)
     shape = (ny, nx)
     m = 2 * coeffs.L
     return ScanGrid(coeffs, region, re, im, vals.reshape(shape + (m,)),
-                    moduli.reshape(shape + (m,)), degenerate.reshape(shape),
-                    masked.reshape(shape), float(h),
-                    None if q_field is None else q_field.reshape(shape),
-                    None if slopes is None else slopes.reshape(shape + (m,)))
+                    np.abs(vals).reshape(shape + (m,)),
+                    degenerate.reshape(shape), masked.reshape(shape), h,
+                    q_field.reshape(shape), slopes.reshape(shape + (m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +456,13 @@ def _far_from(points: np.ndarray, vertices: np.ndarray, h: float,
     return far
 
 
-def _sigma_curve_arcs(scan: ScanGrid, r: int, label: str,
+def _sigma_curve_arcs(coeffs: CoefficientTriple, region: Region, h: float,
+                      counts: Dict[str, int], r: int, label: str,
                       vertices: np.ndarray) -> List[Arc]:
-    """The Sigma_r points that marching squares leaves out, from the symbol
-    curve: its samples in the region farther than h from every
-    marching-squares vertex.
+    """The Sigma_r points of the symbol curve at sample spacing h: its
+    samples in the region farther than h from every given vertex (the
+    marching-squares vertices of a scan, or none, when the curve carries
+    all of Sigma_r).
 
     One stacked transfer eigensolve labels them: e^{i theta} is a root at
     each, and the crossing index is its 1-based rank in modulus order,
@@ -460,16 +470,18 @@ def _sigma_curve_arcs(scan: ScanGrid, r: int, label: str,
     circle. A sample is kept when its spectrum is not degenerate (the grid
     detectors skip such nodes too), that root lies within h/10 of the
     circle and its index is at least L - r + 1; each branch's kept samples
-    are split into polylines where the index changes.
+    are split into polylines where the index changes. The solves and the
+    kept samples add to ``counts`` (``crossing_solves``,
+    ``sigma_curve_points``).
     """
-    L, h, region = scan.L, scan.h, scan.region
-    curve, theta = _symbol_curve(scan.coeffs, h)
+    L = coeffs.L
+    curve, theta = _symbol_curve(coeffs, h)
     kept = ((region.re_min <= curve.real) & (curve.real <= region.re_max)
             & (region.im_min <= curve.imag) & (curve.imag <= region.im_max))
     kept[kept] = _far_from(curve[kept], vertices, h, region)
     branch, k = np.nonzero(kept)
-    vals = np.linalg.eigvals(transfer_matrices(scan.coeffs, curve[branch, k]))
-    scan.detector_counts["crossing_solves"] += k.size
+    vals = np.linalg.eigvals(transfer_matrices(coeffs, curve[branch, k]))
+    counts["crossing_solves"] += k.size
     moduli = np.abs(vals)
     order = np.argsort(moduli, axis=1, kind="stable")
     unit = np.abs(np.take_along_axis(moduli, order, axis=1) - 1.0) <= h / 10
@@ -480,7 +492,7 @@ def _sigma_curve_arcs(scan: ScanGrid, r: int, label: str,
     j = np.maximum(rank, top)
     ok = (unit[np.arange(j.size), j] & (j >= L - r)
           & ~np.any(nk.close_pairs(vals), axis=(1, 2)))
-    scan.detector_counts["sigma_curve_points"] += int(np.sum(ok))
+    counts["sigma_curve_points"] += int(np.sum(ok))
     index = np.zeros(curve.shape, dtype=np.intp)
     index[branch[ok], k[ok]] = j[ok] + 1
     # runs of one nonzero index along each branch
@@ -518,7 +530,9 @@ def sigma_r(scan: ScanGrid, r: int) -> List[Arc]:
         segments = _marching_squares(field, valid, scan.re, scan.im, mid)
         for line in _assemble_polylines(segments, scan.h * 1e-6):
             arcs.append(Arc(label, r, line, crossing_index=j))
-    return arcs + _sigma_curve_arcs(scan, r, label, _all_points(arcs))
+    return arcs + _sigma_curve_arcs(scan.coeffs, scan.region, scan.h,
+                                    scan.detector_counts, r, label,
+                                    _all_points(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +633,8 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     the bound on how far the pair moves along the edge that the gap test
     below also relies on.
 
-    The crossings are located from the scan's branch slopes where it has
-    them, else from the chord of the gap (``_locate_crossings``).
+    The crossings are located from the scan's branch slopes
+    (``_locate_crossings``).
     """
     counts = scan.detector_counts
     gap = scan.moduli[:, :, b] - scan.moduli[:, :, a]
@@ -669,12 +683,9 @@ def _lambda_pair_arcs(scan: ScanGrid, a: int, b: int, label: str,
     log_mod = np.log(np.abs(z))
     gaps = log_mod[:, [0, 2]] - log_mod[:, [1, 3]]
     Ea, Eb = (gather(scan.energies, end)[swapped] for end in (0, 1))
-    if scan.slopes is None:
-        slopes = np.column_stack([gaps[:, 1] - gaps[:, 0]] * 2)
-    else:
-        # d log|z|/dt = Re(dz/dE (Eb - Ea) / z)
-        d = np.real(pair(scan.slopes) / z * (Eb - Ea)[:, None])
-        slopes = d[:, [0, 2]] - d[:, [1, 3]]
+    # d log|z|/dt = Re(dz/dE (Eb - Ea) / z)
+    d = np.real(pair(scan.slopes) / z * (Eb - Ea)[:, None])
+    slopes = d[:, [0, 2]] - d[:, [1, 3]]
     points, mods = _locate_crossings(
         scan, a, b, va[swapped], Ea, Eb,
         np.sort(gather(scan.moduli, 0)[swapped], axis=1), gaps, slopes)
@@ -899,6 +910,7 @@ def q_perturbed_dominant(coeffs: CoefficientTriple,
 
     def q(energies: np.ndarray, triple=None,
           derivative: bool = False) -> np.ndarray:
+        energies = np.asarray(energies, dtype=np.complex128)
         values, right, left_rows, degenerate = (
             ordered_eig(coeffs, energies) if triple is None else triple)
         # group energies by dominant set and evaluate q per group
@@ -971,12 +983,17 @@ def compute_limit_sets(coeffs: CoefficientTriple,
                        boundary: Optional[BoundaryTriple],
                        region: Region, nx: int, ny: int, r: Optional[int] = None,
                        workers: Optional[int] = None) -> LimitSpectrumResult:
-    """One-stop pipeline: scan, arcs and outliers for the given model.
+    """One-stop pipeline: arcs and outliers for the given model.
 
     A circulant corner runs as no corner: its q = +-prod z_j never vanishes,
-    so only the Sigma arcs are extracted. The result's ``timings`` holds the
-    perf_counter seconds of each stage; a stage the model's case does not
-    run reads 0.
+    so only the Sigma arcs are extracted. A run without a corner makes no
+    grid scan: Sigma is the labelled symbol curve alone, ``nx`` and ``ny``
+    set only its sample spacing h, ``workers`` has no effect, and
+    ``masked_nodes``, ``degenerate_nodes`` and ``sigma_tie_nodes`` read 0.
+    A run with a corner scans the grid in ``workers`` threads, for the
+    outlier |q| field, the Lambda arcs and marching squares. The result's
+    ``timings`` holds the perf_counter seconds of each stage; a stage the
+    run does not make reads 0.
     """
     check_rank(coeffs, boundary, r)
     if boundary is not None and boundary.classify(coeffs) == "circulant":
@@ -984,19 +1001,22 @@ def compute_limit_sets(coeffs: CoefficientTriple,
     timings = dict.fromkeys(STAGES, 0.0)
     L = coeffs.L
     outliers: List[Outlier] = []
-    q = None
-    if boundary is not None:
+    if boundary is None:
+        _, _, h = _grid_axes(region, nx, ny)
+        detector, newton = _zero_detector_counts(), _zero_newton_counts()
+        with _stage(timings, "sigma"):
+            arcs = _sigma_curve_arcs(coeffs, region, h, detector, L, "Sigma",
+                                     np.empty(0, complex))
+        nodes = dict.fromkeys(
+            ("masked_nodes", "degenerate_nodes", "sigma_tie_nodes"), 0)
+    else:
         # every other corner case has an outlier stage, whose |q| field the
         # scan computes from its one solve per node
         open_case = boundary.classify(coeffs) in ("open", "boundary")
         q = (q_open(coeffs, boundary.C) if open_case
              else q_perturbed_dominant(coeffs, boundary))
-    with _stage(timings, "scan"):
-        scan = scan_grid(coeffs, region, nx, ny, workers, q)
-    if boundary is None:
-        with _stage(timings, "sigma"):
-            arcs = sigma_r(scan, L)
-    else:
+        with _stage(timings, "scan"):
+            scan = scan_grid(coeffs, region, nx, ny, q, workers)
         rr = L if open_case else (boundary.rank_A if r is None else r)
         with _stage(timings, "sigma"):
             sig = sigma_r(scan, rr)
@@ -1009,18 +1029,20 @@ def compute_limit_sets(coeffs: CoefficientTriple,
                               q_field=scan.q_field) if open_case
                 else outliers_perturbed(coeffs, boundary, scan, arcs=arcs,
                                         q_field=scan.q_field))
+        h, detector, newton = scan.h, scan.detector_counts, scan.newton_counts
+        nodes = {
+            "masked_nodes": int(np.sum(scan.masked)),
+            "degenerate_nodes": int(np.sum(scan.degenerate)),
+            # nodes against Sigma's single-crossing hypothesis: two ordered
+            # moduli within TIE_TOL of 1
+            "sigma_tie_nodes": int(np.sum(np.sum(
+                np.abs(scan.moduli - 1.0) < TIE_TOL, axis=2) > 1)),
+        }
     metadata = {
         "model_hash": model_hash(coeffs, boundary),
         "region": [region.re_min, region.re_max, region.im_min, region.im_max],
-        "nx": nx, "ny": ny, "h": scan.h, "r": r,
+        "nx": nx, "ny": ny, "h": h, "r": r,
         "degeneracy_tol": nk.DEGENERACY_TOL, "tie_tol": TIE_TOL,
-        "masked_nodes": int(np.sum(scan.masked)),
-        "degenerate_nodes": int(np.sum(scan.degenerate)),
-        # nodes against Sigma's single-crossing hypothesis: two ordered
-        # moduli within TIE_TOL of 1
-        "sigma_tie_nodes": int(np.sum(np.sum(
-            np.abs(scan.moduli - 1.0) < TIE_TOL, axis=2) > 1)),
-        **scan.detector_counts,
-        **scan.newton_counts,
+        **nodes, **detector, **newton,
     }
     return LimitSpectrumResult(arcs, outliers, metadata, timings)

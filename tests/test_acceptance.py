@@ -20,7 +20,8 @@ from toeplimit.asymptotics import (genericity_check, q_hat_leading, q_leading,
                                    rt_spectral_data)
 from toeplimit.errors import NotSimpleSpectrum, OnCurve
 from toeplimit.limitsets import (Region, lambda_r, outliers_open,
-                                 outliers_perturbed, scan_grid, sigma_r)
+                                 outliers_perturbed, q_open, scan_grid,
+                                 sigma_r)
 from toeplimit.operators import (BoundaryTriple, CoefficientTriple,
                                  assemble_operator, charpoly_direct,
                                  circulant_spectrum_fft, finite_spectrum,
@@ -215,7 +216,8 @@ def test_criterion_07_asymptotic_ratios():
 
 
 def test_criterion_08_reference_model_reproduction():
-    scan = scan_grid(DEMO_COEFFS, REGION, 128, 128)
+    scan = scan_grid(DEMO_COEFFS, REGION, 128, 128,
+                     q_open(DEMO_COEFFS, DEMO_COEFFS.V))
     # (a) boundary condition C: exactly two isolated eigenvalue limits
     outs = outliers_open(DEMO_COEFFS, DEMO_C, scan)
     ok_a = len(outs) == 2 and all(o.status == "converged" for o in outs)
@@ -227,10 +229,12 @@ def test_criterion_08_reference_model_reproduction():
     ok_b = ok_b and max(cost.min(axis=1).max(),
                         cost.min(axis=0).max()) <= 2 * scan.h
     # (c) coefficient-reversed model: Lambda_1 appears
-    rev = scan_grid(DEMO_REVERSED, REGION, 128, 128)
+    rev = scan_grid(DEMO_REVERSED, REGION, 128, 128,
+                    q_open(DEMO_REVERSED, DEMO_REVERSED.V))
     ok_c = arc_points(lambda_r(rev, 1)).size > 0
     # (d) finite-N eigenvalues track Sigma_1 and the rank-1 outliers
-    fine = scan_grid(DEMO_COEFFS, REGION, 256, 256)
+    fine = scan_grid(DEMO_COEFFS, REGION, 256, 256,
+                     q_open(DEMO_COEFFS, DEMO_COEFFS.V))
     bd = BoundaryTriple(DEMO_A, DEMO_B, DEMO_V)
     targets = arc_points(sigma_r(fine, 1))
     gamma = outliers_perturbed(DEMO_COEFFS, bd, fine)

@@ -35,19 +35,26 @@ def config_run(name, grid=None):
                               nx, ny)
 
 
+def plain_scan(coeffs, region, nx, ny, workers=None):
+    """A scan given the open-boundary q of the corner C = V; the arc
+    detectors read no q."""
+    return scan_grid(coeffs, region, nx, ny, q_open(coeffs, coeffs.V),
+                     workers=workers)
+
+
 @pytest.fixture(scope="module")
 def scalar_scan(scalar_model):
-    return scan_grid(scalar_model, REGION, 96, 96)
+    return plain_scan(scalar_model, REGION, 96, 96)
 
 
 @pytest.fixture(scope="module")
 def demo_scan(demo_model):
-    return scan_grid(demo_model, REGION, 128, 128)
+    return plain_scan(demo_model, REGION, 128, 128)
 
 
 @pytest.fixture(scope="module")
 def demo_rev_scan(demo_reversed):
-    return scan_grid(demo_reversed, REGION, 128, 128)
+    return plain_scan(demo_reversed, REGION, 128, 128)
 
 
 def arc_points(arcs):
@@ -70,7 +77,7 @@ def test_scan_grid_shapes_and_product(scalar_scan):
 
 def test_scan_grid_rejects_small_grids(scalar_model):
     with pytest.raises(ValueError):
-        scan_grid(scalar_model, REGION, 8, 8)
+        plain_scan(scalar_model, REGION, 8, 8)
 
 
 def test_scan_grid_demo_smoke(demo_scan):
@@ -174,7 +181,7 @@ def test_sigma_covers_the_periodic_cloud(name, grid):
               & (region.im_min <= cloud.imag) & (cloud.imag <= region.im_max))
     cloud, index = cloud[inside], unit_root_index(coeffs, cloud[inside],
                                                   roots[inside])
-    scan = scan_grid(coeffs, region, grid, grid)
+    scan = plain_scan(coeffs, region, grid, grid)
     checked = 0
     for r in range(L + 1):
         points = arc_points(sigma_r(scan, r))
@@ -217,7 +224,7 @@ def test_outliers_open_demo(demo_model, demo_scan):
         assert o.status == "converged"
         assert o.residual < 1e-10
     # stability under grid refinement
-    fine = scan_grid(demo_model, REGION, 192, 192)
+    fine = plain_scan(demo_model, REGION, 192, 192)
     outs_fine = outliers_open(demo_model, C, fine, arcs=lambda_open(fine))
     assert len(outs_fine) == 2
     match = [min(abs(a.point - b.point) for b in outs_fine) for a in outs]
@@ -287,9 +294,10 @@ def test_compute_limit_sets_circulant_only_sigma(scalar_model):
     result = compute_limit_sets(scalar_model, None, REGION, 64, 64)
     assert all(a.label == "Sigma" for a in result.arcs)
     assert result.outliers == []
-    # the stages a circulant model does not run read 0
-    assert result.timings["scan"] > 0 and result.timings["sigma"] > 0
-    assert [result.timings[k] for k in ("lambda", "newton")] == [0.0, 0.0]
+    # the stages a run without a corner does not make read 0: no grid scan
+    assert result.timings["sigma"] > 0
+    assert [result.timings[k] for k in ("scan", "lambda", "newton")] == [
+        0.0, 0.0, 0.0]
 
 
 def test_circulant_corner_runs_as_no_corner(demo_model):
@@ -300,6 +308,90 @@ def test_circulant_corner_runs_as_no_corner(demo_model):
     plain = compute_limit_sets(demo_model, None, REGION, 32, 32)
     assert result.to_json_dict() == plain.to_json_dict()
     assert result.timings["newton"] == 0
+
+
+def no_corner_model(name):
+    """A shipped config's coefficients and region, or those of a seeded
+    model "L<L>" on [-4, 4]^2."""
+    if name.startswith("L"):
+        L = int(name[1:])
+        coeffs, _ = random_model(np.random.default_rng(100 * L + 1), L)
+        return coeffs, Region(-4, 4, -4, 4)
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, name + ".json"))
+    return cfg.coeffs, Region(*cfg.region)
+
+
+@pytest.mark.parametrize("grid", [64, 128, 256])
+@pytest.mark.parametrize("name", ["scalar", "demo_circulant", "L2", "L3",
+                                  "L4"])
+def test_curve_only_sigma_matches_the_scanned_sigma(name, grid):
+    """A run without a corner takes Sigma from the labelled symbol curve
+    alone; it stays within about h of sigma_r on a scan of the same grid,
+    and each point's |z_j| at its crossing index is within h/10 of 1."""
+    from scipy.spatial import cKDTree
+    coeffs, region = no_corner_model(name)
+    result = compute_limit_sets(coeffs, None, region, grid, grid)
+    scan = plain_scan(coeffs, region, grid, grid)
+    h = scan.h
+    assert result.metadata["h"] == h and result.timings["scan"] == 0
+    assert {a.label for a in result.arcs} == {"Sigma"}
+    curve = arc_points(result.arcs)
+    scanned = arc_points(sigma_r(scan, coeffs.L))
+
+    def distances(points, to):
+        tree = cKDTree(np.column_stack([to.real, to.imag]))
+        return tree.query(np.column_stack([points.real, points.imag]))[0]
+
+    to_curve = distances(scanned, curve)
+    # the curve's samples lie at most h apart along it, but its last sample
+    # in the region can stop up to h short of the border, where marching
+    # squares still puts a vertex
+    inner = ((region.re_min + h <= scanned.real)
+             & (scanned.real <= region.re_max - h)
+             & (region.im_min + h <= scanned.imag)
+             & (scanned.imag <= region.im_max - h))
+    assert np.max(to_curve[inner]) <= 0.75 * h
+    assert np.max(to_curve) <= 1.25 * h
+    assert np.max(distances(curve, scanned)) <= 1.25 * h
+    for arc in result.arcs:
+        moduli = np.sort(np.abs(np.linalg.eigvals(
+            transfer_matrices(coeffs, arc.points))), axis=1)
+        assert np.max(np.abs(moduli[:, arc.crossing_index - 1] - 1)) <= h / 10
+
+
+@pytest.mark.parametrize("grid", [17, 64])
+def test_curve_only_sigma_covers_both_decoupled_slits(grid):
+    # two decoupled channels with the slits [-2, 2] and [-1.5, 2.5]: where
+    # they overlap each point holds four unimodular eigenvalues
+    co = CoefficientTriple(np.eye(2), np.eye(2), np.diag([0.0, 0.5]))
+    result = compute_limit_sets(co, None, Region(-3, 3, -1, 1), grid, grid)
+    slits = np.concatenate([np.linspace(-2, 2, 401),
+                            np.linspace(-1.5, 2.5, 401)])
+    points = arc_points(result.arcs)
+    dist = np.abs(slits[:, None] - points[None, :]).min(axis=1)
+    assert np.max(dist) <= result.metadata["h"]
+
+
+def test_no_corner_run_reads_no_grid_nodes(scalar_model):
+    # the grid sets only the sample spacing h, and is still refused below
+    # 16 x 16
+    with pytest.raises(ValueError):
+        compute_limit_sets(scalar_model, None, REGION, 8, 64)
+    meta = compute_limit_sets(scalar_model, None, REGION, 40, 24).metadata
+    assert meta["h"] == plain_scan(scalar_model, REGION, 40, 24).h
+    assert [meta[k] for k in ("masked_nodes", "degenerate_nodes",
+                              "sigma_tie_nodes")] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_q_functions_take_a_list_of_energies(L):
+    coeffs, boundary = random_model(np.random.default_rng(40 + L), L)
+    energies = [0.3 + 0.1j, -1.2 + 0.7j, 2.0]
+    for q in (q_open(coeffs, boundary.C),
+              q_perturbed_dominant(coeffs, boundary)):
+        for derivative in (False, True):
+            assert same_bits(q(energies, derivative=derivative),
+                             q(np.array(energies), derivative=derivative))
 
 
 def test_compute_limit_sets_refuses_an_unread_r(demo_model):
@@ -321,12 +413,12 @@ def test_detector_counts_in_metadata():
     keys = ("candidate_edges", "swapped_edges", "crossing_solves",
             "crossing_fallbacks", "crossings_kept", "sigma_curve_points",
             "sigma_tie_nodes", "tie_flagged_crossings")
-    # the scalar slit is a fold of the sorted field, so all of its Sigma
-    # comes from the symbol curve: one solve per curve point. demo_circulant
-    # and demo_H run no equal-modulus pair, and marching squares leaves no
-    # Sigma point of theirs more than h from a vertex
+    # without a corner all of Sigma comes from the symbol curve, one solve
+    # per curve point in the region, and no grid is scanned. demo_H runs no
+    # equal-modulus pair, and marching squares leaves no Sigma point of its
+    # more than h from a vertex
     pins = [("scalar", None, (0, 0, 208, 0, 0, 208, 0, 0)),
-            ("demo_circulant", 64, (0, 0, 0, 0, 0, 0, 0, 0)),
+            ("demo_circulant", 64, (0, 0, 306, 0, 0, 306, 0, 0)),
             ("demo_H", 64, (0, 0, 0, 0, 0, 0, 0, 0)),
             ("demo_boundary", 64, (453, 95, 221, 4, 95, 0, 0, 0))]
     for name, grid, counts in pins:
@@ -335,12 +427,13 @@ def test_detector_counts_in_metadata():
         assert again.metadata == first.metadata
     # two decoupled channels with the slits [-2, 2] and [-1.5, 2.5] on the
     # real axis, a grid row: each slit node holds two unimodular eigenvalues.
-    # Marching squares covers both slits to within h, so the curve adds no
-    # point; with an open corner the crossings of the Lambda pair tie the
+    # Without a corner the curve gives all of Sigma and no node is scanned;
+    # with an open corner marching squares covers both slits to within h, so
+    # the curve adds no point, and the crossings of the Lambda pair tie the
     # branch below
     co = CoefficientTriple(np.eye(2), np.eye(2), np.diag([0.0, 0.5]))
     pinned = ("sigma_tie_nodes", "tie_flagged_crossings", "sigma_curve_points")
-    for corner, counts in ((None, (12, 0, 0)),
+    for corner, counts in ((None, (0, 0, 128)),
                            (BoundaryTriple.boundary(co.V), (12, 8, 0))):
         meta = compute_limit_sets(co, corner, Region(-3, 3, -1, 1), 17,
                                   17).metadata
@@ -416,18 +509,17 @@ def test_masked_node_does_not_abort_the_outlier_stage(monkeypatch):
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_scan_q_field_is_the_q_rows(L):
     coeffs, boundary = random_model(np.random.default_rng(L), L)
-    plain = scan_grid(coeffs, REGION, 20, 20)
-    assert plain.q_field is None
+    plain = plain_scan(coeffs, REGION, 20, 20)
     for q in (q_open(coeffs, boundary.C),
               q_perturbed_dominant(coeffs, boundary)):
         for workers in (1, 2):
-            scan = scan_grid(coeffs, REGION, 20, 20, workers=workers, q=q)
+            scan = scan_grid(coeffs, REGION, 20, 20, q, workers=workers)
             energies = scan.energies.ravel()
             assert (scan.q_field.tobytes()
                     == np.abs(q(energies)).reshape(20, 20).tobytes())
             values = ordered_eig(coeffs, energies)[0]
             assert same_bits(scan.values.reshape(values.shape), values)
-            # LAPACK's eig and eigvals return the same eigenvalues, bit for bit
+            # the eigenvalues do not depend on the q function
             assert same_bits(scan.values, plain.values)
             assert np.array_equal(scan.degenerate, plain.degenerate)
 
@@ -453,15 +545,15 @@ def test_scan_workers_are_capped_at_the_cpu_count(monkeypatch):
             return map(fn, chunks)
 
     coeffs, _ = random_model(np.random.default_rng(0), 2)
-    serial = scan_grid(coeffs, REGION, 20, 20, workers=1)
+    serial = plain_scan(coeffs, REGION, 20, 20, workers=1)
     monkeypatch.setattr(limitsets, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(limitsets.os, "cpu_count", lambda: 3)
-    scan = scan_grid(coeffs, REGION, 20, 20, workers=100_000)
+    scan = plain_scan(coeffs, REGION, 20, 20, workers=100_000)
     assert [(p.max_workers, p.chunks) for p in pools] == [(3, 12)]
     assert same_bits(scan.values, serial.values)
     # an unknown CPU count runs one worker: no pool at all
     monkeypatch.setattr(limitsets.os, "cpu_count", lambda: None)
-    scan_grid(coeffs, REGION, 20, 20, workers=100_000)
+    plain_scan(coeffs, REGION, 20, 20, workers=100_000)
     assert len(pools) == 1
 
 
@@ -646,7 +738,7 @@ def loop_crossings(scan, a, b):
 
 
 def test_pair_detector_matches_per_edge_reference(demo_model):
-    scan = scan_grid(demo_model, REGION, 40, 40)
+    scan = plain_scan(demo_model, REGION, 40, 40)
     for a in range(3):
         before = dict(scan.detector_counts)
         arcs = _lambda_pair_arcs(scan, a, a + 1, "Lambda", None)
@@ -675,13 +767,13 @@ def unpruned(point_filter):
 def pruning_scans():
     for name in ("demo_boundary", "demo_H", "demo_Htilde", "demo_circulant"):
         cfg = cli.load_config(os.path.join(CONFIG_DIR, name + ".json"))
-        yield name, scan_grid(cfg.coeffs, Region(*cfg.region), 48, 48)
+        yield name, plain_scan(cfg.coeffs, Region(*cfg.region), 48, 48)
     rng = np.random.default_rng(2024)
     # the coefficients of an L = 3 rank(A) = 1 model and an L = 4 boundary
     # model: the arc detectors read no corner
     for L in (3, 4):
         coeffs, _ = random_model(rng, L)
-        yield f"L{L}", scan_grid(coeffs, Region(-4, 4, -4, 4), 48, 48)
+        yield f"L{L}", plain_scan(coeffs, Region(-4, 4, -4, 4), 48, 48)
 
 
 def fresh(scan):
@@ -752,20 +844,13 @@ def test_lambda_crossings_match_a_plain_bisection(monkeypatch):
         return points, mods
 
     monkeypatch.setattr(limitsets, "_locate_crossings", recording)
-    fallbacks = {}
-    for name, plain in pruning_scans():
-        coeffs, L = plain.coeffs, plain.L
-        _, boundary = random_model(np.random.default_rng(7), L)
-        # Hermite roots from the branch slopes of a q scan, as in the
-        # pipeline, and from chord slopes on the eigenvalue-only scan
-        with_slopes = scan_grid(coeffs, plain.region, plain.re.size,
-                                plain.im.size, q=q_open(coeffs, boundary.C))
-        for scan in (with_slopes, plain):
-            lambda_open(scan)
-            for r in range(L):
-                lambda_r(scan, r)
-            fallbacks[name, scan.slopes is None] = (
-                scan.detector_counts["crossing_fallbacks"])
+    fallbacks = 0
+    for name, scan in pruning_scans():
+        # Hermite roots from the scan's branch slopes, as in the pipeline
+        lambda_open(scan)
+        for r in range(scan.L):
+            lambda_r(scan, r)
+        fallbacks += scan.detector_counts["crossing_fallbacks"]
     assert sum(points.size for *_, points, _ in located) > 500
     for scan, a, b, base, Ea, Eb, points, mods in located:
         reference = plain_bisection(scan.coeffs, a, b, base, Ea, Eb)
@@ -774,9 +859,8 @@ def test_lambda_crossings_match_a_plain_bisection(monkeypatch):
         own = np.sort(np.abs(np.linalg.eigvals(
             transfer_matrices(scan.coeffs, points))), axis=1)
         assert np.allclose(mods, own, rtol=1e-12, atol=0)
-    # both ways of locating met rows whose check failed
-    assert any(n for (_, chord), n in fallbacks.items() if chord)
-    assert any(n for (_, chord), n in fallbacks.items() if not chord)
+    # the locator met rows whose check failed
+    assert fallbacks
 
 
 def all_branch_bound(v0, v1, branches):
@@ -791,7 +875,7 @@ def test_pair_bound_and_reuse_keep_the_arcs(L, monkeypatch):
     """Every detector call of the pipeline, in pipeline order on one scan,
     gives the arcs of an all-branch-bound run on a fresh scan of its own."""
     coeffs, _ = random_model(np.random.default_rng(500 + L), L)
-    scan = scan_grid(coeffs, Region(-4, 4, -4, 4), 40, 40)
+    scan = plain_scan(coeffs, Region(-4, 4, -4, 4), 40, 40)
     calls = [partial(sigma_r, r=L), lambda_open]
     for r in range(L + 1):
         calls += [partial(sigma_r, r=r), partial(lambda_r, r=r)]
